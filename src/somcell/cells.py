@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics
 from .incidence import BlockDiagonalView, IncidenceMatrix
 from .som import SomModel
-from .viz import HitHistogram, compute_hits
+from .viz import HitHistogram, compute_hits, fill_hitless_units
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,7 @@ def cluster_map(model: SomModel, hits: HitHistogram, k: int) -> np.ndarray:
     labels = _kmeans_labels(model.codebook[hit_units], k, model.seed)
     out = np.zeros(model.grid.units, dtype=np.int64)
     out[hit_units] = labels + 1
-    for u in np.flatnonzero(hits.hits == 0):
-        d2 = ((model.codebook[hit_units] - model.codebook[u]) ** 2).sum(axis=1)
-        out[u] = out[hit_units[int(np.argmin(d2))]]
-    return out
+    return fill_hitless_units(model, hits, out)
 
 
 def assign_parts(clusters, hits: HitHistogram) -> np.ndarray:
@@ -159,20 +156,14 @@ def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAs
         machineless = np.setdiff1d(used, np.unique(machine_cell))
         if machineless.size == 0:
             break
-        orphan = int(machineless[0])
-        survivors = used[used != orphan]
-        for p in np.flatnonzero(part_family == orphan):
-            best_family = -1
-            best_density = -1.0
-            for g in survivors:
-                cols = np.flatnonzero(machine_cell == g)
-                if cols.size == 0:
-                    continue
-                density = float(values[p, cols].mean())
-                if density > best_density:
-                    best_density = density
-                    best_family = int(g)
-            part_family[p] = best_family
+        orphans = np.flatnonzero(part_family == machineless[0])
+        # one column per family that owns machines, ascending, so argmax's
+        # first maximum keeps the smaller id on ties; float64 sums of 0/1
+        # are exact and cannot wrap like uint8
+        owners = np.unique(machine_cell)
+        onehot = (machine_cell[:, None] == owners[None, :]).astype(np.float64)
+        density = (values[orphans].astype(np.float64) @ onehot) / onehot.sum(axis=0)
+        part_family[orphans] = owners[np.argmax(density, axis=1)]
     return CellAssignment(
         k=int(np.unique(part_family).size),
         part_family=tuple(int(f) for f in part_family),

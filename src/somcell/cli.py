@@ -66,6 +66,16 @@ def _parse_grid(text: str) -> MapGrid:
     return grid
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
+    return value
+
+
 def _read_matrix(path, transpose: bool = False) -> IncidenceMatrix:
     try:
         matrix = load_matrix(path)
@@ -474,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run the pipeline over a corpus and compare to targets")
     sp.add_argument("--corpus", required=True, help="directory with matrix files (and manifest.json unless --manifest)")
     sp.add_argument("--manifest", default=None, help="manifest JSON (default: <corpus>/manifest.json)")
-    sp.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="seeds per case; the best efficacy wins")
+    sp.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS, help="seeds per case; the best efficacy wins")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed; restart i uses seed+i")
     sp.add_argument("--grid", type=_parse_grid, default=None, help="override the per-case default grid")
     sp.add_argument("--kmax", type=int, default=None)
@@ -489,13 +499,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

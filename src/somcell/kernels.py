@@ -1,235 +1,38 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized with numpy.
 
-The numba backend JIT-compiles the sequential loops below; the numpy
-backend runs the same arithmetic vectorized, with summation orders chosen
-to match the loops. Set ``SOMCELL_DISABLE_NUMBA=1`` to force the numpy
-path; it is also used automatically when numba is not importable. Both
-backends are bit-deterministic for fixed inputs. Across backends, results
-agree exactly for the integer kernel and to float rounding for the float
-kernels (the two exp implementations may differ in the last units of
-precision).
+All three are bit-deterministic for fixed inputs: nearest-unit ties go to
+the lowest unit index and exact efficacy ties to the lexicographically
+smallest machine assignment.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "HAVE_NUMBA",
-    "numpy_backend",
-    "numba_backend",
     "batch_bmu",
     "train_run",
     "best_machine_split",
 ]
 
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("SOMCELL_DISABLE_NUMBA", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# Loop implementations. These compile under numba and also run as plain
-# Python, which keeps one algorithm definition per kernel.
-
-
-def _batch_bmu_loops(codebook, samples):
-    n_samples = samples.shape[0]
-    n_units, dim = codebook.shape
-    out = np.empty(n_samples, dtype=np.int64)
-    for s in range(n_samples):
-        best = 0
-        best_d = np.inf
-        for u in range(n_units):
-            acc = 0.0
-            for j in range(dim):
-                d = samples[s, j] - codebook[u, j]
-                acc += d * d
-            # strict < keeps the lowest index on ties
-            if acc < best_d:
-                best_d = acc
-                best = u
-        out[s] = best
-    return out
-
-
-def _train_run_loops(codebook, samples, orders, alphas, sigmas, dist_sq):
-    n_epochs, per_epoch = orders.shape
-    n_units, dim = codebook.shape
-    t = 0
-    for e in range(n_epochs):
-        for s in range(per_epoch):
-            p = orders[e, s]
-            best = 0
-            best_d = np.inf
-            for u in range(n_units):
-                acc = 0.0
-                for j in range(dim):
-                    d = samples[p, j] - codebook[u, j]
-                    acc += d * d
-                if acc < best_d:
-                    best_d = acc
-                    best = u
-            a = alphas[t]
-            sg = sigmas[t]
-            if sg > 0.0:
-                inv = 1.0 / (2.0 * sg * sg)
-                for u in range(n_units):
-                    h = a * math.exp(-dist_sq[best, u] * inv)
-                    for j in range(dim):
-                        codebook[u, j] += h * (samples[p, j] - codebook[u, j])
-            else:
-                # degenerate neighborhood: only the matching unit moves
-                for j in range(dim):
-                    codebook[best, j] += a * (samples[p, j] - codebook[best, j])
-            t += 1
-    return codebook
-
-
-def _best_machine_split_loops(block_ones, block_sizes, n_ones):
-    k, m = block_ones.shape
-    assign = np.zeros(m, dtype=np.int64)
-    best_assign = np.zeros(m, dtype=np.int64)
-    best_num = -1
-    best_den = 1
-    full = (1 << k) - 1
-    while True:
-        cover = 0
-        num = 0
-        size_sum = 0
-        for j in range(m):
-            b = assign[j]
-            cover |= 1 << b
-            num += block_ones[b, j]
-            size_sum += block_sizes[b]
-        if cover == full:
-            den = n_ones + size_sum - num
-            # exact rational comparison; strict > keeps the first optimum,
-            # and the odometer below enumerates assignments in ascending
-            # lexicographic order
-            if num * best_den > best_num * den:
-                best_num = num
-                best_den = den
-                for j in range(m):
-                    best_assign[j] = assign[j]
-        pos = m - 1
-        while pos >= 0 and assign[pos] == k - 1:
-            assign[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        assign[pos] += 1
-    return best_num, best_den, best_assign
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy twins.
-
-
-def _batch_bmu_numpy(codebook, samples):
-    n_units, dim = codebook.shape
-    d2 = np.zeros((samples.shape[0], n_units), dtype=np.float64)
-    for j in range(dim):
-        diff = samples[:, j, None] - codebook[None, :, j]
-        d2 += diff * diff
-    # argmin returns the first minimum, matching the strict < scan
-    return np.argmin(d2, axis=1).astype(np.int64)
-
-
-def _train_run_numpy(codebook, samples, orders, alphas, sigmas, dist_sq):
-    n_epochs, per_epoch = orders.shape
-    n_units, dim = codebook.shape
-    t = 0
-    for e in range(n_epochs):
-        for s in range(per_epoch):
-            x = samples[orders[e, s]]
-            diff = x - codebook
-            d2 = np.zeros(n_units, dtype=np.float64)
-            for j in range(dim):
-                d2 += diff[:, j] * diff[:, j]
-            best = int(np.argmin(d2))
-            a = alphas[t]
-            sg = sigmas[t]
-            if sg > 0.0:
-                inv = 1.0 / (2.0 * sg * sg)
-                h = a * np.exp(-dist_sq[best] * inv)
-                codebook += h[:, None] * diff
-            else:
-                codebook[best] += a * diff[best]
-            t += 1
-    return codebook
-
-
-@lru_cache(maxsize=8)
-def _assignment_matrix(k: int, m: int) -> np.ndarray:
-    """All k^m machine assignments, ascending lexicographic, last column fastest."""
-    axes = np.meshgrid(*([np.arange(k, dtype=np.int64)] * m), indexing="ij")
-    out = np.stack(axes, axis=-1).reshape(-1, m)
-    out.flags.writeable = False
-    return out
-
-
-def _best_machine_split_numpy(block_ones, block_sizes, n_ones):
-    k, m = block_ones.shape
-    assigns = _assignment_matrix(k, m)
-    nums = block_ones[assigns, np.arange(m)].sum(axis=1)
-    dens = n_ones + block_sizes[assigns].sum(axis=1) - nums
-    cover = np.zeros(assigns.shape[0], dtype=np.int64)
-    for j in range(m):
-        cover |= np.int64(1) << assigns[:, j]
-    valid = cover == (1 << k) - 1
-    if not valid.any():
-        return -1, 1, np.zeros(m, dtype=np.int64)
-    ratio = np.where(valid, nums / dens, -1.0)
-    top = float(ratio.max())
-    # Candidate window: distinct exact ratios here differ by at least
-    # 1/(den*den') >> 1e-9 for the small integers involved, so everything in
-    # the window shares the exact optimum and the first one is the
-    # lexicographically smallest.
-    best = int(np.flatnonzero(ratio >= top - 1e-9)[0])
-    return int(nums[best]), int(dens[best]), assigns[best].copy()
-
-
-numpy_backend = {
-    "batch_bmu": _batch_bmu_numpy,
-    "train_run": _train_run_numpy,
-    "best_machine_split": _best_machine_split_numpy,
-}
-
-HAVE_NUMBA = False
-numba_backend = None
-if not _numba_disabled():
-    try:
-        from numba import njit as _njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    numba_backend = {
-        "batch_bmu": _njit(cache=True, nogil=True)(_batch_bmu_loops),
-        "train_run": _njit(cache=True, nogil=True)(_train_run_loops),
-        "best_machine_split": _njit(cache=True, nogil=True)(_best_machine_split_loops),
-    }
-    BACKEND = "numba"
-    _active = numba_backend
-else:
-    BACKEND = "numpy"
-    _active = numpy_backend
+BACKEND = "numpy"
 
 
 def batch_bmu(codebook, samples) -> np.ndarray:
     """Index of the nearest codebook row per sample (ties go to the lowest index)."""
     cb = np.ascontiguousarray(codebook, dtype=np.float64)
     xs = np.ascontiguousarray(samples, dtype=np.float64)
-    return _active["batch_bmu"](cb, xs)
+    # one column at a time keeps the temporary at (samples, units), not
+    # (samples, units, dim)
+    d2 = np.zeros((xs.shape[0], cb.shape[0]), dtype=np.float64)
+    for j in range(cb.shape[1]):
+        diff = xs[:, j, None] - cb[None, :, j]
+        d2 += diff * diff
+    # argmin returns the first minimum
+    return np.argmin(d2, axis=1).astype(np.int64)
 
 
 def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
@@ -248,7 +51,26 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     d2 = np.ascontiguousarray(dist_sq, dtype=np.float64)
     if al.shape[0] != ords.size or sg.shape[0] != ords.size:
         raise ValueError("alphas/sigmas must provide one value per training step")
-    return _active["train_run"](cb, xs, ords, al, sg, d2)
+    for t, p in enumerate(ords.ravel()):
+        diff = xs[p] - cb
+        best = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+        if sg[t] > 0.0:
+            inv = 1.0 / (2.0 * sg[t] * sg[t])
+            h = al[t] * np.exp(-d2[best] * inv)
+            cb += h[:, None] * diff
+        else:
+            # degenerate neighborhood: only the matching unit moves
+            cb[best] += al[t] * diff[best]
+    return cb
+
+
+@lru_cache(maxsize=8)
+def _assignment_matrix(k: int, m: int) -> np.ndarray:
+    """All k^m machine assignments, ascending lexicographic, last column fastest."""
+    axes = np.meshgrid(*([np.arange(k, dtype=np.int64)] * m), indexing="ij")
+    out = np.stack(axes, axis=-1).reshape(-1, m)
+    out.flags.writeable = False
+    return out
 
 
 def best_machine_split(block_ones, block_sizes, n_ones):
@@ -257,8 +79,26 @@ def best_machine_split(block_ones, block_sizes, n_ones):
     ``block_ones[f, j]`` counts ones of machine j among family f's parts and
     ``block_sizes[f]`` is the family size. Maximizes the exact efficacy
     ratio; among optima the lexicographically smallest assignment wins.
-    Returns ``(numerator, denominator, assignment)``.
+    Returns ``(numerator, denominator, assignment)``; the numerator is -1
+    when no assignment gives every family a machine.
     """
     bo = np.ascontiguousarray(block_ones, dtype=np.int64)
     bs = np.ascontiguousarray(block_sizes, dtype=np.int64)
-    return _active["best_machine_split"](bo, bs, int(n_ones))
+    k, m = bo.shape
+    assigns = _assignment_matrix(k, m)
+    nums = bo[assigns, np.arange(m)].sum(axis=1)
+    dens = int(n_ones) + bs[assigns].sum(axis=1) - nums
+    cover = np.zeros(assigns.shape[0], dtype=np.int64)
+    for j in range(m):
+        cover |= np.int64(1) << assigns[:, j]
+    valid = cover == (1 << k) - 1
+    if not valid.any():
+        return -1, 1, np.zeros(m, dtype=np.int64)
+    ratio = np.where(valid, nums / dens, -1.0)
+    top = float(ratio.max())
+    # Candidate window: distinct exact ratios here differ by at least
+    # 1/(den*den') >> 1e-9 for the small integers involved, so everything in
+    # the window shares the exact optimum and the first one is the
+    # lexicographically smallest.
+    best = int(np.flatnonzero(ratio >= top - 1e-9)[0])
+    return int(nums[best]), int(dens[best]), assigns[best].copy()

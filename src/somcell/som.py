@@ -302,8 +302,12 @@ def save_model(model: SomModel, path) -> None:
 def load_model(path) -> SomModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "somcell-model":
+    if not isinstance(doc, dict) or doc.get("format") != "somcell-model":
         raise ValueError(f"{path}: not a somcell model file")
+    if doc.get("version") != 1:
+        raise ValueError(f"{path}: unsupported model version {doc.get('version')!r}")
+    if not isinstance(doc.get("grid"), dict) or doc["grid"].get("topology") != "hexagonal":
+        raise ValueError(f"{path}: model grid topology must be 'hexagonal'")
     schedule = None
     if doc.get("schedule"):
         schedule = TrainingSchedule(tuple(Phase(**ph) for ph in doc["schedule"]))

@@ -276,8 +276,7 @@ def _plane_svg(plane: ComponentPlane) -> str:
 def unit_cells_from_hits(hits: HitHistogram, part_cells) -> np.ndarray:
     """Cell id per unit, majority vote of its parts' cells (ties to the smaller id).
 
-    Units with no hits get 0; callers that need them filled can propagate
-    from neighbors (see export_scatter_data, which uses codebook proximity).
+    Units with no hits get 0; fill_hitless_units fills them in.
     """
     part_cells = np.asarray(part_cells, dtype=np.int64)
     if part_cells.shape[0] != hits.bmus.shape[0]:
@@ -288,6 +287,17 @@ def unit_cells_from_hits(hits: HitHistogram, part_cells) -> np.ndarray:
         if members.size:
             ids, counts = np.unique(members, return_counts=True)
             out[u] = int(ids[np.argmax(counts)])  # unique sorts ids, argmax takes first max
+    return out
+
+
+def fill_hitless_units(model: SomModel, hits: HitHistogram, unit_ids) -> np.ndarray:
+    """Copy of per-unit ``unit_ids`` where units with no hits take the id of
+    the nearest hit unit in codebook space (ties to the lower unit index)."""
+    out = np.array(unit_ids, dtype=np.int64)
+    hit_units = np.flatnonzero(hits.hits > 0)
+    for u in np.flatnonzero(hits.hits == 0):
+        d2 = ((model.codebook[hit_units] - model.codebook[u]) ** 2).sum(axis=1)
+        out[u] = out[hit_units[int(np.argmin(d2))]]
     return out
 
 
@@ -411,11 +421,7 @@ def export_scatter_data(model: SomModel, data, assignment, path) -> None:
     )
     hits = compute_hits(model, data)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
-    unit_cells = unit_cells_from_hits(hits, part_cells)
-    hit_units = np.flatnonzero(hits.hits > 0)
-    for u in np.flatnonzero(hits.hits == 0):
-        d2 = ((model.codebook[hit_units] - model.codebook[u]) ** 2).sum(axis=1)
-        unit_cells[u] = unit_cells[hit_units[int(np.argmin(d2))]]
+    unit_cells = fill_hitless_units(model, hits, unit_cells_from_hits(hits, part_cells))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

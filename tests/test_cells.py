@@ -120,6 +120,21 @@ def test_settle_dissolves_machineless_families():
     assert settled.machine_cell == (1, 1, 1)
 
 
+def test_settle_rehomes_orphans_by_density_past_uint8_counts():
+    # family 3 ties family 1 on its 256 machines and loses them to the
+    # smaller id; its part then uses those 256 machines fully (density 1)
+    # and family 2's two machines half. A count wrapped at 256 would read 0.
+    block = np.ones((2, 256), dtype=np.uint8)
+    values = np.zeros((5, 258), dtype=np.uint8)
+    values[0:2, :256] = block
+    values[2:4, 256:] = 1
+    values[4, :257] = 1
+    data = IncidenceMatrix.from_array(values)
+    settled = _settle_assignment(data, np.array([1, 1, 2, 2, 3]))
+    assert settled.part_family == (1, 1, 2, 2, 1)
+    assert settled.machine_cell == (1,) * 256 + (2, 2)
+
+
 def test_form_cells_validates_inputs(problem1):
     model = _trained(problem1)
     with pytest.raises(ValueError):

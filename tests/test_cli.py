@@ -123,6 +123,16 @@ def test_cells_rejects_garbage_model_file(tmp_path, blocks_file, capsys):
     assert "not a valid model file" in capsys.readouterr().err
 
 
+def test_cells_rejects_non_object_model_file(tmp_path, blocks_file, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text("[1, 2, 3]")
+    rc = main(["cells", "--input", str(blocks_file), "--model", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not a somcell model file" in err
+
+
 def test_metrics_scores_saved_assignment(tmp_path, trained, capsys):
     matrix_path, model_path = trained
     out_dir = tmp_path / "cells"
@@ -269,3 +279,12 @@ def test_cells_on_the_bundled_instance(tmp_path, capsys):
     assert rc == 0
     assert "cells: 2" in out
     assert "grouping efficacy 25/26 = 0.9615" in out
+
+
+def test_bench_rejects_nonpositive_restarts(tmp_path, capsys):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--corpus", str(tmp_path), "--restarts", value])
+        assert exc.value.code == 2
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert err_lines == [f"somcell bench: error: argument --restarts: must be a positive integer, got '{value}'"]

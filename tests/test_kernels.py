@@ -1,22 +1,13 @@
-"""Both compute backends must agree: integers exactly, floats to 1e-10."""
+"""Kernels against independent plain-Python references, plus behavior cases."""
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import naive_bmu
 from somcell import kernels
-
-# Agreement tests are meaningless with a single backend (numba missing or
-# disabled via SOMCELL_DISABLE_NUMBA); behavior tests still run everywhere.
-needs_both = pytest.mark.skipif(
-    kernels.numba_backend is None, reason="numba backend unavailable or disabled"
-)
-
-
-def available_backends():
-    backends = [kernels.numpy_backend]
-    if kernels.numba_backend is not None:
-        backends.append(kernels.numba_backend)
-    return backends
 
 
 def _random_problem(rng, units=12, dim=7, samples=9):
@@ -25,30 +16,43 @@ def _random_problem(rng, units=12, dim=7, samples=9):
     return codebook, data
 
 
-@needs_both
-def test_batch_bmu_backends_agree_and_match_naive():
+def test_batch_bmu_matches_naive_scan():
     rng = np.random.default_rng(0)
     for _ in range(30):
         codebook, data = _random_problem(rng)
-        a = kernels.numpy_backend["batch_bmu"](codebook, data)
-        b = kernels.numba_backend["batch_bmu"](codebook, data)
-        assert np.array_equal(a, b)
-        for i, x in enumerate(data):
-            assert a[i] == naive_bmu(codebook.tolist(), x.tolist())
+        got = kernels.batch_bmu(codebook, data)
+        assert got.dtype == np.int64
+        assert got.tolist() == [naive_bmu(codebook.tolist(), x.tolist()) for x in data]
 
 
 def test_batch_bmu_tie_goes_to_lowest_index():
     codebook = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     query = np.array([[0.6, 0.6], [1.0, 0.0]])
-    for backend in available_backends():
-        got = backend["batch_bmu"](codebook, query)
-        assert got.tolist() == [0, 0]
+    assert kernels.batch_bmu(codebook, query).tolist() == [0, 0]
 
 
-@needs_both
-def test_train_run_backends_agree_closely():
+def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
+    """Sequential online updates, one unit and one coordinate at a time."""
+    cb = codebook.tolist()
+    t = 0
+    for order in orders.tolist():
+        for p in order:
+            x = data[p].tolist()
+            best = naive_bmu(cb, x)
+            for u, row in enumerate(cb):
+                if sigmas[t] > 0.0:
+                    h = alphas[t] * math.exp(-dist_sq[best, u] / (2.0 * sigmas[t] ** 2))
+                else:
+                    h = alphas[t] if u == best else 0.0
+                for j in range(len(row)):
+                    row[j] += h * (x[j] - row[j])
+            t += 1
+    return np.array(cb)
+
+
+def test_train_run_matches_sequential_reference():
     rng = np.random.default_rng(1)
-    for _ in range(10):
+    for trial in range(10):
         codebook, data = _random_problem(rng, units=9, dim=5, samples=6)
         dist_sq = rng.random((9, 9))
         dist_sq = (dist_sq + dist_sq.T) / 2
@@ -58,9 +62,11 @@ def test_train_run_backends_agree_closely():
         steps = epochs * per_epoch
         alphas = np.linspace(0.5, 0.05, steps)
         sigmas = np.linspace(2.0, 0.4, steps)
-        a = kernels.numpy_backend["train_run"](codebook.copy(), data, orders, alphas, sigmas, dist_sq)
-        b = kernels.numba_backend["train_run"](codebook.copy(), data, orders, alphas, sigmas, dist_sq)
-        assert np.allclose(a, b, rtol=0.0, atol=1e-10)
+        if trial % 2:
+            sigmas[-per_epoch:] = 0.0  # last epoch moves only the matching unit
+        got = kernels.train_run(codebook, data, orders, alphas, sigmas, dist_sq)
+        want = _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 def test_train_run_zero_sigma_updates_only_the_bmu():
@@ -118,28 +124,46 @@ def _split_cases(rng, n):
         yield values, pf, k
 
 
-@needs_both
-def test_best_machine_split_backends_agree_exactly():
+def _brute_force_split(values, pf, k):
+    """First optimum over every covering machine assignment, in lexicographic order."""
+    rows = values.tolist()
+    families = pf.tolist()
+    n1 = sum(map(sum, rows))
+    best = None
+    for assign in itertools.product(range(k), repeat=len(rows[0])):
+        if len(set(assign)) != k:
+            continue
+        in_block = [
+            (i, j) for i, f in enumerate(families) for j, c in enumerate(assign) if f == c
+        ]
+        num = sum(rows[i][j] for i, j in in_block)
+        den = n1 + len(in_block) - num
+        if best is None or Fraction(num, den) > Fraction(best[0], best[1]):
+            best = (num, den, list(assign))
+    return best
+
+
+def test_best_machine_split_matches_brute_force():
     rng = np.random.default_rng(2)
     for values, pf, k in _split_cases(rng, 60):
         block_ones = np.zeros((k, values.shape[1]), dtype=np.int64)
         for c in range(k):
             block_ones[c] = values[pf == c].sum(axis=0)
         sizes = np.bincount(pf, minlength=k).astype(np.int64)
-        n1 = int(values.sum())
-        a = kernels.numpy_backend["best_machine_split"](block_ones, sizes, n1)
-        b = kernels.numba_backend["best_machine_split"](block_ones, sizes, n1)
-        assert a[0] == b[0] and a[1] == b[1]
-        assert np.array_equal(a[2], b[2])
+        num, den, assign = kernels.best_machine_split(block_ones, sizes, int(values.sum()))
+        want = _brute_force_split(values, pf, k)
+        if want is None:
+            assert num < 0
+        else:
+            assert (num, den, assign.tolist()) == tuple(want)
 
 
 def test_best_machine_split_requires_every_cell_used():
     # two cells, one machine: no covering machine assignment exists
     block_ones = np.array([[1], [1]], dtype=np.int64)
     sizes = np.array([1, 1], dtype=np.int64)
-    for backend in available_backends():
-        num, den, _ = backend["best_machine_split"](block_ones, sizes, 2)
-        assert num < 0 and den > 0
+    num, den, _ = kernels.best_machine_split(block_ones, sizes, 2)
+    assert num < 0 and den > 0
 
 
 def test_best_machine_split_hand_case():
@@ -157,12 +181,10 @@ def test_best_machine_split_first_optimum_wins():
     # the same, so the lexicographically smaller one must be returned
     block_ones = np.array([[1, 1], [1, 1]], dtype=np.int64)
     sizes = np.array([1, 1], dtype=np.int64)
-    for backend in available_backends():
-        num, den, assign = backend["best_machine_split"](block_ones, sizes, 4)
-        assert assign.tolist() == [0, 1]
-        assert (num, den) == (2, 4)
+    num, den, assign = kernels.best_machine_split(block_ones, sizes, 4)
+    assert assign.tolist() == [0, 1]
+    assert (num, den) == (2, 4)
 
 
 def test_backend_flag_reports_active_backend():
-    assert kernels.BACKEND in ("numba", "numpy")
-    assert kernels.HAVE_NUMBA in (True, False)
+    assert kernels.BACKEND == "numpy"

@@ -1,4 +1,5 @@
 """Lattice geometry, schedules, initialization, training, persistence."""
+import json
 import math
 
 import numpy as np
@@ -191,6 +192,17 @@ def test_load_model_rejects_foreign_json(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_model(path)
+    save_model(SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), input_dim=2, seed=0), path)
+    good = json.loads(path.read_text())
+    foreign = [
+        [good],
+        {**good, "version": 2},
+        {**good, "grid": {**good["grid"], "topology": "rectangular"}},
+    ]
+    for doc in foreign:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_model(path)
 
 
 def test_model_validates_codebook_shape():
