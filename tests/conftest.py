@@ -27,6 +27,17 @@ def naive_bmu(codebook, x):
     return best
 
 
+def fill_hitless_reference(codebook, hit_counts, unit_ids):
+    """Per-unit loop: a unit without hits copies the id of the nearest hit
+    unit in codebook space (first minimum, so ties go to the lower index)."""
+    out = np.array(unit_ids, dtype=np.int64)
+    hit_units = np.flatnonzero(hit_counts > 0)
+    for u in np.flatnonzero(hit_counts == 0):
+        d2 = ((codebook[hit_units] - codebook[u]) ** 2).sum(axis=1)
+        out[u] = out[hit_units[int(np.argmin(d2))]]
+    return out
+
+
 def random_incidence(rng, parts, machines, density=0.4):
     """Random binary matrix with no empty rows or columns."""
     while True:

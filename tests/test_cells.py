@@ -1,12 +1,16 @@
 """Cell extraction: clustering, inheritance, machine pull, k sweep."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import P1_MACHINE_CELLS, P1_PART_FAMILIES, planted_instance
+from conftest import P1_MACHINE_CELLS, P1_PART_FAMILIES, fill_hitless_reference, planted_instance
 from somcell import (
     CellAssignment,
     IncidenceMatrix,
     MapGrid,
+    SomModel,
     assign_machines,
     assign_parts,
     build_view,
@@ -21,7 +25,7 @@ from somcell import (
     init_codebook,
     train,
 )
-from somcell.cells import _settle_assignment
+from somcell.cells import _farthest_first_centers, _relabel_by_size, _settle_assignment
 from somcell.viz import HitHistogram
 
 
@@ -225,3 +229,164 @@ def test_build_view_on_known_grouping(problem1):
     assert (p1 - p0, m1 - m0) == (7, 5)
     (p0, p1), (m0, m1) = view.cell_boundaries[1]
     assert (p1 - p0, m1 - m0) == (3, 5)
+
+
+# ---------------------------------------------------------------------------
+# Plain-Python references for the array-wide helpers. Each is the per-family
+# or per-unit loop the helper replaced; outputs must match bit for bit.
+
+
+def _assign_machines_reference(values, part_family):
+    out = np.zeros(values.shape[1], dtype=np.int64)
+    best = np.full(values.shape[1], -1.0)
+    for f in np.unique(part_family):  # ascending, so strict > keeps the smaller id on ties
+        density = values[part_family == f].mean(axis=0)
+        better = density > best
+        out[better] = f
+        best[better] = density[better]
+    return out
+
+
+def _relabel_reference(part_family, values):
+    ids, first, counts = np.unique(part_family, return_index=True, return_counts=True)
+    ones = np.array([int(values[part_family == f].sum()) for f in ids])
+    order = sorted(range(ids.size), key=lambda i: (-counts[i], -ones[i], first[i]))
+    remap = {int(ids[i]): rank + 1 for rank, i in enumerate(order)}
+    return np.array([remap[int(f)] for f in part_family], dtype=np.int64)
+
+
+def _settle_reference(values, part_family):
+    part_family = np.asarray(part_family, dtype=np.int64).copy()
+    while True:
+        part_family = _relabel_reference(part_family, values)
+        machine_cell = _assign_machines_reference(values, part_family)
+        machineless = np.setdiff1d(np.unique(part_family), np.unique(machine_cell))
+        if machineless.size == 0:
+            break
+        orphans = np.flatnonzero(part_family == machineless[0])
+        owners = np.unique(machine_cell)
+        onehot = (machine_cell[:, None] == owners[None, :]).astype(np.float64)
+        density = (values[orphans].astype(np.float64) @ onehot) / onehot.sum(axis=0)
+        part_family[orphans] = owners[np.argmax(density, axis=1)]
+    return CellAssignment(
+        k=int(np.unique(part_family).size),
+        part_family=tuple(part_family),
+        machine_cell=tuple(machine_cell),
+    )
+
+
+def _kmeans_reference(points, k, seed):
+    centers = _farthest_first_centers(points, k, seed)
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
+    for _ in range(100):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = points[labels == c]
+            if members.shape[0]:
+                centers[c] = members.mean(axis=0)
+    return labels
+
+
+def _cluster_map_reference(model, hits, k):
+    hit_units = np.flatnonzero(hits.hits > 0)
+    out = np.zeros(model.grid.units, dtype=np.int64)
+    out[hit_units] = _kmeans_reference(model.codebook[hit_units], k, model.seed) + 1
+    return fill_hitless_reference(model.codebook, hits.hits, out)
+
+
+@st.composite
+def family_problems(draw):
+    """(0/1 matrix, family id per part) rigged for ties.
+
+    Rows are copies of a few base rows, so families often have exactly equal
+    densities; ids come from a small gappy pool; sometimes one family gets
+    more than 255 parts, past any uint8 count.
+    """
+    machines = draw(st.integers(1, 6))
+    base = draw(arrays(np.uint8, (draw(st.integers(1, 4)), machines), elements=st.integers(0, 1)))
+    base[base.sum(axis=1) == 0, 0] = 1
+    rows = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=1, max_size=14))
+    pool = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True))
+    family = draw(st.lists(st.sampled_from(pool), min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        extra = draw(st.integers(256, 300))
+        rows += [draw(st.integers(0, base.shape[0] - 1))] * extra
+        family += [draw(st.sampled_from(pool))] * extra
+    values = base[rows]
+    values[:, values.sum(axis=0) == 0] = 1  # whole columns, so duplicate rows stay duplicates
+    return values, np.array(family, dtype=np.int64)
+
+
+_GAPPY = (
+    np.array([[1, 0, 1], [1, 0, 1], [0, 1, 1], [0, 1, 1], [1, 1, 0]], dtype=np.uint8),
+    np.array([3, 7, 3, 9, 7], dtype=np.int64),
+)
+_BIG_FAMILY = (
+    np.array([[1, 1]] * 300 + [[1, 0], [0, 1]], dtype=np.uint8),
+    np.array([5] * 300 + [2, 8], dtype=np.int64),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_problems())
+@example(_GAPPY)
+@example(_BIG_FAMILY)
+def test_assign_machines_matches_per_family_loop(problem):
+    values, family = problem
+    got = assign_machines(IncidenceMatrix.from_array(values), family)
+    want = _assign_machines_reference(values, family)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_problems())
+@example(_GAPPY)
+@example(_BIG_FAMILY)
+def test_relabel_by_size_matches_sorted_remap(problem):
+    values, family = problem
+    got = _relabel_by_size(family, values)
+    want = _relabel_reference(family, values)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_problems())
+@example(_GAPPY)
+@example(_BIG_FAMILY)
+def test_settle_matches_loop_reference(problem):
+    values, family = problem
+    assert _settle_assignment(IncidenceMatrix.from_array(values), family) == _settle_reference(values, family)
+
+
+@st.composite
+def clustered_maps(draw):
+    """(model, hits, k) on a small map whose codebook rows often coincide or tie."""
+    rows, cols, dim = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    units = rows * cols
+    grid_values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    elements = grid_values | st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False)
+    codebook = draw(arrays(np.float64, (units, dim), elements=elements))
+    counts = draw(arrays(np.int64, units, elements=st.integers(0, 3)))
+    counts[draw(st.integers(0, units - 1))] += 1  # at least one busy unit
+    hits = HitHistogram(
+        grid=MapGrid(rows, cols),
+        hits=counts,
+        bmus=np.repeat(np.arange(units), counts),
+        part_labels=tuple(f"p{i + 1}" for i in range(int(counts.sum()))),
+    )
+    model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, input_dim=dim, seed=draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, int((counts > 0).sum())))
+    return model, hits, k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(clustered_maps())
+def test_cluster_map_matches_loop_reference(case):
+    model, hits, k = case
+    got = cluster_map(model, hits, k)
+    want = _cluster_map_reference(model, hits, k)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()

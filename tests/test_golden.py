@@ -20,7 +20,8 @@ from somcell.viz import export_scatter_data
 
 
 def _planted_tall(seed, part_runs=(30, 25, 25, 20), machine_runs=(12, 10, 10, 8), noise=0.03):
-    """Shuffled 100x40 block-diagonal matrix with every bit flipped with probability ``noise``."""
+    """Shuffled block-diagonal matrix (100x40 by default) with every bit
+    flipped with probability ``noise``."""
     rng = np.random.default_rng(seed)
     pf = np.repeat(np.arange(len(part_runs)), part_runs)
     mc = np.repeat(np.arange(len(machine_runs)), machine_runs)
@@ -40,6 +41,13 @@ def _case(name):
         return IncidenceMatrix.from_array(planted_instance(np.random.default_rng(int(arg)))), 42
     if kind == "planted100x40":
         return IncidenceMatrix.from_array(_planted_tall(int(arg))), 42
+    if kind == "planted250x45":
+        # seven blocks at 5% noise: the default sweep (k = 2..23) settles
+        # 22 candidates with 54 dissolves between them
+        values = _planted_tall(
+            int(arg), (50, 42, 38, 35, 32, 28, 25), (9, 8, 7, 6, 6, 5, 4), noise=0.05
+        )
+        return IncidenceMatrix.from_array(values), 42
     raise KeyError(name)
 
 
@@ -152,11 +160,32 @@ GOLDEN = {
         ),
         "efficacy": Fraction(9, 10),
     },
+    "planted250x45-3": {
+        "codebook_sha256": "88959eb9cb4287587f912e76de45d438a1214525b243ed495b870ebe5319236c",
+        "part_family": (
+            3, 6, 1, 5, 2, 7, 3, 7, 2, 1, 6, 4, 4, 5, 5, 3, 3, 3, 2, 2, 7, 6, 1, 2, 5,
+            2, 2, 2, 6, 1, 4, 4, 3, 5, 1, 1, 1, 3, 3, 5, 7, 7, 4, 2, 1, 4, 6, 1, 4, 6,
+            5, 3, 5, 3, 1, 6, 7, 3, 1, 4, 4, 1, 5, 7, 2, 3, 1, 5, 2, 5, 1, 1, 3, 1, 1,
+            6, 5, 2, 1, 3, 7, 7, 2, 1, 6, 1, 6, 2, 3, 2, 7, 3, 6, 7, 2, 4, 5, 5, 1, 5,
+            2, 1, 4, 2, 6, 7, 4, 1, 1, 4, 4, 6, 6, 4, 5, 4, 6, 2, 2, 6, 6, 1, 7, 1, 3,
+            2, 2, 3, 2, 3, 6, 7, 2, 7, 7, 1, 2, 5, 2, 3, 2, 4, 1, 5, 1, 4, 1, 2, 5, 5,
+            3, 7, 3, 1, 1, 4, 3, 1, 4, 2, 1, 7, 3, 1, 7, 4, 6, 5, 4, 4, 3, 1, 1, 1, 4,
+            3, 3, 2, 4, 4, 2, 7, 2, 2, 3, 5, 1, 7, 1, 4, 6, 1, 1, 4, 2, 3, 7, 5, 6, 1,
+            6, 5, 3, 6, 3, 5, 3, 2, 6, 7, 4, 1, 6, 2, 4, 1, 5, 2, 5, 3, 2, 3, 5, 4, 6,
+            4, 6, 2, 4, 3, 2, 1, 2, 1, 3, 6, 4, 7, 7, 5, 5, 1, 2, 5, 1, 1, 5, 4, 3, 3
+        ),
+        "machine_cell": (
+            2, 7, 4, 2, 4, 5, 3, 2, 5, 1, 2, 2, 3, 1, 7, 6, 6, 1, 5, 3, 6, 5, 2, 6, 1,
+            4, 3, 1, 6, 7, 2, 5, 5, 7, 1, 1, 4, 1, 3, 4, 4, 2, 1, 3, 3
+        ),
+        "efficacy": Fraction(1612, 2235),
+    },
 }
 
 SCATTER_GOLDEN = {
     "problem1-42": "e81aa3408ddeae40b5fc978014d39324da7584a1afda751739525dcb05a84dff",
     "planted100x40-7": "b3a9adffafb75dde512e7096e881a790a465a90aa6e30b72213d828445a4a2b5",
+    "planted250x45-3": "8760f7c3381a8051f09c612f193279643856b30778b78c5d11b30a40b82099f6",
 }
 
 

@@ -3,7 +3,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import fill_hitless_reference
 from somcell import (
     CellAssignment,
     MapGrid,
@@ -17,7 +21,7 @@ from somcell import (
     pca_project,
     unit_cells_from_hits,
 )
-from somcell.viz import HitHistogram
+from somcell.viz import HitHistogram, fill_hitless_units
 
 
 def _model_with(codebook, grid=None):
@@ -102,6 +106,35 @@ def test_unit_cells_majority_tie_and_empty_rules():
     assert cells.tolist() == [2, 1, 0]
     with pytest.raises(ValueError):
         unit_cells_from_hits(hits, [1, 2])
+
+
+@st.composite
+def partly_hit_maps(draw):
+    """(model, hits, unit ids) with coinciding and equidistant codebook rows."""
+    units, dim = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    elements = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    codebook = draw(arrays(np.float64, (units, dim), elements=elements))
+    counts = draw(arrays(np.int64, units, elements=st.integers(0, 2)))
+    counts[draw(st.integers(0, units - 1))] += 1  # at least one hit unit
+    grid = MapGrid(1, units)
+    hits = HitHistogram(
+        grid=grid,
+        hits=counts,
+        bmus=np.repeat(np.arange(units), counts),
+        part_labels=tuple(f"p{i + 1}" for i in range(int(counts.sum()))),
+    )
+    ids = draw(arrays(np.int64, units, elements=st.integers(0, 9)))
+    return _model_with(codebook, grid), hits, ids
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(partly_hit_maps())
+def test_fill_hitless_units_matches_per_unit_loop(case):
+    model, hits, ids = case
+    got = fill_hitless_units(model, hits, ids)
+    want = fill_hitless_reference(model.codebook, hits.hits, ids)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert (got[hits.hits > 0] == ids[hits.hits > 0]).all()
 
 
 def test_export_svg_writes_all_surface_kinds(tmp_path, problem1):
