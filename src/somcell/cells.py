@@ -68,11 +68,13 @@ def _kmeans_labels(points: np.ndarray, k: int, seed: int) -> np.ndarray:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = points[labels == c]
-            if members.shape[0]:
-                centers[c] = members.mean(axis=0)
-            # an emptied cluster keeps its previous center
+        # np.add.at sums rows in index order, as members.mean(axis=0) does,
+        # so the centers match the per-cluster means bit for bit
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        sizes = np.bincount(labels, minlength=k)
+        filled = sizes > 0  # an emptied cluster keeps its previous center
+        centers[filled] = sums[filled] / sizes[filled, None]
     return labels
 
 
@@ -111,15 +113,12 @@ def assign_machines(data: IncidenceMatrix, part_family) -> np.ndarray:
     part_family = np.asarray(part_family, dtype=np.int64)
     if part_family.shape[0] != data.parts:
         raise ValueError("need one family id per part")
-    values = data.values
-    out = np.zeros(data.machines, dtype=np.int64)
-    best = np.full(data.machines, -1.0)
-    for f in np.unique(part_family):  # ascending, so strict > keeps the smaller id on ties
-        density = values[part_family == f].mean(axis=0)
-        better = density > best
-        out[better] = f
-        best[better] = density[better]
-    return out
+    ids, index = np.unique(part_family, return_inverse=True)
+    # (families x machines) counts; float64 sums of 0/1 are exact
+    onehot = (index[None, :] == np.arange(ids.size)[:, None]).astype(np.float64)
+    density = (onehot @ data.values) / onehot.sum(axis=1)[:, None]
+    # rows ascend by id, so argmax's first maximum keeps the smaller id on ties
+    return ids[np.argmax(density, axis=0)]
 
 
 def _relabel_by_size(part_family: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -131,11 +130,14 @@ def _relabel_by_size(part_family: np.ndarray, values: np.ndarray) -> np.ndarray:
     small or sparse one. Ordering: size desc, in-family ones desc, earliest
     part asc.
     """
-    ids, first, counts = np.unique(part_family, return_index=True, return_counts=True)
-    ones = np.array([int(values[part_family == f].sum()) for f in ids])
-    order = sorted(range(ids.size), key=lambda i: (-counts[i], -ones[i], first[i]))
-    remap = {int(ids[i]): rank + 1 for rank, i in enumerate(order)}
-    return np.array([remap[int(f)] for f in part_family], dtype=np.int64)
+    _, first, index, counts = np.unique(
+        part_family, return_index=True, return_inverse=True, return_counts=True
+    )
+    ones = np.bincount(index, weights=values.sum(axis=1))
+    order = np.lexsort((first, -ones, -counts))  # last key sorts first
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(1, order.size + 1)
+    return rank[index]
 
 
 def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAssignment:
@@ -147,27 +149,24 @@ def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAs
     returned ids are the canonical size-ordered ones, which keeps
     assign_machines idempotent on the result.
     """
-    part_family = np.asarray(part_family, dtype=np.int64).copy()
     values = data.values
     while True:
         part_family = _relabel_by_size(part_family, values)
+        k = int(part_family.max())  # relabelled ids are exactly 1..k
         machine_cell = assign_machines(data, part_family)
-        used = np.unique(part_family)
-        machineless = np.setdiff1d(used, np.unique(machine_cell))
-        if machineless.size == 0:
+        has_machines = np.bincount(machine_cell, minlength=k + 1)[1:] > 0
+        if has_machines.all():
             break
-        orphans = np.flatnonzero(part_family == machineless[0])
+        orphans = np.flatnonzero(part_family == np.argmin(has_machines) + 1)
         # one column per family that owns machines, ascending, so argmax's
         # first maximum keeps the smaller id on ties; float64 sums of 0/1
         # are exact and cannot wrap like uint8
-        owners = np.unique(machine_cell)
+        owners = np.flatnonzero(has_machines) + 1
         onehot = (machine_cell[:, None] == owners[None, :]).astype(np.float64)
         density = (values[orphans].astype(np.float64) @ onehot) / onehot.sum(axis=0)
         part_family[orphans] = owners[np.argmax(density, axis=1)]
     return CellAssignment(
-        k=int(np.unique(part_family).size),
-        part_family=tuple(int(f) for f in part_family),
-        machine_cell=tuple(int(c) for c in machine_cell),
+        k=k, part_family=tuple(part_family.tolist()), machine_cell=tuple(machine_cell.tolist())
     )
 
 

@@ -109,7 +109,7 @@ def train_map(matrix: IncidenceMatrix, seed: int, grid: MapGrid | None = None) -
 
 def extract_cells(model: SomModel, matrix: IncidenceMatrix, k_max: int | None = None):
     """Cells plus score for a trained model; the shared pipeline back half."""
-    assignment = form_cells(model, matrix, k_max or default_kmax(matrix))
+    assignment = form_cells(model, matrix, default_kmax(matrix) if k_max is None else k_max)
     return assignment, metrics.score(matrix, assignment)
 
 
@@ -206,38 +206,28 @@ def cmd_viz(args) -> int:
     model = _read_model(args.model)
     _check_dims(model, matrix)
     assignment, _ = extract_cells(model, matrix, args.kmax)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     part_cells = assignment.part_family
-    written: list[Path] = []
-
-    def note(path):
-        written.append(path)
-
     wanted = args.only or ("umatrix", "planes", "hits", "projection", "scatter")
+    # every surface is computed before the first file is written, so a
+    # matrix that cannot be projected leaves no partial output behind
+    svgs = []  # (file name, surface, part cells)
     if "umatrix" in wanted:
-        path = out_dir / "umatrix.svg"
-        export_svg(compute_umatrix(model), path)
-        note(path)
+        svgs.append(("umatrix.svg", compute_umatrix(model), None))
     if "planes" in wanted:
         for plane in component_planes(model, matrix.machine_labels):
-            path = out_dir / f"plane_{plane.label}.svg"
-            export_svg(plane, path)
-            note(path)
+            svgs.append((f"plane_{plane.label}.svg", plane, None))
     if "hits" in wanted:
-        path = out_dir / "hits.svg"
-        export_svg(compute_hits(model, matrix), path, part_cells=part_cells)
-        note(path)
+        svgs.append(("hits.svg", compute_hits(model, matrix), part_cells))
     if "projection" in wanted:
-        path = out_dir / "projection.svg"
-        export_svg(pca_project(model, matrix), path, part_cells=part_cells)
-        note(path)
+        svgs.append(("projection.svg", pca_project(model, matrix), part_cells))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, surface, cells in svgs:
+        export_svg(surface, out_dir / name, part_cells=cells)
+        print(f"wrote {out_dir / name}")
     if "scatter" in wanted:
-        path = out_dir / "scatter.csv"
-        export_scatter_data(model, matrix, assignment, path)
-        note(path)
-    for path in written:
-        print(f"wrote {path}")
+        export_scatter_data(model, matrix, assignment, out_dir / "scatter.csv")
+        print(f"wrote {out_dir / 'scatter.csv'}")
     return 0
 
 
@@ -365,7 +355,7 @@ def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     manifest_path = Path(args.manifest) if args.manifest else corpus / "manifest.json"
     cases = _load_manifest(manifest_path)
-    workers = args.jobs or min(4, max(1, len(cases)))
+    workers = min(4, max(1, len(cases))) if args.jobs is None else args.jobs
     if cases:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(
@@ -451,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cells", help="extract cells from a trained model and score them")
     add_matrix_flags(sp)
     sp.add_argument("--model", required=True, help="model JSON from `somcell train`")
-    sp.add_argument("--kmax", type=int, default=None, help="largest cell count to try (default max(2, ceil(min(P, M)/2)))")
+    sp.add_argument("--kmax", type=_positive_int, default=None, help="largest cell count to try (default max(2, ceil(min(P, M)/2)))")
     sp.add_argument("--out-dir", default="cells-out", help="where assignment.json and score.json go")
     sp.set_defaults(func=cmd_cells)
 
@@ -465,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("viz", help="render map surfaces as SVG plus a scatter CSV")
     add_matrix_flags(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--kmax", type=int, default=None)
+    sp.add_argument("--kmax", type=_positive_int, default=None)
     sp.add_argument("--out-dir", default="viz-out")
     sp.add_argument(
         "--only",
@@ -487,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS, help="seeds per case; the best efficacy wins")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed; restart i uses seed+i")
     sp.add_argument("--grid", type=_parse_grid, default=None, help="override the per-case default grid")
-    sp.add_argument("--kmax", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=None, help="worker threads (default: min(4, cases))")
+    sp.add_argument("--kmax", type=_positive_int, default=None)
+    sp.add_argument("--jobs", type=_positive_int, default=None, help="worker threads (default: min(4, cases))")
     sp.add_argument("--out-dir", default="bench-out", help="where report.csv and report.json go")
     sp.set_defaults(func=cmd_bench)
 

@@ -300,14 +300,19 @@ def save_model(model: SomModel, path) -> None:
 
 
 def load_model(path) -> SomModel:
+    """Read a model written by save_model.
+
+    A foreign or malformed document raises ValueError, KeyError or
+    TypeError; messages leave naming the file to the caller.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "somcell-model":
-        raise ValueError(f"{path}: not a somcell model file")
+        raise ValueError("not a somcell model file")
     if doc.get("version") != 1:
-        raise ValueError(f"{path}: unsupported model version {doc.get('version')!r}")
+        raise ValueError(f"unsupported model version {doc.get('version')!r}")
     if not isinstance(doc.get("grid"), dict) or doc["grid"].get("topology") != "hexagonal":
-        raise ValueError(f"{path}: model grid topology must be 'hexagonal'")
+        raise ValueError("model grid topology must be 'hexagonal'")
     schedule = None
     if doc.get("schedule"):
         schedule = TrainingSchedule(tuple(Phase(**ph) for ph in doc["schedule"]))

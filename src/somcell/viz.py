@@ -295,9 +295,11 @@ def fill_hitless_units(model: SomModel, hits: HitHistogram, unit_ids) -> np.ndar
     the nearest hit unit in codebook space (ties to the lower unit index)."""
     out = np.array(unit_ids, dtype=np.int64)
     hit_units = np.flatnonzero(hits.hits > 0)
-    for u in np.flatnonzero(hits.hits == 0):
-        d2 = ((model.codebook[hit_units] - model.codebook[u]) ** 2).sum(axis=1)
-        out[u] = out[hit_units[int(np.argmin(d2))]]
+    hitless = np.flatnonzero(hits.hits == 0)
+    cb = model.codebook
+    # (hitless x hit) squared distances; argmin's first minimum is the lower unit
+    d2 = ((cb[hit_units][None, :, :] - cb[hitless][:, None, :]) ** 2).sum(axis=2)
+    out[hitless] = out[hit_units[np.argmin(d2, axis=1)]]
     return out
 
 

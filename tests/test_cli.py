@@ -288,3 +288,71 @@ def test_bench_rejects_nonpositive_restarts(tmp_path, capsys):
         assert exc.value.code == 2
         err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert err_lines == [f"somcell bench: error: argument --restarts: must be a positive integer, got '{value}'"]
+
+
+def _assert_usage_error(capsys, exc, flag, value):
+    assert exc.value.code == 2
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err_lines) == 1
+    assert err_lines[0].endswith(f"error: argument {flag}: must be a positive integer, got '{value}'")
+
+
+@pytest.mark.parametrize("command", ["cells", "viz"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_kmax_must_be_positive(tmp_path, trained, capsys, command, value):
+    matrix_path, model_path = trained
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(matrix_path), "--model", str(model_path),
+              "--kmax", value, "--out-dir", str(tmp_path / "out")])
+    _assert_usage_error(capsys, exc, "--kmax", value)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--kmax", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bench_kmax_and_jobs_must_be_positive(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--corpus", str(tmp_path), flag, value, "--out-dir", str(tmp_path / "b")])
+    _assert_usage_error(capsys, exc, flag, value)
+    assert not (tmp_path / "b").exists()
+
+
+def test_model_errors_name_the_path_once(tmp_path, blocks_file, trained, capsys):
+    _, model_path = trained
+    good = json.loads(model_path.read_text())
+    foreign = {
+        "array.json": [good],
+        "version.json": {**good, "version": 2},
+        "topology.json": {**good, "grid": {**good["grid"], "topology": "rectangular"}},
+        "fields.json": {key: value for key, value in good.items() if key != "codebook"},
+    }
+    for name, doc in foreign.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        rc = main(["cells", "--input", str(blocks_file), "--model", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a valid model file (") and err.count("\n") == 1
+        assert err.count(str(path)) == 1, err
+    (tmp_path / "broken.json").write_text("{")
+    assert main(["cells", "--input", str(blocks_file), "--model", str(tmp_path / "broken.json")]) == 2
+    assert capsys.readouterr().err.count(str(tmp_path / "broken.json")) == 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["1 1 1"], ["1 1", "1 1", "1 1", "1 1"]],
+    ids=["one-part", "identical-parts"],
+)
+def test_viz_leaves_no_partial_output_on_degenerate_matrices(tmp_path, capsys, rows):
+    matrix_path = write_matrix(tmp_path / "degenerate.txt", rows)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input", str(matrix_path), "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "viz"
+    rc = main(["viz", "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "wrote" not in captured.out
+    assert not out_dir.exists()
