@@ -108,6 +108,47 @@ def test_unit_cells_majority_tie_and_empty_rules():
         unit_cells_from_hits(hits, [1, 2])
 
 
+
+def unit_cells_reference(units, bmus, part_cells):
+    """Per-unit loop: one np.unique over the unit's parts, first maximum count."""
+    out = np.zeros(units, dtype=np.int64)
+    for u in range(units):
+        members = part_cells[bmus == u]
+        if members.size:
+            ids, counts = np.unique(members, return_counts=True)
+            out[u] = int(ids[np.argmax(counts)])
+    return out
+
+
+@st.composite
+def voted_hits(draw):
+    """(hits, part cells) with tied votes, gappy ids and units without hits."""
+    units, parts = draw(st.integers(1, 12)), draw(st.integers(0, 40))
+    pool = draw(
+        st.sampled_from([(1,), (1, 2), (3, 7, 9), (1, 2, 3, 4, 5)])
+        | st.lists(st.integers(-3, 300), min_size=1, max_size=6, unique=True).map(tuple)
+    )
+    bmus = draw(arrays(np.int64, parts, elements=st.integers(0, units - 1)))
+    cells = draw(arrays(np.int64, parts, elements=st.sampled_from(pool)))
+    hits = HitHistogram(
+        grid=MapGrid(1, units),
+        hits=np.bincount(bmus, minlength=units).astype(np.int64),
+        bmus=bmus,
+        part_labels=tuple(f"p{i + 1}" for i in range(parts)),
+    )
+    return hits, cells
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(voted_hits())
+def test_unit_cells_from_hits_matches_per_unit_loop(case):
+    hits, cells = case
+    got = unit_cells_from_hits(hits, cells)
+    want = unit_cells_reference(hits.grid.units, hits.bmus, cells)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert (got[hits.hits == 0] == 0).all()
+
+
 @st.composite
 def partly_hit_maps(draw):
     """(model, hits, unit ids) with coinciding and equidistant codebook rows."""
