@@ -272,10 +272,10 @@ def _load_manifest(path: Path) -> list[dict]:
     return doc
 
 
-def _bench_case(case: dict, base_dir: Path, restarts: int, base_seed: int, grid: MapGrid | None, kmax: int | None) -> dict:
-    name = str(case.get("name", "unnamed"))
+def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGrid | None, kmax: int | None) -> dict:
+    """One report row; a malformed case fills ``error`` instead of raising."""
     row = {
-        "name": name,
+        "name": str(case.get("name", "unnamed")) if isinstance(case, dict) else "unnamed",
         "parts": None,
         "machines": None,
         "k": None,
@@ -290,16 +290,26 @@ def _bench_case(case: dict, base_dir: Path, restarts: int, base_seed: int, grid:
     }
     start = time.perf_counter()
     try:
+        if not isinstance(case, dict):
+            raise ValueError(f"case must be a JSON object, got {json.dumps(case)}")
         target = case.get("target_efficacy")
         if target is not None:
-            target = float(target)
+            try:
+                target = float(target)
+            except (TypeError, ValueError):
+                raise ValueError(f"target_efficacy must be a number, got {json.dumps(target)}") from None
             if not 0.0 < target <= 1.0:
                 raise ValueError(f"target_efficacy must lie in (0, 1], got {target}")
         row["target"] = target
         rel = case.get("path")
         if not rel:
             raise ValueError("case has no matrix path")
-        matrix = _read_matrix(base_dir / rel, bool(case.get("transpose", False)))
+        if not isinstance(rel, str):
+            raise ValueError(f"case path must be a string, got {json.dumps(rel)}")
+        transpose = case.get("transpose", False)
+        if not isinstance(transpose, bool):
+            raise ValueError(f"transpose must be true or false, got {json.dumps(transpose)}")
+        matrix = _read_matrix(base_dir / rel, transpose)
         row["parts"], row["machines"] = matrix.parts, matrix.machines
         best: tuple[Fraction, CellAssignment, int] | None = None
         for i in range(restarts):
@@ -355,9 +365,8 @@ def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     manifest_path = Path(args.manifest) if args.manifest else corpus / "manifest.json"
     cases = _load_manifest(manifest_path)
-    workers = min(4, max(1, len(cases))) if args.jobs is None else args.jobs
     if cases:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(
                 pool.map(
                     lambda case: _bench_case(case, corpus, args.restarts, args.seed, args.grid, args.kmax),
@@ -478,7 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed; restart i uses seed+i")
     sp.add_argument("--grid", type=_parse_grid, default=None, help="override the per-case default grid")
     sp.add_argument("--kmax", type=_positive_int, default=None)
-    sp.add_argument("--jobs", type=_positive_int, default=None, help="worker threads (default: min(4, cases))")
+    sp.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker threads (default: 1; threads contend for the interpreter lock, so more of them rarely help)",
+    )
     sp.add_argument("--out-dir", default="bench-out", help="where report.csv and report.json go")
     sp.set_defaults(func=cmd_bench)
 

@@ -15,6 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -181,6 +182,8 @@ def pca_project(model: SomModel, data) -> Projection:
 _CELL = 42.0  # pixel distance between adjacent unit centers
 _MARGIN = 30.0
 _FOOTER = 56.0
+_HEX_RADIUS = _CELL / math.sqrt(3.0) * 0.98
+_GRAYS = tuple(f"rgb({g},{g},{g})" for g in range(256))
 
 
 def _hex_points(cx: float, cy: float, radius: float) -> str:
@@ -191,10 +194,15 @@ def _hex_points(cx: float, cy: float, radius: float) -> str:
     return " ".join(pts)
 
 
-def _ramp_fill(value: float, lo: float, hi: float) -> str:
-    t = 0.5 if hi <= lo else (value - lo) / (hi - lo)
-    g = int(round(255 * (1.0 - t)))
-    return f"rgb({g},{g},{g})"
+def _ramp_fills(values, lo: float, hi: float) -> list[str]:
+    """Grayscale fill per value on a ramp from ``lo`` (white) to ``hi`` (black).
+
+    Values must lie in [lo, hi]; when ``hi <= lo`` every fill is mid-gray.
+    np.rint rounds half to even, as round() does.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    t = np.full(values.shape, 0.5) if hi <= lo else (values - lo) / (hi - lo)
+    return [_GRAYS[g] for g in np.rint(255 * (1.0 - t)).astype(np.int64).tolist()]
 
 
 def _cell_color(cell_id: int) -> str:
@@ -237,36 +245,50 @@ def _lattice_canvas(grid: MapGrid):
     return xs, ys, width, height
 
 
-def _heatmap_svg(grid: MapGrid, unit_values, title: str, extra=None) -> str:
-    """Hex heatmap over the lattice; ``extra`` adds midpoint hexes (for pair values)."""
-    xs, ys, width, height = _lattice_canvas(grid)
-    values = [float(v) for v in unit_values]
-    if extra:
-        values += [float(v) for _, _, v in extra]
-    lo, hi = min(values), max(values)
-    radius = _CELL / math.sqrt(3.0) * 0.98
-    body = []
-    for u in range(grid.units):
-        fill = _ramp_fill(float(unit_values[u]), lo, hi)
-        body.append(
-            f'<polygon points="{_hex_points(xs[u], ys[u], radius)}" '
-            f'fill="{fill}" stroke="#666" stroke-width="0.6"/>'
-        )
-    if extra:
-        for a, b, v in extra:
-            mx = (xs[a] + xs[b]) / 2
-            my = (ys[a] + ys[b]) / 2
-            body.append(
-                f'<polygon points="{_hex_points(mx, my, radius * 0.52)}" '
-                f'fill="{_ramp_fill(float(v), lo, hi)}" stroke="#888" stroke-width="0.4"/>'
-            )
+@lru_cache(maxsize=32)
+def _unit_hexagons(grid: MapGrid, radius: float) -> tuple[str, ...]:
+    """Polygon points of a hexagon around every unit center, in unit order."""
+    xs, ys, _, _ = _lattice_canvas(grid)
+    return tuple(_hex_points(x, y, radius) for x, y in zip(xs.tolist(), ys.tolist()))
+
+
+@lru_cache(maxsize=32)
+def _pair_hexagons(grid: MapGrid, radius: float) -> tuple[str, ...]:
+    """Polygon points of a hexagon at the midpoint of every ``grid.neighbor_pairs`` row."""
+    xs, ys, _, _ = _lattice_canvas(grid)
+    xs, ys = xs.tolist(), ys.tolist()
+    return tuple(
+        _hex_points((xs[a] + xs[b]) / 2, (ys[a] + ys[b]) / 2, radius)
+        for a, b in grid.neighbor_pairs.tolist()
+    )
+
+
+def _heatmap_svg(grid: MapGrid, unit_values, title: str, pair_values=None) -> str:
+    """Hex heatmap over the lattice; ``pair_values`` (one per ``grid.neighbor_pairs``
+    row) adds small hexes at the pair midpoints on the same ramp."""
+    _, _, width, height = _lattice_canvas(grid)
+    values = np.asarray(unit_values, dtype=np.float64)
+    if pair_values is not None:
+        values = np.concatenate([values, np.asarray(pair_values, dtype=np.float64)])
+    lo, hi = float(values.min()), float(values.max())
+    fills = _ramp_fills(values, lo, hi)
+    body = [
+        f'<polygon points="{points}" fill="{fill}" stroke="#666" stroke-width="0.6"/>'
+        for points, fill in zip(_unit_hexagons(grid, _HEX_RADIUS), fills)
+    ]
+    if pair_values is not None:
+        body += [
+            f'<polygon points="{points}" fill="{fill}" stroke="#888" stroke-width="0.4"/>'
+            for points, fill in zip(_pair_hexagons(grid, _HEX_RADIUS * 0.52), fills[grid.units:])
+        ]
     body += _legend(_MARGIN, height - _FOOTER + 34, lo, hi)
     return _svg_document(width, height, body, title)
 
 
 def _umatrix_svg(um: UMatrix) -> str:
-    extra = [(int(a), int(b), v) for (a, b), v in zip(um.pairs, um.pair_values)]
-    return _heatmap_svg(um.grid, um.unit_values, "u-matrix (codebook distance between neighbors)", extra)
+    # compute_umatrix takes its pairs from grid.neighbor_pairs, so the
+    # midpoint hexes cached per grid line up with pair_values
+    return _heatmap_svg(um.grid, um.unit_values, "u-matrix (codebook distance between neighbors)", um.pair_values)
 
 
 def _plane_svg(plane: ComponentPlane) -> str:
@@ -281,13 +303,13 @@ def unit_cells_from_hits(hits: HitHistogram, part_cells) -> np.ndarray:
     part_cells = np.asarray(part_cells, dtype=np.int64)
     if part_cells.shape[0] != hits.bmus.shape[0]:
         raise ValueError("need one cell id per part")
-    out = np.zeros(hits.grid.units, dtype=np.int64)
-    for u in range(hits.grid.units):
-        members = part_cells[hits.bmus == u]
-        if members.size:
-            ids, counts = np.unique(members, return_counts=True)
-            out[u] = int(ids[np.argmax(counts)])  # unique sorts ids, argmax takes first max
-    return out
+    ids, inverse = np.unique(part_cells, return_inverse=True)
+    # (units x (1 + ids)) vote counts; column 0 stands for "no hits" and
+    # wins only on an all-zero row, and argmax takes the first maximum, so
+    # ties go to the smaller id (unique sorts ids)
+    votes = np.zeros((hits.grid.units, ids.size + 1), dtype=np.int64)
+    np.add.at(votes, (hits.bmus, inverse + 1), 1)
+    return np.concatenate([[0], ids])[votes.argmax(axis=1)]
 
 
 def fill_hitless_units(model: SomModel, hits: HitHistogram, unit_ids) -> np.ndarray:
@@ -305,14 +327,15 @@ def fill_hitless_units(model: SomModel, hits: HitHistogram, unit_ids) -> np.ndar
 
 def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
     xs, ys, width, height = _lattice_canvas(hits.grid)
-    radius = _CELL / math.sqrt(3.0) * 0.98
     counts = hits.hits
     lo, hi = 0.0, float(max(counts.max(), 1))
     unit_cells = unit_cells_from_hits(hits, part_cells) if part_cells is not None else None
     labels = hits.unit_labels()
+    hexagons = _unit_hexagons(hits.grid, _HEX_RADIUS)
+    ramp = _ramp_fills(counts, lo, hi)
     body = []
     for u in range(hits.grid.units):
-        points = _hex_points(xs[u], ys[u], radius)
+        points = hexagons[u]
         if counts[u] == 0:
             # interpolative unit: hollow
             body.append(
@@ -324,7 +347,7 @@ def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
             fill = _cell_color(unit_cells[u])
             text_color = "white"
         else:
-            fill = _ramp_fill(float(counts[u]), lo, hi)
+            fill = ramp[u]
             text_color = "black" if counts[u] < 0.6 * hi else "white"
         body.append(f'<polygon points="{points}" fill="{fill}" stroke="#666" stroke-width="0.6"/>')
         body.append(
@@ -428,12 +451,13 @@ def export_scatter_data(model: SomModel, data, assignment, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source", "label", *machine_labels, "cell"])
-    for i in range(rows.shape[0]):
-        writer.writerow(
-            ["data", hits.part_labels[i], *[int(v) for v in rows[i]], int(part_cells[i])]
-        )
-    for u in range(model.grid.units):
-        writer.writerow(
-            ["prototype", f"u{u + 1}", *[repr(float(v)) for v in model.codebook[u]], int(unit_cells[u])]
-        )
+    # csv writes a Python float as its repr, the shortest round-trip form
+    writer.writerows(
+        ["data", label, *row, cell]
+        for label, row, cell in zip(hits.part_labels, rows.astype(np.int64).tolist(), part_cells.tolist())
+    )
+    writer.writerows(
+        ["prototype", f"u{u + 1}", *row, cell]
+        for u, (row, cell) in enumerate(zip(model.codebook.tolist(), unit_cells.tolist()))
+    )
     atomic_write_text(path, buf.getvalue())

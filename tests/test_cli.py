@@ -254,6 +254,59 @@ def test_bench_runs_corpus_and_tolerates_case_errors(tmp_path, capsys):
     assert csv_lines[1].startswith("blocks,6,5,2,1,1,1.000000,1.000000,0.000000,")
 
 
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("x", 'case must be a JSON object, got "x"'),
+        ({"name": "five", "path": 5}, "case path must be a string, got 5"),
+        ({"name": "flip", "path": "blocks.txt", "transpose": "no"}, 'transpose must be true or false, got "no"'),
+        ({"name": "aim", "path": "blocks.txt", "target_efficacy": [1]}, "target_efficacy must be a number, got [1]"),
+    ],
+    ids=["not-an-object", "path-not-a-string", "transpose-not-a-bool", "target-not-a-number"],
+)
+def test_bench_malformed_case_is_an_error_row(tmp_path, capsys, entry, message):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_matrix(corpus / "blocks.txt", BLOCKS_6x5)
+    manifest = [entry, {"name": "blocks", "path": "blocks.txt"}]
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--corpus", str(corpus), "--restarts", "1", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in captured.err
+    report = json.loads((out_dir / "report.json").read_text())
+    bad, good = report["cases"]
+    assert bad["error"] == message and bad["parts"] is None
+    assert good["error"] is None and (good["parts"], good["machines"]) == (6, 5)
+    assert report["summary"]["errors"] == 1
+
+
+def test_bench_report_does_not_depend_on_jobs(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_matrix(corpus / "blocks.txt", BLOCKS_6x5)
+    src = load_problem1()
+    write_matrix(corpus / "p1.txt", [" ".join(str(v) for v in row) for row in src.values])
+    manifest = [
+        {"name": "blocks", "path": "blocks.txt", "target_efficacy": 1.0},
+        {"name": "p1", "path": "p1.txt", "target_efficacy": 0.9615},
+        {"name": "p1t", "path": "p1.txt", "transpose": True},
+        {"name": "ghost", "path": "missing.txt"},
+    ]
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    reports = {}
+    for jobs in ("1", "3"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert main(["bench", "--corpus", str(corpus), "--restarts", "2", "--jobs", jobs, "--out-dir", str(out_dir)]) == 0
+        reports[jobs] = json.loads((out_dir / "report.json").read_text())
+        for row in reports[jobs]["cases"]:
+            assert row.pop("seconds") >= 0
+    capsys.readouterr()
+    assert reports["1"] == reports["3"]
+    assert [row["name"] for row in reports["1"]["cases"]] == ["blocks", "p1", "p1t", "ghost"]
+
+
 def test_bench_requires_an_array_manifest(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

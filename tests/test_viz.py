@@ -21,7 +21,7 @@ from somcell import (
     pca_project,
     unit_cells_from_hits,
 )
-from somcell.viz import HitHistogram, fill_hitless_units
+from somcell.viz import HitHistogram, _ramp_fills, fill_hitless_units
 
 
 def _model_with(codebook, grid=None):
@@ -147,6 +147,54 @@ def test_unit_cells_from_hits_matches_per_unit_loop(case):
     want = unit_cells_reference(hits.grid.units, hits.bmus, cells)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert (got[hits.hits == 0] == 0).all()
+
+
+
+def ramp_fill_reference(value, lo, hi):
+    """Scalar grayscale ramp: round() of 255 * (1 - t), mid-gray when hi <= lo."""
+    t = 0.5 if hi <= lo else (value - lo) / (hi - lo)
+    g = int(round(255 * (1.0 - t)))
+    return f"rgb({g},{g},{g})"
+
+
+# (count, highest count) pairs whose ramp position 255 * (1 - count / highest)
+# is exactly an integer plus one half in float64
+HALFWAY_COUNTS = [
+    (v, hi) for hi in range(1, 61) for v in range(hi + 1) if (255 * (1.0 - v / hi)) % 1 == 0.5
+]
+
+
+@st.composite
+def ramp_inputs(draw):
+    """(values, lo, hi) as the heatmap and hit views pass them."""
+    kind = draw(st.sampled_from(["floats", "counts", "halfway", "flat"]))
+    size = st.integers(1, 30)
+    if kind == "floats":
+        elements = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False) | st.sampled_from([0.0, 0.5, 1.0, 2.0])
+        values = draw(arrays(np.float64, size, elements=elements))
+        return values, float(values.min()), float(values.max())
+    if kind == "flat":
+        value = draw(st.floats(-1e6, 1e6, allow_nan=False))
+        return np.full(draw(size), value), value, value
+    if kind == "counts":
+        hi = draw(st.integers(1, 600))
+        return draw(arrays(np.int64, size, elements=st.integers(0, hi))), 0.0, float(hi)
+    v, hi = draw(st.sampled_from(HALFWAY_COUNTS))
+    others = draw(arrays(np.int64, size, elements=st.integers(0, hi)))
+    return np.append(others, v), 0.0, float(hi)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ramp_inputs())
+def test_ramp_fills_match_scalar_round(case):
+    values, lo, hi = case
+    assert _ramp_fills(values, lo, hi) == [ramp_fill_reference(float(v), lo, hi) for v in values]
+
+
+def test_ramp_fills_round_half_to_even():
+    # 255 * (1 - 1/6) = 212.5 rounds down, 255 * (1 - 3/6) = 127.5 up
+    assert _ramp_fills([1, 3], 0.0, 6.0) == ["rgb(212,212,212)", "rgb(128,128,128)"]
+    assert _ramp_fills([4.0, -2.0], 3.0, 3.0) == ["rgb(128,128,128)"] * 2
 
 
 @st.composite
