@@ -194,7 +194,7 @@ def test_ramp_fills_match_scalar_round(case):
 def test_ramp_fills_round_half_to_even():
     # 255 * (1 - 1/6) = 212.5 rounds down, 255 * (1 - 3/6) = 127.5 up
     assert _ramp_fills([1, 3], 0.0, 6.0) == ["rgb(212,212,212)", "rgb(128,128,128)"]
-    assert _ramp_fills([4.0, -2.0], 3.0, 3.0) == ["rgb(128,128,128)"] * 2
+    assert _ramp_fills([3.0, 3.0], 3.0, 3.0) == ["rgb(128,128,128)"] * 2
 
 
 @st.composite
