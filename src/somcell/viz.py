@@ -144,8 +144,10 @@ def compute_hits(model: SomModel, data) -> HitHistogram:
 def pca_project(model: SomModel, data) -> Projection:
     """Project parts and unit prototypes onto the data's top two principal components.
 
-    Axis signs are fixed by making each axis's largest-magnitude loading
-    positive; the data mean maps to the origin.
+    Axis signs are fixed by making each axis's leading loading positive:
+    the first one whose magnitude is within 1e-9 of the largest, so loadings
+    tied up to float noise cannot flip an axis. The data mean maps to the
+    origin.
     """
     rows = _as_rows(data)
     if rows.shape[0] < 2:
@@ -162,7 +164,8 @@ def pca_project(model: SomModel, data) -> Projection:
         raise ValueError("parts have zero variance; nothing to project")
     axes = vecs.copy()
     for i in range(2):
-        lead = int(np.argmax(np.abs(axes[i])))
+        mags = np.abs(axes[i])
+        lead = int(np.argmax(mags >= mags.max() - 1e-9))
         if axes[i][lead] < 0:
             axes[i] = -axes[i]
     return Projection(

@@ -21,6 +21,7 @@ from somcell import (
     pca_project,
     unit_cells_from_hits,
 )
+from somcell import pca
 from somcell.viz import HitHistogram, _ramp_fills, fill_hitless_units
 
 
@@ -84,6 +85,24 @@ def test_pca_project_separates_two_obvious_groups():
     assert proj.part_points.shape == (6, 2)
     assert proj.unit_points.shape == (9, 2)
     assert proj.eigenvalues[0] >= proj.eigenvalues[1] > 0
+
+
+def test_pca_project_sign_ignores_float_noise_in_tied_loadings(problem1, monkeypatch):
+    # 8 of the demo's 10 first-axis loadings share one magnitude, so the
+    # sign rule must not hinge on which of them is largest in the last bit
+    model = init_codebook(MapGrid(4, 4), problem1, seed=0)
+    reference = pca_project(model, problem1)
+    solver = pca.top_eigenpairs
+
+    def nudged(sym, count=2):
+        values, vectors = solver(sym, count)
+        vectors = vectors.copy()
+        vectors[0, 3] += 1e-12
+        return values, vectors
+
+    monkeypatch.setattr(pca, "top_eigenpairs", nudged)
+    nudged_proj = pca_project(model, problem1)
+    assert np.allclose(nudged_proj.part_points, reference.part_points, rtol=0, atol=1e-9)
 
 
 def test_pca_project_rejects_identical_parts():
