@@ -1,84 +1,36 @@
 """Top eigenpairs of small dense symmetric PSD matrices.
 
-Power iteration with deflation: find the dominant eigenpair, subtract its
-rank-one contribution, repeat. Start vectors are fixed and slightly
-asymmetric, so results are deterministic. Good enough for the tiny
-covariance matrices this package works with; not a general eigensolver.
+One ``np.linalg.eigh`` call (LAPACK's symmetric eigensolver) gives every
+eigenpair; the largest ``count`` are kept in descending order. Eigenvector
+signs are arbitrary, so row ``i`` is oriented to have a positive dot
+product with the fixed, slightly asymmetric reference
+``1 + (i + 1) * 1e-3 * arange(n)``, which is never orthogonal to a
+coordinate-symmetric eigenvector. The SOM initialisation lays the map out
+along these rows, so the rule keeps its layout deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
 
-
-def _start_vector(n: int, round_index: int) -> np.ndarray:
-    # asymmetric so it is never orthogonal to a coordinate-symmetric eigenvector
-    v = np.ones(n) + (round_index + 1) * 1e-3 * np.arange(n)
-    return v / np.linalg.norm(v)
-
-
-def _dominant_eigenpair(sym, tol, max_iter, start):
-    v = start
-    lam = float(v @ sym @ v)
-    for _ in range(max_iter):
-        w = sym @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w <= 1e-30:
-            # start vector sits in the nullspace: eigenvalue 0
-            return 0.0, v
-        v = w / norm_w
-        lam = float(v @ sym @ v)
-        if np.linalg.norm(sym @ v - lam * v) <= tol * max(1.0, abs(lam)):
-            break
-    return lam, v
-
-
-def _orthonormal_completion(vectors: list[np.ndarray], n: int) -> np.ndarray:
-    # deterministic vector orthogonal to everything found so far
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for u in vectors:
-            v = v - (v @ u) * u
-        norm_v = np.linalg.norm(v)
-        if norm_v > 0.5:
-            return v / norm_v
-    raise ValueError("no orthogonal direction left")
-
-
-def top_eigenpairs(sym, count: int = 2, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+def top_eigenpairs(sym, count: int = 2):
     """Largest ``count`` eigenpairs of a symmetric PSD matrix, descending.
 
     Returns ``(values, vectors)`` with ``values`` shaped ``(count,)`` and
     ``vectors`` row-wise ``(count, n)``, orthonormal. Eigenvalues are clamped
-    to be non-negative and non-increasing, which is exact for PSD input and
-    only trims float noise.
+    to be non-negative, which is exact for PSD input and only trims float
+    noise.
     """
-    work = np.array(sym, dtype=np.float64, copy=True)
+    work = np.asarray(sym, dtype=np.float64)
     n = work.shape[0]
     if work.shape != (n, n):
         raise ValueError("matrix must be square")
     if not 1 <= count <= n:
         raise ValueError("count must be between 1 and the matrix size")
-    values: list[float] = []
-    vectors: list[np.ndarray] = []
-    for i in range(count):
-        lam, v = _dominant_eigenpair(work, tol, max_iter, _start_vector(n, i))
-        for u in vectors:
-            v = v - (v @ u) * u
-        norm_v = np.linalg.norm(v)
-        if norm_v < 1e-9:
-            v = _orthonormal_completion(vectors, n)
-        else:
-            v = v / norm_v
-        lam = float(v @ work @ v)
-        lam = max(lam, 0.0)
-        if values and lam > values[-1]:
-            lam = values[-1]
-        values.append(lam)
-        vectors.append(v)
-        work -= lam * np.outer(v, v)
-    return np.array(values), np.array(vectors)
+    values, vectors = np.linalg.eigh(work)
+    values = np.maximum(values[::-1][:count], 0.0)
+    vectors = np.ascontiguousarray(vectors[:, ::-1][:, :count].T)
+    reference = 1.0 + np.outer(np.arange(1, count + 1) * 1e-3, np.arange(n))
+    vectors[np.einsum("ij,ij->i", vectors, reference) < 0] *= -1.0
+    return values, vectors

@@ -59,91 +59,91 @@ def _codebook_sha256(model):
 
 GOLDEN = {
     "problem1-42": {
-        "codebook_sha256": "749a9fd614dc22d9b1968a239c02ce7ace30a4838193e91234ec649f5f421990",
+        "codebook_sha256": "9146b91efd7245f1b5cc87a1290f7a66c85a16cd7f931c2fa2e202c846986a0e",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-43": {
-        "codebook_sha256": "9d604e820b680271640aa9f716dde5dd1e6405b644b5dc48a4a25d09bc048c79",
+        "codebook_sha256": "894612bb2e33537c3a424a21da5401406dc7cfb5d62a731f4d2804c54511378f",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-44": {
-        "codebook_sha256": "c76f070d401dfac7e92a087c72e74c017d5852987875009b7801e72c549f241b",
+        "codebook_sha256": "0f028a927c0499f55582eb9278b8c168c65ab61b688f8830c2ebdf5e2ad84795",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-45": {
-        "codebook_sha256": "1e7833e19de1ab0f8f79f65d5c9f644625594552ddd0946b557fe51f11efffec",
+        "codebook_sha256": "418f73325419831b25d3d8aaf17cbe7e7f51510dc82168739917f9bdacd75d65",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-46": {
-        "codebook_sha256": "05c5dd48f16510c9b84cb6b6cfcf19abffb60c673c2d627be11d336bdb2eaa55",
+        "codebook_sha256": "ea4d1077d51fc160a134f79389ca9057aeb4a93267d4ad3cd961c180071ee377",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-47": {
-        "codebook_sha256": "e5632e1ecddda1b058fb88dcded981e9e59a3d15c690a894c3eaf333797d21eb",
+        "codebook_sha256": "29a2386b20aa2be3967c2aa52664fc00319d4f642ab2bf72793256d8c0e9eae3",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-48": {
-        "codebook_sha256": "2e37b2203eda0014e7d460edc9102e3a0d0f807e5a59bca6a26e3cddf69ac4f2",
+        "codebook_sha256": "fc0a7b5719a9ef62443ab94e9411676f6c66a16c5d47b0f107564d34e0f6998c",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-49": {
-        "codebook_sha256": "91ae519a2849878675bab92ec8d08fd7b2e092676cbe1f0e53f680abe415d8e2",
+        "codebook_sha256": "a4552b92afaae328700fd5d3e390ea25226fd407450126a8e15a4ca4e21c2747",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-50": {
-        "codebook_sha256": "e211a08c7203b550870fbeedb577f35539c4ff37902c7517a72ddfe09fac50ba",
+        "codebook_sha256": "4fffad5f45ec282ffa5f884b82277d3d874c5a5f200f209278f0758d57e006a4",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-51": {
-        "codebook_sha256": "26f4c9986858783ad8bd80325c4544789262b84945b9c0fd6cb5b83a333c2618",
+        "codebook_sha256": "dc0d2329a0b9f4c8c5e567a61d1232238e22431d043cfc4ab1f96d72909a7e68",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "planted6x6-0": {
-        "codebook_sha256": "b80322c8b672890e4c2b78b6110d1b7bc8d8a418c49eecf32cd3370496d2bc9e",
+        "codebook_sha256": "8f91f550692d3dd39c79ce2f47f00a8068fcceeb6491f5404f6aaca9e1140261",
         "part_family": (2, 1, 2, 3, 1, 3),
         "machine_cell": (1, 3, 3, 2, 2, 1),
         "efficacy": Fraction(11, 13),
     },
     "planted6x6-1": {
-        "codebook_sha256": "6f8a6c9bb1e180283a3ffc5837144778ae91a4797f5a4f16df6fb3d5fe34b2eb",
+        "codebook_sha256": "22c069ed86469b31bfed3c7244796213791d624802fe2676922c6355de7d0fad",
         "part_family": (1, 2, 2, 2, 1, 1),
         "machine_cell": (1, 2, 2, 1, 1, 1),
         "efficacy": Fraction(8, 9),
     },
     "planted6x6-2": {
-        "codebook_sha256": "e72427cacfaea8149f31747d8114080ebaf0f928801a8da88990f72ab211178b",
+        "codebook_sha256": "27cb9c0c13ded2059cda1940e5cf504d2c30eea010a06b68c6996af863d213aa",
         "part_family": (2, 3, 2, 1, 3, 1),
         "machine_cell": (3, 2, 1, 1, 3, 2),
         "efficacy": Fraction(11, 13),
     },
     "planted6x6-3": {
-        "codebook_sha256": "3bec1f4697585a789d63771268d7c81bb69fc7fa62177cd2beb797e6f36fd299",
+        "codebook_sha256": "56e87207e641c795059ff08efa62d31677d6eabbde7f70c57ecaa51b23dba2d0",
         "part_family": (2, 3, 2, 1, 1, 3),
         "machine_cell": (3, 1, 1, 2, 3, 2),
         "efficacy": Fraction(6, 7),
     },
     "planted6x6-4": {
-        "codebook_sha256": "f03061aa5e2d3c5b29e1c7613c12460a86bbf9900f033e89ad6c55a13f55ac69",
+        "codebook_sha256": "4af07f90084be7ace3ddf2208f0efb28bcff4644731c2e36e485522548205ea5",
         "part_family": (1, 2, 3, 2, 3, 1),
         "machine_cell": (3, 1, 3, 2, 1, 2),
         "efficacy": Fraction(11, 13),
@@ -185,7 +185,7 @@ GOLDEN = {
 }
 
 SCATTER_GOLDEN = {
-    "problem1-42": "e81aa3408ddeae40b5fc978014d39324da7584a1afda751739525dcb05a84dff",
+    "problem1-42": "9d7f0c59f568dc32edd3be17eef3a9e0b255d6904d4fc2f81684abe6c3a6a7a8",
     "planted100x40-7": "b3a9adffafb75dde512e7096e881a790a465a90aa6e30b72213d828445a4a2b5",
     "planted250x45-3": "8760f7c3381a8051f09c612f193279643856b30778b78c5d11b30a40b82099f6",
 }
@@ -230,7 +230,7 @@ VIZ_GOLDEN = {
         "plane_m10.svg": "674a147fc121ab389e7a7c646fbd8d5bbbe6fe221873ca29922bb564ea840002",
         "hits.svg": "5fe42329667266c0465cf463e2c1e65f9ee5b86f5ff6762f6198edb6e3aa8364",
         "projection.svg": "9c40e0f2efe70581e919a55bc41f896773bd8aed7d2963b55a0d0330300d4e17",
-        "scatter.csv": "e81aa3408ddeae40b5fc978014d39324da7584a1afda751739525dcb05a84dff",
+        "scatter.csv": "9d7f0c59f568dc32edd3be17eef3a9e0b255d6904d4fc2f81684abe6c3a6a7a8",
         "hits-ramp.svg": "7694247d4e0bd3ca24b2a04d16496123efc008551bc627917b42fb3d922fba3e",
     },
     "planted250x45-3": {

@@ -19,6 +19,7 @@ from somcell import (
     save_model,
     train,
 )
+from somcell import pca
 
 SQ3_2 = math.sqrt(3.0) / 2.0
 
@@ -115,6 +116,18 @@ def test_init_codebook_spans_a_plane():
     centered = model.codebook - model.codebook.mean(axis=0)
     rank = np.linalg.matrix_rank(centered, tol=1e-8)
     assert rank <= 2
+
+
+def test_principal_pairs_for_init_are_clamped_and_oriented():
+    # init_codebook scales by the square roots of these eigenvalues and lays
+    # the grid out along these rows; the all-ones matrix has eigenvalues
+    # 3, 0, 0, and the zeros come out of the solver slightly negative
+    for sym in (np.ones((3, 3)), np.cov(np.random.default_rng(5).normal(size=(12, 7)), rowvar=False)):
+        n = sym.shape[0]
+        values, vectors = pca.top_eigenpairs(sym, count=n)
+        assert np.all(values >= 0.0)
+        for i, row in enumerate(vectors):
+            assert row @ (1.0 + (i + 1) * 1e-3 * np.arange(n)) > 0
 
 
 def test_init_codebook_identical_rows_falls_back_to_noise():
