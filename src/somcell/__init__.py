@@ -6,7 +6,6 @@ families with exact quality scores and SVG visualizations.
 """
 
 from .cells import (
-    CellAssignment,
     assign_machines,
     assign_parts,
     build_view,
@@ -25,6 +24,7 @@ from .incidence import (
 )
 from .metrics import (
     BlockCounts,
+    CellAssignment,
     GroupingScore,
     OracleSizeError,
     count_blocks,

@@ -9,43 +9,15 @@ the best grouping efficacy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import metrics
 from .incidence import BlockDiagonalView, IncidenceMatrix
+from .metrics import CellAssignment
 from .som import SomModel
 from .viz import HitHistogram, compute_hits, fill_hitless_units
-
-
-@dataclass(frozen=True)
-class CellAssignment:
-    """Partition of parts into families and machines into cells, ids 1..k.
-
-    Every id in 1..k must appear on both sides: a cell without machines or
-    without parts is not a cell.
-    """
-
-    k: int
-    part_family: tuple[int, ...]
-    machine_cell: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "part_family", tuple(int(f) for f in self.part_family))
-        object.__setattr__(self, "machine_cell", tuple(int(c) for c in self.machine_cell))
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not self.part_family or not self.machine_cell:
-            raise ValueError("assignment needs at least one part and one machine")
-        ids = set(range(1, self.k + 1))
-        if not set(self.part_family) <= ids or not set(self.machine_cell) <= ids:
-            raise ValueError("ids must lie in 1..k")
-        if set(self.part_family) != ids:
-            raise ValueError("every cell needs at least one part")
-        if set(self.machine_cell) != ids:
-            raise ValueError("every cell needs at least one machine")
 
 
 def _farthest_first_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:

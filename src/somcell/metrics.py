@@ -26,6 +26,34 @@ class OracleSizeError(ValueError):
 
 
 @dataclass(frozen=True)
+class CellAssignment:
+    """Partition of parts into families and machines into cells, ids 1..k.
+
+    Every id in 1..k must appear on both sides: a cell without machines or
+    without parts is not a cell.
+    """
+
+    k: int
+    part_family: tuple[int, ...]
+    machine_cell: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "part_family", tuple(int(f) for f in self.part_family))
+        object.__setattr__(self, "machine_cell", tuple(int(c) for c in self.machine_cell))
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        if not self.part_family or not self.machine_cell:
+            raise ValueError("assignment needs at least one part and one machine")
+        ids = set(range(1, self.k + 1))
+        if not set(self.part_family) <= ids or not set(self.machine_cell) <= ids:
+            raise ValueError("ids must lie in 1..k")
+        if set(self.part_family) != ids:
+            raise ValueError("every cell needs at least one part")
+        if set(self.machine_cell) != ids:
+            raise ValueError("every cell needs at least one machine")
+
+
+@dataclass(frozen=True)
 class BlockCounts:
     """Raw tallies of a matrix against an assignment's diagonal blocks.
 
@@ -182,8 +210,6 @@ def oracle_best_assignment(data, k: int):
 
     Returns ``(assignment, efficacy)``.
     """
-    from .cells import CellAssignment  # runtime import, cells builds on metrics
-
     n_parts, n_machines = data.parts, data.machines
     if k < 1:
         raise ValueError("k must be at least 1")

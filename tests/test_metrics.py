@@ -1,4 +1,6 @@
 """Grouping measures and the exhaustive oracle."""
+import ast
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,8 @@ from somcell import (
     oracle_best_assignment,
     score,
 )
+import somcell.cells
+import somcell.metrics
 from somcell.metrics import BlockCounts, _part_partitions, efficiency_components
 
 
@@ -199,3 +203,10 @@ def test_oracle_never_loses_to_any_sampled_assignment():
                 count_blocks(data, CellAssignment(k=k, part_family=pf, machine_cell=mc))
             )
             assert mu <= mu_star
+
+
+def test_cell_assignment_lives_in_metrics_without_a_cells_import():
+    assert somcell.cells.CellAssignment is CellAssignment is somcell.metrics.CellAssignment
+    tree = ast.parse(inspect.getsource(somcell.metrics))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "cells" not in imported
