@@ -8,6 +8,8 @@ written atomically (temp file plus rename).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -188,10 +190,7 @@ def cmd_cells(args) -> int:
 def cmd_metrics(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
     assignment = _load_assignment(args.assignment)
-    try:
-        grouping = metrics.score(matrix, assignment, r=args.r)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    grouping = metrics.score(matrix, assignment, r=args.r)
     print(f"n1={grouping.n1} exceptional={grouping.n1_out} voids={grouping.n0_in}")
     print(f"grouping efficacy {grouping.efficacy_text}")
     print(f"grouping efficiency (r={grouping.r:g}): eta1={grouping.eta1:.4f} eta2={grouping.eta2:.4f} eta={grouping.efficiency:.4f}")
@@ -233,12 +232,7 @@ def cmd_viz(args) -> int:
 
 def cmd_oracle(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
-    try:
-        assignment, efficacy = metrics.oracle_best_assignment(matrix, args.k)
-    except metrics.OracleSizeError as exc:
-        raise CliError(str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    assignment, efficacy = metrics.oracle_best_assignment(matrix, args.k)
     print(render_block_diagonal(matrix, build_view(assignment)), end="")
     print(
         f"optimal grouping efficacy (k <= {args.k}): "
@@ -335,30 +329,27 @@ def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGr
 
 
 def _bench_report_csv(rows: list[dict]) -> str:
-    lines = ["name,P,M,k,mu_num,mu_den,mu,target,delta,seconds"]
+    def fmt(row, key, spec=""):
+        value = row[key]
+        return "" if value is None else format(value, spec)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "P", "M", "k", "mu_num", "mu_den", "mu", "target", "delta", "seconds"])
     for row in rows:
-
-        def fmt(key, spec=""):
-            value = row[key]
-            return "" if value is None else format(value, spec)
-
-        lines.append(
-            ",".join(
-                [
-                    row["name"],
-                    fmt("parts"),
-                    fmt("machines"),
-                    fmt("k"),
-                    fmt("mu_num"),
-                    fmt("mu_den"),
-                    fmt("mu", ".6f"),
-                    fmt("target", ".6f"),
-                    fmt("delta", ".6f"),
-                    fmt("seconds", ".3f"),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([
+            row["name"],
+            fmt(row, "parts"),
+            fmt(row, "machines"),
+            fmt(row, "k"),
+            fmt(row, "mu_num"),
+            fmt(row, "mu_den"),
+            fmt(row, "mu", ".6f"),
+            fmt(row, "target", ".6f"),
+            fmt(row, "delta", ".6f"),
+            fmt(row, "seconds", ".3f"),
+        ])
+    return buf.getvalue()
 
 
 def cmd_bench(args) -> int:

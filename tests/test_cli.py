@@ -1,4 +1,6 @@
 """End-to-end command-line tests, run in process through main(argv)."""
+import csv
+import io
 import json
 
 import pytest
@@ -253,6 +255,23 @@ def test_bench_runs_corpus_and_tolerates_case_errors(tmp_path, capsys):
     assert len(csv_lines) == 3
     assert csv_lines[1].startswith("blocks,6,5,2,1,1,1.000000,1.000000,0.000000,")
 
+
+def test_bench_report_csv_quotes_names_with_commas(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_matrix(corpus / "blocks.txt", BLOCKS_6x5)
+    names = ["King, 1980", 'the "blocks"', "blocks"]
+    manifest = [{"name": name, "path": "blocks.txt", "target_efficacy": 1.0} for name in names]
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--corpus", str(corpus), "--restarts", "1", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    text = (out_dir / "report.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["name", "P", "M", "k", "mu_num", "mu_den", "mu", "target", "delta", "seconds"]
+    assert [row[0] for row in rows[1:]] == names
+    assert all(len(row) == 10 for row in rows)
+    assert text.splitlines()[3].startswith("blocks,6,5,2,1,1,1.000000,1.000000,0.000000,")
 
 
 @pytest.mark.parametrize(
