@@ -30,7 +30,7 @@ def top_eigenpairs(sym, count: int = 2):
         raise ValueError("count must be between 1 and the matrix size")
     values, vectors = np.linalg.eigh(work)
     values = np.maximum(values[::-1][:count], 0.0)
-    vectors = np.ascontiguousarray(vectors[:, ::-1][:, :count].T)
+    vectors = np.ascontiguousarray(vectors.T[::-1][:count])
     reference = 1.0 + np.outer(np.arange(1, count + 1) * 1e-3, np.arange(n))
     vectors[np.einsum("ij,ij->i", vectors, reference) < 0] *= -1.0
     return values, vectors
