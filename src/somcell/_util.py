@@ -21,3 +21,8 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def is_json_int(value) -> bool:
+    """True for a JSON integer as ``json`` loads it: an int, but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)

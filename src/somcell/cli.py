@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from ._util import atomic_write_text
+from ._util import atomic_write_text, is_json_int
 from .cells import CellAssignment, build_view, form_cells
 from .incidence import (
     IncidenceMatrix,
@@ -83,7 +83,7 @@ def _read_matrix(path, transpose: bool = False) -> IncidenceMatrix:
         matrix = load_matrix(path)
     except OSError as exc:
         raise CliError(f"cannot read matrix file {path}: {exc.strerror or exc}") from exc
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     return matrix.transposed() if transpose else matrix
 
@@ -129,8 +129,13 @@ def _load_assignment(path) -> CellAssignment:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not is_json_int(doc["k"]):
+            raise ValueError(f"k must be an integer, got {json.dumps(doc['k'])}")
+        for key in ("part_family", "machine_cell"):
+            if not isinstance(doc[key], list) or not all(is_json_int(v) for v in doc[key]):
+                raise ValueError(f"{key} must be a list of integers")
         return CellAssignment(
-            k=int(doc["k"]),
+            k=doc["k"],
             part_family=tuple(doc["part_family"]),
             machine_cell=tuple(doc["machine_cell"]),
         )

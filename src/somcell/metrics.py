@@ -44,6 +44,11 @@ class CellAssignment:
             raise ValueError("k must be at least 1")
         if not self.part_family or not self.machine_cell:
             raise ValueError("assignment needs at least one part and one machine")
+        # checked before the id set is built, which grows with k
+        if self.k > len(self.part_family):
+            raise ValueError("every cell needs at least one part")
+        if self.k > len(self.machine_cell):
+            raise ValueError("every cell needs at least one machine")
         ids = set(range(1, self.k + 1))
         if not set(self.part_family) <= ids or not set(self.machine_cell) <= ids:
             raise ValueError("ids must lie in 1..k")

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, pca
-from ._util import atomic_write_text
+from ._util import atomic_write_text, is_json_int
 
 _ROW_PITCH = math.sqrt(3.0) / 2.0
 _RANK_TOL = 1e-9
@@ -313,14 +313,24 @@ def load_model(path) -> SomModel:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     if not isinstance(doc.get("grid"), dict) or doc["grid"].get("topology") != "hexagonal":
         raise ValueError("model grid topology must be 'hexagonal'")
+    ints = {
+        "grid.rows": doc["grid"]["rows"],
+        "grid.cols": doc["grid"]["cols"],
+        "input_dim": doc["input_dim"],
+        "seed": doc["seed"],
+        "trained_epochs": doc["trained_epochs"],
+    }
+    for name, value in ints.items():
+        if not is_json_int(value):
+            raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
     schedule = None
     if doc.get("schedule"):
         schedule = TrainingSchedule(tuple(Phase(**ph) for ph in doc["schedule"]))
     return SomModel(
-        grid=MapGrid(doc["grid"]["rows"], doc["grid"]["cols"]),
+        grid=MapGrid(ints["grid.rows"], ints["grid.cols"]),
         codebook=np.array(doc["codebook"], dtype=np.float64),
-        input_dim=int(doc["input_dim"]),
-        seed=int(doc["seed"]),
-        trained_epochs=int(doc["trained_epochs"]),
+        input_dim=ints["input_dim"],
+        seed=ints["seed"],
+        trained_epochs=ints["trained_epochs"],
         schedule=schedule,
     )

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from somcell import IncidenceMatrix, load_problem1
+from somcell import IncidenceMatrix, MatrixFormatError, load_problem1
 
 # Expected two-cell grouping of the bundled demo instance (0-based indices).
 P1_MACHINE_CELLS = (frozenset({0, 2, 4, 8, 9}), frozenset({1, 3, 5, 6, 7}))
@@ -25,6 +25,53 @@ def naive_bmu(codebook, x):
         if best_d is None or d < best_d:
             best, best_d = i, d
     return best
+
+
+def parse_matrix_reference(text):
+    """Token-by-token parser of the plain-text matrix format.
+
+    Same grammar and messages as ``somcell.parse_matrix``: comments and blank
+    lines are skipped, a ``P M`` header comes first, and the first bad line
+    raises MatrixFormatError with its line number.
+    """
+    header = None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2:
+                raise MatrixFormatError("header must be two integers: P M", lineno)
+            try:
+                p, m = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise MatrixFormatError("header must be two integers: P M", lineno) from None
+            if p < 1 or m < 1:
+                raise MatrixFormatError("P and M must both be positive", lineno)
+            header = (p, m)
+            continue
+        if len(rows) == header[0]:
+            raise MatrixFormatError("unexpected content after the last matrix row", lineno)
+        if len(tokens) != header[1]:
+            raise MatrixFormatError(
+                f"expected {header[1]} entries in this row, found {len(tokens)}", lineno
+            )
+        row = []
+        for tok in tokens:
+            if tok == "0":
+                row.append(0)
+            elif tok == "1":
+                row.append(1)
+            else:
+                raise MatrixFormatError(f"entry must be 0 or 1, found {tok!r}", lineno)
+        rows.append(row)
+    if header is None:
+        raise MatrixFormatError("no header line found")
+    if len(rows) != header[0]:
+        raise MatrixFormatError(f"expected {header[0]} matrix rows, found {len(rows)}")
+    return IncidenceMatrix.from_array(np.array(rows, dtype=np.uint8))
 
 
 def fill_hitless_reference(codebook, hit_counts, unit_ids):

@@ -170,6 +170,39 @@ def test_metrics_rejects_bad_weight(tmp_path, trained, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+BLOCKS_ASSIGNMENT = {"k": 2, "part_family": [1, 1, 1, 2, 2, 2], "machine_cell": [1, 1, 1, 2, 2]}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"part_family": "111222"},
+        {"part_family": [1.9, 1, 1, 2, 2, 2]},
+        {"machine_cell": [True, True, True, 2, 2]},
+        {"k": "2"},
+        {"k": 2.0},
+        {"k": 10**12},
+    ],
+    ids=["digit-string", "float-id", "bool-id", "string-k", "float-k", "huge-k"],
+)
+def test_metrics_rejects_assignment_fields_that_are_not_integers(tmp_path, blocks_file, capsys, fields):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps({**BLOCKS_ASSIGNMENT, **fields}))
+    rc = main(["metrics", "--input", str(blocks_file), "--assignment", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: not a valid assignment file (") and err.count("\n") == 1
+
+
+def test_undecodable_matrix_file_names_its_path(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2 2\n1 0\n0 \xff1\n")
+    rc = main(["train", "--input", str(path), "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
 def test_viz_writes_every_surface(tmp_path, trained, capsys):
     matrix_path, model_path = trained
     out_dir = tmp_path / "viz"
@@ -299,6 +332,18 @@ def test_bench_malformed_case_is_an_error_row(tmp_path, capsys, entry, message):
     assert bad["error"] == message and bad["parts"] is None
     assert good["error"] is None and (good["parts"], good["machines"]) == (6, 5)
     assert report["summary"]["errors"] == 1
+
+
+def test_bench_undecodable_case_is_an_error_row_naming_its_path(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "latin1.txt").write_bytes(b"2 2\n1 0\n0 \xff1\n")
+    (corpus / "manifest.json").write_text(json.dumps([{"name": "latin1", "path": "latin1.txt"}]))
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--corpus", str(corpus), "--restarts", "1", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    (row,) = json.loads((out_dir / "report.json").read_text())["cases"]
+    assert row["error"].startswith(f"{corpus / 'latin1.txt'}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_bench_report_does_not_depend_on_jobs(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Matrix parsing, validation, views, and canonical ordering."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import parse_matrix_reference
 from somcell import (
     BlockDiagonalView,
     IncidenceMatrix,
@@ -49,6 +52,50 @@ def test_parse_rejects_malformed_input(text, fragment):
     with pytest.raises(MatrixFormatError) as e:
         parse_matrix(text)
     assert fragment in str(e.value)
+
+
+# str.split() and str.splitlines() treat more than spaces and "\n" as breaks
+SPACES = [" ", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
+BREAKS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+BAD_TOKENS = ["2", "-1", "x", "01", "1.0", "+1", "\u0661", "\uff11", "#", "0\x00"]
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 7)) == 7
+
+
+@st.composite
+def matrix_texts(draw):
+    """Small matrix texts, mostly well formed, with the odd bad header, row count,
+    row width, token, comment or line break."""
+    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = f"{p} {m}"
+    if _rarely(draw):
+        header = draw(st.sampled_from([f"{p}", f"{p} {m} 1", "x y", f"0 {m}", f"{p} -1", f" +{p}\t0{m} ", f"{p}_0 {m}"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, p + 1)) if _rarely(draw) else p):
+        if _rarely(draw):
+            lines.append(draw(st.sampled_from(["", "# note", "   ", "#", " # 1 0"])))
+        width = draw(st.sampled_from([m + 1, m - 1])) if _rarely(draw) else m
+        tokens = draw(st.lists(st.sampled_from("10"), min_size=width, max_size=width))
+        if tokens and _rarely(draw):
+            tokens[draw(st.integers(0, width - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        lines.append("".join(tok + draw(st.sampled_from(SPACES)) for tok in tokens))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+def _parse_outcome(parse, text):
+    try:
+        values = parse(text).values
+    except MatrixFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", values.dtype, values.shape, values.tobytes())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(matrix_texts())
+def test_parse_matches_token_loop_reference(text):
+    assert _parse_outcome(parse_matrix, text) == _parse_outcome(parse_matrix_reference, text)
 
 
 def test_parse_error_carries_line_number():

@@ -211,6 +211,12 @@ def test_load_model_rejects_foreign_json(tmp_path):
         [good],
         {**good, "version": 2},
         {**good, "grid": {**good["grid"], "topology": "rectangular"}},
+        # integer fields must be JSON integers, not look-alikes
+        {**good, "grid": {**good["grid"], "rows": 2.0}},
+        {**good, "grid": {**good["grid"], "cols": "2"}},
+        {**good, "input_dim": 2.7},
+        {**good, "seed": 3.9},
+        {**good, "trained_epochs": True},
     ]
     for doc in foreign:
         path.write_text(json.dumps(doc))
