@@ -16,7 +16,6 @@ from .incidence import (
     BlockDiagonalView,
     IncidenceMatrix,
     MatrixFormatError,
-    canonical_form,
     load_matrix,
     load_problem1,
     parse_matrix,
@@ -83,7 +82,6 @@ __all__ = [
     "assign_machines",
     "assign_parts",
     "build_view",
-    "canonical_form",
     "cluster_map",
     "component_planes",
     "compute_hits",

@@ -21,7 +21,6 @@ __all__ = [
     "load_matrix",
     "load_problem1",
     "render_block_diagonal",
-    "canonical_form",
 ]
 
 
@@ -87,9 +86,6 @@ class IncidenceMatrix:
         """Swap the part/machine roles (labels are regenerated)."""
         return IncidenceMatrix.from_array(self.values.T)
 
-    def float_rows(self) -> np.ndarray:
-        return self.values.astype(np.float64)
-
 
 @dataclass(frozen=True)
 class BlockDiagonalView:
@@ -133,6 +129,9 @@ class BlockDiagonalView:
         return cls(tuple(range(parts)), tuple(range(machines)), (((0, parts), (0, machines)),))
 
 
+_BITS = frozenset(("0", "1"))
+
+
 def parse_matrix(text: str) -> IncidenceMatrix:
     """Parse the plain-text matrix format.
 
@@ -142,7 +141,7 @@ def parse_matrix(text: str) -> IncidenceMatrix:
     number where possible) on anything else.
     """
     header: tuple[int, int] | None = None
-    rows: list[list[int]] = []
+    rows: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -165,20 +164,16 @@ def parse_matrix(text: str) -> IncidenceMatrix:
             raise MatrixFormatError(
                 f"expected {header[1]} entries in this row, found {len(tokens)}", lineno
             )
-        row = []
-        for tok in tokens:
-            if tok == "0":
-                row.append(0)
-            elif tok == "1":
-                row.append(1)
-            else:
-                raise MatrixFormatError(f"entry must be 0 or 1, found {tok!r}", lineno)
-        rows.append(row)
+        if not _BITS.issuperset(tokens):
+            bad = next(tok for tok in tokens if tok not in _BITS)
+            raise MatrixFormatError(f"entry must be 0 or 1, found {bad!r}", lineno)
+        rows.append("".join(tokens))
     if header is None:
         raise MatrixFormatError("no header line found")
     if len(rows) != header[0]:
         raise MatrixFormatError(f"expected {header[0]} matrix rows, found {len(rows)}")
-    return IncidenceMatrix.from_array(np.array(rows, dtype=np.uint8))
+    values = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) - ord("0")
+    return IncidenceMatrix.from_array(values.reshape(header))
 
 
 def load_matrix(path) -> IncidenceMatrix:
@@ -227,100 +222,3 @@ def render_block_diagonal(matrix: IncidenceMatrix, view: BlockDiagonalView) -> s
         lines.append(format_row(row_labels[i], [str(int(x)) for x in values[i]]))
     return "\n".join(lines) + "\n"
 
-
-def _rank_signatures(sigs: list) -> list[int]:
-    # rank by signature value, not first appearance, to stay order-independent
-    index = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    return [index[s] for s in sigs]
-
-
-def _refine_colors(values: np.ndarray, row_color: list[int], col_color: list[int]):
-    """Split row/column color classes by neighbor color multisets until stable."""
-    n_rows, n_cols = values.shape
-    ones_by_row = [np.flatnonzero(values[i]) for i in range(n_rows)]
-    ones_by_col = [np.flatnonzero(values[:, j]) for j in range(n_cols)]
-    while True:
-        new_row = _rank_signatures([
-            (row_color[i], tuple(sorted(col_color[j] for j in ones_by_row[i])))
-            for i in range(n_rows)
-        ])
-        new_col = _rank_signatures([
-            (col_color[j], tuple(sorted(new_row[i] for i in ones_by_col[j])))
-            for j in range(n_cols)
-        ])
-        if new_row == row_color and new_col == col_color:
-            return row_color, col_color
-        row_color, col_color = new_row, new_col
-
-
-def _branch_class(values: np.ndarray, colors: list[int], axis: int):
-    """Smallest color class with two members that are not literal duplicates.
-
-    Returns (color, representative indices), one representative per distinct
-    vector; classes of mutually identical rows/columns are interchangeable
-    and never branched on.
-    """
-    by_color: dict[int, list[int]] = {}
-    for idx, c in enumerate(colors):
-        by_color.setdefault(c, []).append(idx)
-    for c in sorted(by_color):
-        members = by_color[c]
-        if len(members) < 2:
-            continue
-        reps: dict[bytes, int] = {}
-        for idx in members:
-            vec = values[idx] if axis == 0 else values[:, idx]
-            reps.setdefault(vec.tobytes(), idx)
-        if len(reps) > 1:
-            return c, sorted(reps.values())
-    return None, []
-
-
-def canonical_form(matrix: IncidenceMatrix):
-    """Permutation-invariant normal form of a matrix.
-
-    Two matrices that differ only by a row and/or column permutation map to
-    the same canonical matrix. Works by color refinement on the bipartite
-    row/column graph followed by an individualization search over ambiguous
-    classes, keeping the lexicographically largest arrangement; duplicate
-    rows or columns are recognized as interchangeable, so the search stays
-    small except on highly regular symmetric designs, which do not occur in
-    this domain.
-
-    Returns ``(canonical, row_perm, col_perm)`` with
-    ``canonical.values[i, j] == matrix.values[row_perm[i], col_perm[j]]``.
-    """
-    values = np.asarray(matrix.values, dtype=np.uint8)
-    n_rows, n_cols = values.shape
-    # dense rows/columns get small colors so they sort toward the top left
-    row0 = _rank_signatures([(-int(values[i].sum()),) for i in range(n_rows)])
-    col0 = _rank_signatures([(-int(values[:, j].sum()),) for j in range(n_cols)])
-    best: tuple[bytes, np.ndarray, np.ndarray] | None = None
-
-    def search(row_color: list[int], col_color: list[int]) -> None:
-        nonlocal best
-        row_color, col_color = _refine_colors(values, row_color, col_color)
-        color, reps = _branch_class(values, row_color, 0)
-        if color is not None:
-            for rep in reps:
-                forked = [(c, 0 if i == rep else 1) for i, c in enumerate(row_color)]
-                search(_rank_signatures(forked), list(col_color))
-            return
-        color, reps = _branch_class(values, col_color, 1)
-        if color is not None:
-            for rep in reps:
-                forked = [(c, 0 if j == rep else 1) for j, c in enumerate(col_color)]
-                search(list(row_color), _rank_signatures(forked))
-            return
-        row_perm = np.lexsort((np.arange(n_rows), np.array(row_color)))
-        col_perm = np.lexsort((np.arange(n_cols), np.array(col_color)))
-        arranged = values[np.ix_(row_perm, col_perm)]
-        key = arranged.tobytes()
-        if best is None or key > best[0]:
-            best = (key, row_perm, col_perm)
-
-    search(row0, col0)
-    assert best is not None
-    _, row_perm, col_perm = best
-    canon = IncidenceMatrix.from_array(values[np.ix_(row_perm, col_perm)])
-    return canon, row_perm, col_perm

@@ -139,10 +139,6 @@ class GroupingScore:
     efficiency: float
 
     @property
-    def efficacy_value(self) -> float:
-        return float(self.efficacy)
-
-    @property
     def efficacy_text(self) -> str:
         return f"{self.efficacy.numerator}/{self.efficacy.denominator} = {float(self.efficacy):.4f}"
 

@@ -14,7 +14,6 @@ from somcell import (
     assign_machines,
     assign_parts,
     build_view,
-    canonical_form,
     cluster_map,
     compute_hits,
     count_blocks,
@@ -184,30 +183,6 @@ def test_form_cells_on_demo_instance_matches_known_grouping(problem1):
     )
     assert mach == frozenset(P1_MACHINE_CELLS)
     assert part == frozenset(P1_PART_FAMILIES)
-
-
-def test_form_cells_invariant_under_input_permutation():
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        v = planted_instance(rng)
-        base = IncidenceMatrix.from_array(v)
-        shuffled = IncidenceMatrix.from_array(
-            v[rng.permutation(v.shape[0])][:, rng.permutation(v.shape[1])]
-        )
-        results = []
-        for data in (base, shuffled):
-            canon, _, _ = canonical_form(data)
-            asg = form_cells(_trained(canon, seed=3), canon, k_max=3)
-            part = frozenset(
-                frozenset(np.flatnonzero(np.array(asg.part_family) == c))
-                for c in range(1, asg.k + 1)
-            )
-            mach = frozenset(
-                frozenset(np.flatnonzero(np.array(asg.machine_cell) == c))
-                for c in range(1, asg.k + 1)
-            )
-            results.append((part, mach))
-        assert results[0] == results[1]
 
 
 def test_build_view_orders_and_boundaries():
