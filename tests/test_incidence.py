@@ -61,7 +61,7 @@ BAD_TOKENS = ["2", "-1", "x", "01", "1.0", "+1", "\u0661", "\uff11", "#", "0\x00
 
 @st.composite
 def matrix_texts(draw):
-    """Small matrix texts, about half of them well formed; the rest get a bad
+    """Small matrix texts, many of them well formed; the others get a bad
     header, row count, row width or token, or several of these at once."""
     faults = draw(st.sampled_from([set(), set(), {"header"}, {"rows"}, {"width"}, {"token"}, {"rows", "width", "token"}]))
 
