@@ -24,7 +24,7 @@ from somcell import (
     init_codebook,
     train,
 )
-from somcell.cells import _farthest_first_centers, _relabel_by_size, _settle_assignment
+from somcell.cells import _relabel_by_size, _settle_assignment
 from somcell.viz import HitHistogram
 
 
@@ -250,8 +250,24 @@ def _settle_reference(values, part_family):
     )
 
 
+def _farthest_first_reference(points, k, seed):
+    """Seed centers one at a time: each next one is the point farthest from
+    all chosen so far (first such point on ties)."""
+    chosen = [int(np.random.default_rng(seed).integers(points.shape[0]))]
+    nearest = [float(((p - points[chosen[0]]) ** 2).sum()) for p in points]
+    while len(chosen) < k:
+        best = 0
+        for i in range(1, len(nearest)):
+            if nearest[i] > nearest[best]:
+                best = i
+        chosen.append(best)
+        for i, p in enumerate(points):
+            nearest[i] = min(nearest[i], float(((p - points[best]) ** 2).sum()))
+    return points[chosen].copy()
+
+
 def _kmeans_reference(points, k, seed):
-    centers = _farthest_first_centers(points, k, seed)
+    centers = _farthest_first_reference(points, k, seed)
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for _ in range(100):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
