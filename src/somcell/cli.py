@@ -93,7 +93,7 @@ def _read_model(path) -> SomModel:
         return load_model(path)
     except OSError as exc:
         raise CliError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"{path}: not a valid model file ({exc})") from exc
 
 
@@ -141,7 +141,7 @@ def _load_assignment(path) -> CellAssignment:
         )
     except OSError as exc:
         raise CliError(f"cannot read assignment file {path}: {exc.strerror or exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"{path}: not a valid assignment file ({exc})") from exc
 
 
@@ -264,7 +264,7 @@ def _load_manifest(path: Path) -> list[dict]:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, list):
         raise CliError(f"{path}: manifest must be a JSON array of cases")
@@ -295,7 +295,7 @@ def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGr
         if target is not None:
             try:
                 target = float(target)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"target_efficacy must be a number, got {json.dumps(target)}") from None
             if not 0.0 < target <= 1.0:
                 raise ValueError(f"target_efficacy must lie in (0, 1], got {target}")

@@ -299,6 +299,20 @@ def save_model(model: SomModel, path) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1))
 
 
+_JSON_NUMBERS = frozenset((int, float))  # the types json loads numbers as; bool is neither
+
+
+def _load_phase(doc) -> Phase:
+    if not isinstance(doc, dict):
+        raise ValueError(f"schedule phase must be an object, got {json.dumps(doc)}")
+    if not is_json_int(doc.get("epochs")):
+        raise ValueError(f"phase epochs must be an integer, got {json.dumps(doc.get('epochs'))}")
+    for name in ("alpha_start", "alpha_end", "sigma_start", "sigma_end"):
+        if type(doc.get(name)) not in _JSON_NUMBERS:
+            raise ValueError(f"phase {name} must be a number, got {json.dumps(doc.get(name))}")
+    return Phase(**doc)
+
+
 def load_model(path) -> SomModel:
     """Read a model written by save_model.
 
@@ -325,10 +339,21 @@ def load_model(path) -> SomModel:
             raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
     schedule = None
     if doc.get("schedule"):
-        schedule = TrainingSchedule(tuple(Phase(**ph) for ph in doc["schedule"]))
+        schedule = TrainingSchedule(tuple(_load_phase(ph) for ph in doc["schedule"]))
+    codebook = doc["codebook"]
+    if not (
+        isinstance(codebook, list)
+        and all(isinstance(row, list) for row in codebook)
+        and {type(v) for row in codebook for v in row} <= _JSON_NUMBERS
+    ):
+        raise ValueError("codebook must be a list of rows of numbers")
+    try:
+        codebook = np.array(codebook, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("codebook entries must be finite") from None
     return SomModel(
         grid=MapGrid(ints["grid.rows"], ints["grid.cols"]),
-        codebook=np.array(doc["codebook"], dtype=np.float64),
+        codebook=codebook,
         input_dim=ints["input_dim"],
         seed=ints["seed"],
         trained_epochs=ints["trained_epochs"],

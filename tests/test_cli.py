@@ -194,6 +194,25 @@ def test_metrics_rejects_assignment_fields_that_are_not_integers(tmp_path, block
     assert err.startswith(f"error: {path}: not a valid assignment file (") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [
+        ("cells", "--model", "not a valid model file"),
+        ("metrics", "--assignment", "not a valid assignment file"),
+        ("bench", "--manifest", "invalid JSON"),
+    ],
+)
+def test_deeply_nested_json_is_a_clean_error(tmp_path, blocks_file, capsys, command, flag, kind):
+    # json raises RecursionError, not ValueError, past its nesting limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    args = ["--corpus", str(tmp_path)] if command == "bench" else ["--input", str(blocks_file)]
+    rc = main([command, *args, flag, str(deep)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {deep}: {kind} (") and err.count("\n") == 1
+
+
 def test_undecodable_matrix_file_names_its_path(tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"2 2\n1 0\n0 \xff1\n")
@@ -314,8 +333,12 @@ def test_bench_report_csv_quotes_names_with_commas(tmp_path, capsys):
         ({"name": "five", "path": 5}, "case path must be a string, got 5"),
         ({"name": "flip", "path": "blocks.txt", "transpose": "no"}, 'transpose must be true or false, got "no"'),
         ({"name": "aim", "path": "blocks.txt", "target_efficacy": [1]}, "target_efficacy must be a number, got [1]"),
+        (
+            {"name": "huge", "path": "blocks.txt", "target_efficacy": 10**400},
+            f"target_efficacy must be a number, got {10**400}",
+        ),
     ],
-    ids=["not-an-object", "path-not-a-string", "transpose-not-a-bool", "target-not-a-number"],
+    ids=["not-an-object", "path-not-a-string", "transpose-not-a-bool", "target-not-a-number", "target-too-big"],
 )
 def test_bench_malformed_case_is_an_error_row(tmp_path, capsys, entry, message):
     corpus = tmp_path / "corpus"

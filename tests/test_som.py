@@ -207,6 +207,7 @@ def test_load_model_rejects_foreign_json(tmp_path):
         load_model(path)
     save_model(SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), input_dim=2, seed=0), path)
     good = json.loads(path.read_text())
+    phase = {"epochs": 2, "alpha_start": 0.5, "alpha_end": 0.1, "sigma_start": 1.0, "sigma_end": 0.5}
     foreign = [
         [good],
         {**good, "version": 2},
@@ -217,11 +218,27 @@ def test_load_model_rejects_foreign_json(tmp_path):
         {**good, "input_dim": 2.7},
         {**good, "seed": 3.9},
         {**good, "trained_epochs": True},
+        # schedule epochs are integers, rates and radii numbers
+        {**good, "schedule": [{**phase, "epochs": 2.5}]},
+        {**good, "schedule": [{**phase, "epochs": "2"}]},
+        {**good, "schedule": [{**phase, "alpha_start": "0.5"}]},
+        {**good, "schedule": [{**phase, "sigma_end": True}]},
+        {**good, "schedule": [[2, 0.5, 0.1, 1.0, 0.5]]},
+        # codebook entries are numbers that fit a float
+        {**good, "codebook": [[True, 0.0]] + good["codebook"][1:]},
+        {**good, "codebook": [["0.5", 0.0]] + good["codebook"][1:]},
+        {**good, "codebook": [[10**400, 0.0]] + good["codebook"][1:]},
+        {**good, "codebook": [0.0, 0.0, 0.0, 0.0]},
     ]
     for doc in foreign:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+    # integer rates and integer codebook entries are JSON numbers too
+    path.write_text(json.dumps({**good, "schedule": [{**phase, "alpha_end": 0}], "codebook": [[1, 0]] * 4}))
+    model = load_model(path)
+    assert model.schedule.total_epochs == 2 and model.schedule.phases[0].alpha_end == 0
+    assert model.codebook.tolist() == [[1.0, 0.0]] * 4
 
 
 def test_model_validates_codebook_shape():
