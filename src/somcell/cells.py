@@ -9,6 +9,7 @@ the best grouping efficacy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,22 +18,30 @@ from . import metrics
 from .incidence import BlockDiagonalView, IncidenceMatrix
 from .metrics import CellAssignment
 from .som import SomModel
-from .viz import HitHistogram, compute_hits, fill_hitless_units
+from .viz import HitHistogram, compute_hits, nearest_hit_units
 
 
-def _farthest_first_centers(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """Indices into ``points`` of the first ``count`` farthest-first centers.
+
+    The first is drawn from ``seed``; each next one is the point farthest
+    from all chosen so far. The centers for any smaller count are a prefix
+    of these (Gonzalez 1985), so one order serves a whole k-sweep.
+    """
     rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(points.shape[0]))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
-    while len(chosen) < k:
+    order = [int(rng.integers(points.shape[0]))]
+    d2 = ((points - points[order[0]]) ** 2).sum(axis=1)
+    while len(order) < count:
         nxt = int(np.argmax(d2))  # first max, so ties go to the lowest index
-        chosen.append(nxt)
+        order.append(nxt)
         d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+    return np.array(order, dtype=np.int64)
 
 
-def _kmeans_labels(points: np.ndarray, k: int, seed: int) -> np.ndarray:
-    centers = _farthest_first_centers(points, k, seed)
+def _kmeans_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Lloyd iterations from ``centers`` (updated in place) until the labels
+    stop changing, at most 100 rounds."""
+    k = centers.shape[0]
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for _ in range(100):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -50,21 +59,50 @@ def _kmeans_labels(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return labels
 
 
-def cluster_map(model: SomModel, hits: HitHistogram, k: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ClusterBasis:
+    """What clustering one map shares across k: the units with hits, their
+    codebook rows, their farthest-first order and each unit's nearest unit
+    with hits."""
+
+    hit_units: np.ndarray
+    points: np.ndarray
+    order: np.ndarray
+    nearest: np.ndarray
+
+
+def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> ClusterBasis:
+    """The basis for every k in 1..k_max; k_max may not exceed the units with hits."""
+    hit_units = np.flatnonzero(hits.hits > 0)
+    if not 1 <= k_max <= hit_units.size:
+        raise ValueError(f"k must lie in 1..{hit_units.size} (units with hits)")
+    points = model.codebook[hit_units]
+    return ClusterBasis(
+        hit_units=hit_units,
+        points=points,
+        order=_farthest_first_order(points, k_max, model.seed),
+        nearest=nearest_hit_units(model, hits),
+    )
+
+
+def cluster_map(model: SomModel, hits: HitHistogram, k: int, basis: ClusterBasis | None = None) -> np.ndarray:
     """Cluster ids (1..k) for every map unit.
 
     k-means over the codebook rows of units with at least one hit:
     farthest-first seeding from the model seed, then Lloyd iterations until
     the labels stop changing (at most 100 rounds). Units with no hits
     inherit the cluster of the nearest hit unit in codebook space.
+    ``basis`` is ``cluster_basis(model, hits, k_max)`` for some k_max >= k,
+    built here for k alone when not given.
     """
-    hit_units = np.flatnonzero(hits.hits > 0)
-    if not 1 <= k <= hit_units.size:
-        raise ValueError(f"k must lie in 1..{hit_units.size} (units with hits)")
-    labels = _kmeans_labels(model.codebook[hit_units], k, model.seed)
+    if basis is None:
+        basis = cluster_basis(model, hits, k)
+    if not 1 <= k <= basis.order.size:
+        raise ValueError(f"k must lie in 1..{basis.order.size} for this basis")
+    labels = _kmeans_labels(basis.points, basis.points[basis.order[:k]])
     out = np.zeros(model.grid.units, dtype=np.int64)
-    out[hit_units] = labels + 1
-    return fill_hitless_units(model, hits, out)
+    out[basis.hit_units] = labels + 1
+    return out[basis.nearest]
 
 
 def assign_parts(clusters, hits: HitHistogram) -> np.ndarray:
@@ -142,24 +180,30 @@ def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAs
     )
 
 
-def form_cells(model: SomModel, data: IncidenceMatrix, k_max: int) -> CellAssignment:
+def form_cells(
+    model: SomModel, data: IncidenceMatrix, k_max: int, hits: HitHistogram | None = None
+) -> CellAssignment:
     """Best assignment over a sweep of candidate cell counts.
 
     Tries every k from 2 up to min(k_max, units with hits, machines,
     parts); each candidate is clustered, settled, and scored, and the
     highest exact efficacy wins, ties going to the smaller k. If the sweep
     is empty (a single busy unit, say) everything lands in one cell.
+    ``hits`` is ``compute_hits(model, data)``, computed here when not given.
+    All candidates share one ``cluster_basis``.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     if model.input_dim != data.machines:
         raise ValueError(f"model expects {model.input_dim} machines, matrix has {data.machines}")
-    hits = compute_hits(model, data)
+    if hits is None:
+        hits = compute_hits(model, data)
     busy_units = int((hits.hits > 0).sum())
     upper = min(k_max, busy_units, data.machines, data.parts)
+    basis = cluster_basis(model, hits, upper)
     best: tuple[Fraction, CellAssignment] | None = None
     for k in range(2, upper + 1):
-        clusters = cluster_map(model, hits, k)
+        clusters = cluster_map(model, hits, k, basis=basis)
         candidate = _settle_assignment(data, assign_parts(clusters, hits))
         efficacy = metrics.grouping_efficacy(metrics.count_blocks(data, candidate))
         if best is None or efficacy > best[0]:

@@ -41,6 +41,7 @@ from .som import (
     train,
 )
 from .viz import (
+    HitHistogram,
     component_planes,
     compute_hits,
     compute_umatrix,
@@ -109,9 +110,14 @@ def train_map(matrix: IncidenceMatrix, seed: int, grid: MapGrid | None = None) -
     return train(model, matrix, default_schedule(grid))
 
 
-def extract_cells(model: SomModel, matrix: IncidenceMatrix, k_max: int | None = None):
-    """Cells plus score for a trained model; the shared pipeline back half."""
-    assignment = form_cells(model, matrix, default_kmax(matrix) if k_max is None else k_max)
+def extract_cells(
+    model: SomModel, matrix: IncidenceMatrix, k_max: int | None = None, hits: HitHistogram | None = None
+):
+    """Cells plus score for a trained model; the shared pipeline back half.
+
+    ``hits`` is ``compute_hits(model, matrix)``, computed here when not given.
+    """
+    assignment = form_cells(model, matrix, default_kmax(matrix) if k_max is None else k_max, hits=hits)
     return assignment, metrics.score(matrix, assignment)
 
 
@@ -209,7 +215,9 @@ def cmd_viz(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
     model = _read_model(args.model)
     _check_dims(model, matrix)
-    assignment, _ = extract_cells(model, matrix, args.kmax)
+    # one BMU pass serves the sweep, the hit view and the scatter CSV
+    hits = compute_hits(model, matrix)
+    assignment, _ = extract_cells(model, matrix, args.kmax, hits=hits)
     part_cells = assignment.part_family
     wanted = args.only or ("umatrix", "planes", "hits", "projection", "scatter")
     # every surface is computed before the first file is written, so a
@@ -221,7 +229,7 @@ def cmd_viz(args) -> int:
         for plane in component_planes(model, matrix.machine_labels):
             svgs.append((f"plane_{plane.label}.svg", plane, None))
     if "hits" in wanted:
-        svgs.append(("hits.svg", compute_hits(model, matrix), part_cells))
+        svgs.append(("hits.svg", hits, part_cells))
     if "projection" in wanted:
         svgs.append(("projection.svg", pca_project(model, matrix), part_cells))
     out_dir = Path(args.out_dir)
@@ -230,7 +238,7 @@ def cmd_viz(args) -> int:
         export_svg(surface, out_dir / name, part_cells=cells)
         print(f"wrote {out_dir / name}")
     if "scatter" in wanted:
-        export_scatter_data(model, matrix, assignment, out_dir / "scatter.csv")
+        export_scatter_data(model, matrix, assignment, out_dir / "scatter.csv", hits=hits)
         print(f"wrote {out_dir / 'scatter.csv'}")
     return 0
 

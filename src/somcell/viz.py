@@ -315,17 +315,24 @@ def unit_cells_from_hits(hits: HitHistogram, part_cells) -> np.ndarray:
     return np.concatenate([[0], ids])[votes.argmax(axis=1)]
 
 
-def fill_hitless_units(model: SomModel, hits: HitHistogram, unit_ids) -> np.ndarray:
-    """Copy of per-unit ``unit_ids`` where units with no hits take the id of
-    the nearest hit unit in codebook space (ties to the lower unit index)."""
-    out = np.array(unit_ids, dtype=np.int64)
+def nearest_hit_units(model: SomModel, hits: HitHistogram) -> np.ndarray:
+    """Per unit, the nearest unit with hits in codebook space: the unit
+    itself when it has hits, else the nearest hit unit (ties to the lower
+    unit index)."""
     hit_units = np.flatnonzero(hits.hits > 0)
     hitless = np.flatnonzero(hits.hits == 0)
     cb = model.codebook
     # (hitless x hit) squared distances; argmin's first minimum is the lower unit
     d2 = ((cb[hit_units][None, :, :] - cb[hitless][:, None, :]) ** 2).sum(axis=2)
-    out[hitless] = out[hit_units[np.argmin(d2, axis=1)]]
-    return out
+    nearest = np.arange(model.grid.units, dtype=np.int64)
+    nearest[hitless] = hit_units[np.argmin(d2, axis=1)]
+    return nearest
+
+
+def fill_hitless_units(model: SomModel, hits: HitHistogram, unit_ids) -> np.ndarray:
+    """Copy of per-unit ``unit_ids`` where units with no hits take the id of
+    the nearest hit unit in codebook space (ties to the lower unit index)."""
+    return np.asarray(unit_ids, dtype=np.int64)[nearest_hit_units(model, hits)]
 
 
 def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
@@ -435,19 +442,21 @@ def export_svg(surface, path, part_cells=None) -> None:
     atomic_write_text(path, text)
 
 
-def export_scatter_data(model: SomModel, data, assignment, path) -> None:
+def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistogram | None = None) -> None:
     """CSV of part rows and codebook prototypes tagged with cell ids.
 
     Columns: source (data/prototype), label, one column per machine, cell.
     Part rows carry their family id from ``assignment``; prototype rows
     carry the majority family of their parts, and units with no parts
-    inherit from the nearest hit unit in codebook space.
+    inherit from the nearest hit unit in codebook space. ``hits`` is
+    ``compute_hits(model, data)``, computed here when not given.
     """
     rows = _as_rows(data)
     machine_labels = getattr(data, "machine_labels", None) or tuple(
         f"m{j + 1}" for j in range(model.input_dim)
     )
-    hits = compute_hits(model, data)
+    if hits is None:
+        hits = compute_hits(model, data)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
     unit_cells = fill_hitless_units(model, hits, unit_cells_from_hits(hits, part_cells))
 

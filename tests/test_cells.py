@@ -24,7 +24,7 @@ from somcell import (
     init_codebook,
     train,
 )
-from somcell.cells import _relabel_by_size, _settle_assignment
+from somcell.cells import _relabel_by_size, _settle_assignment, cluster_basis
 from somcell.viz import HitHistogram
 
 
@@ -63,6 +63,11 @@ def test_cluster_map_bounds(problem1):
         cluster_map(model, hits, 0)
     with pytest.raises(ValueError):
         cluster_map(model, hits, busy + 1)
+    basis = cluster_basis(model, hits, 2)
+    with pytest.raises(ValueError):
+        cluster_map(model, hits, 3, basis=basis)
+    with pytest.raises(ValueError):
+        cluster_map(model, hits, 0, basis=basis)
 
 
 def test_assign_parts_inherits_bmu_cluster():
@@ -381,3 +386,17 @@ def test_cluster_map_matches_loop_reference(case):
     got = cluster_map(model, hits, k)
     want = _cluster_map_reference(model, hits, k)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(clustered_maps())
+def test_shared_basis_matches_standalone_cluster_map(case):
+    # the sweep's single basis (one farthest-first order, one nearest-unit
+    # map) labels every k as a basis built for that k alone would
+    model, hits, _ = case
+    busy = int((hits.hits > 0).sum())
+    basis = cluster_basis(model, hits, busy)
+    for k in range(1, busy + 1):
+        shared = cluster_map(model, hits, k, basis=basis)
+        assert shared.tolist() == cluster_map(model, hits, k).tolist()
+        assert shared.tolist() == _cluster_map_reference(model, hits, k).tolist()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from somcell import load_model
+from somcell import kernels, load_model
 from somcell.cli import default_kmax, main
 from somcell.incidence import load_problem1
 
@@ -237,6 +237,24 @@ def test_viz_writes_every_surface(tmp_path, trained, capsys):
         assert (out_dir / name).exists(), name
         assert f"wrote {out_dir / name}" in out
     assert (out_dir / "umatrix.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("command", ["cells", "viz"])
+def test_one_bmu_pass_per_op(tmp_path, trained, capsys, monkeypatch, command):
+    # the k-sweep, the hit view and the scatter CSV share one mapping of parts
+    calls = []
+    real = kernels.batch_bmu
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "batch_bmu", counted)
+    matrix_path, model_path = trained
+    rc = main([command, "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_viz_only_flag_filters_outputs(tmp_path, trained, capsys):
