@@ -27,6 +27,28 @@ def naive_bmu(codebook, x):
     return best
 
 
+def train_run_reference(codebook, samples, orders, alphas, sigmas, dist_sq):
+    """The per-step update loop ``kernels.train_run`` had before it reused
+    buffers: fresh temporaries and numpy-scalar arithmetic each step, same
+    float operations in the same order."""
+    cb = np.array(codebook, dtype=np.float64, order="C", copy=True)
+    xs = np.ascontiguousarray(samples, dtype=np.float64)
+    ords = np.ascontiguousarray(orders, dtype=np.int64)
+    al = np.ascontiguousarray(alphas, dtype=np.float64)
+    sg = np.ascontiguousarray(sigmas, dtype=np.float64)
+    d2 = np.ascontiguousarray(dist_sq, dtype=np.float64)
+    for t, p in enumerate(ords.ravel()):
+        diff = xs[p] - cb
+        best = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+        if sg[t] > 0.0:
+            inv = 1.0 / (2.0 * sg[t] * sg[t])
+            h = al[t] * np.exp(-d2[best] * inv)
+            cb += h[:, None] * diff
+        else:
+            cb[best] += al[t] * diff[best]
+    return cb
+
+
 def parse_matrix_reference(text):
     """Token-by-token parser of the plain-text matrix format.
 

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import naive_bmu
+from conftest import naive_bmu, train_run_reference
 from somcell import kernels
 
 
@@ -67,6 +70,58 @@ def test_train_run_matches_sequential_reference():
         got = kernels.train_run(codebook, data, orders, alphas, sigmas, dist_sq)
         want = _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq)
         assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@st.composite
+def train_problems(draw):
+    """train_run inputs with tied codebook rows, zero sigmas mid-schedule and
+    sigmas small enough for the neighborhood to underflow to 0."""
+    units, dim = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    n_samples, epochs = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0, allow_nan=False)
+    codebook = draw(arrays(np.float64, (units, dim), elements=values))
+    for u in draw(st.lists(st.integers(0, units - 1), max_size=units)):
+        codebook[u] = codebook[0]  # duplicate rows: BMU ties go to the lowest index
+    samples = draw(arrays(np.float64, (n_samples, dim), elements=values))
+    dist_sq = draw(arrays(np.float64, (units, units), elements=st.floats(0.0, 50.0)))
+    dist_sq = dist_sq + dist_sq.T
+    np.fill_diagonal(dist_sq, 0.0)
+    orders = np.array(
+        [draw(st.permutations(range(n_samples))) for _ in range(epochs)], dtype=np.int64
+    )
+    steps = epochs * n_samples
+    alphas = draw(arrays(np.float64, steps, elements=st.floats(0.0, 1.0)))
+    radius = st.sampled_from([0.0, 1e-3, 0.05, 0.5]) | st.floats(0.0, 5.0)
+    sigmas = draw(arrays(np.float64, steps, elements=radius))
+    return codebook, samples, orders, alphas, sigmas, dist_sq
+
+
+def _explicit_problem(sigmas, tied=False):
+    rng = np.random.default_rng(3)
+    codebook = rng.normal(size=(6, 4))
+    if tied:
+        codebook[3] = codebook[4] = codebook[1]
+    samples = rng.normal(size=(5, 4))
+    dist_sq = rng.random((6, 6)) * 9.0
+    dist_sq = dist_sq + dist_sq.T
+    np.fill_diagonal(dist_sq, 0.0)
+    orders = np.stack([rng.permutation(5) for _ in range(2)]).astype(np.int64)
+    alphas = np.linspace(0.6, 0.1, 10)
+    return codebook, samples, orders, alphas, np.asarray(sigmas, dtype=np.float64), dist_sq
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(train_problems())
+@example(_explicit_problem([2.0, 1.5, 0.0, 0.0, 1.0, 0.8, 0.0, 0.6, 0.4, 0.2]))
+@example(_explicit_problem(np.linspace(1.5, 0.3, 10), tied=True))
+@example(_explicit_problem([1e-3] * 5 + [0.01] * 5))
+def test_train_run_is_bit_identical_to_the_step_loop(problem):
+    # sigmas near the float minimum make 2*sigma**2 underflow to 0, so the
+    # neighborhood holds inf and nan; both sides must agree on those too
+    with np.errstate(all="ignore"):
+        got = kernels.train_run(*problem)
+        want = train_run_reference(*problem)
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
 
 
 def test_train_run_zero_sigma_updates_only_the_bmu():
