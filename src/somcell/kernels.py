@@ -42,6 +42,14 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     hold the per-step learning rate and neighborhood radius for all epochs
     concatenated; ``dist_sq`` is the precomputed squared lattice distance
     between units.
+
+    Each step reuses three buffers allocated once (the (units, dim)
+    difference, the per-unit distances and the neighborhood weights) and
+    reads its scalars as Python floats, converted one epoch at a time. The
+    float operations and their order are those of a plain per-step loop
+    (``h = alpha * exp(-d2[best] / (2 sigma^2))``, ``cb += h * (x - cb)``):
+    ``d2 * -(1 / (2 sigma^2))`` equals ``-d2 * (1 / (2 sigma^2))`` bit for
+    bit, so the codebook is bit-identical to that loop's.
     """
     cb = np.array(codebook, dtype=np.float64, order="C", copy=True)
     xs = np.ascontiguousarray(samples, dtype=np.float64)
@@ -51,16 +59,32 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     d2 = np.ascontiguousarray(dist_sq, dtype=np.float64)
     if al.shape[0] != ords.size or sg.shape[0] != ords.size:
         raise ValueError("alphas/sigmas must provide one value per training step")
-    for t, p in enumerate(ords.ravel()):
-        diff = xs[p] - cb
-        best = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-        if sg[t] > 0.0:
-            inv = 1.0 / (2.0 * sg[t] * sg[t])
-            h = al[t] * np.exp(-d2[best] * inv)
-            cb += h[:, None] * diff
-        else:
-            # degenerate neighborhood: only the matching unit moves
-            cb[best] += al[t] * diff[best]
+    steps = ords.ravel()
+    per_epoch = ords.shape[-1] if ords.ndim else 1
+    diff = np.empty_like(cb)
+    dist = np.empty(cb.shape[0], dtype=np.float64)
+    h = np.empty(cb.shape[0], dtype=np.float64)
+    h_col = h[:, None]
+    for lo in range(0, steps.size, per_epoch):
+        hi = lo + per_epoch
+        # zero sigmas give inf here; those steps take the branch below
+        with np.errstate(divide="ignore"):
+            neg_inv = (-(1.0 / (2.0 * sg[lo:hi] * sg[lo:hi]))).tolist()
+        for p, alpha, sigma, neg_inv_t in zip(
+            steps[lo:hi].tolist(), al[lo:hi].tolist(), sg[lo:hi].tolist(), neg_inv
+        ):
+            np.subtract(xs[p], cb, out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=dist)
+            best = int(dist.argmin())
+            if sigma > 0.0:
+                np.multiply(d2[best], neg_inv_t, out=h)
+                np.exp(h, out=h)
+                h *= alpha
+                diff *= h_col
+                cb += diff
+            else:
+                # degenerate neighborhood: only the matching unit moves
+                cb[best] += alpha * diff[best]
     return cb
 
 
