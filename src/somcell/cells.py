@@ -187,8 +187,10 @@ def form_cells(
 
     Tries every k from 2 up to min(k_max, units with hits, machines,
     parts); each candidate is clustered, settled, and scored, and the
-    highest exact efficacy wins, ties going to the smaller k. If the sweep
-    is empty (a single busy unit, say) everything lands in one cell.
+    highest exact efficacy wins, ties going to the smaller k. A settled
+    assignment that repeats an earlier k's cannot win that rule, so it is
+    not scored again. If the sweep is empty (a single busy unit, say)
+    everything lands in one cell.
     ``hits`` is ``compute_hits(model, data)``, computed here when not given.
     All candidates share one ``cluster_basis``.
     """
@@ -202,9 +204,15 @@ def form_cells(
     upper = min(k_max, busy_units, data.machines, data.parts)
     basis = cluster_basis(model, hits, upper)
     best: tuple[Fraction, CellAssignment] | None = None
+    scored: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for k in range(2, upper + 1):
         clusters = cluster_map(model, hits, k, basis=basis)
         candidate = _settle_assignment(data, assign_parts(clusters, hits))
+        key = (candidate.part_family, candidate.machine_cell)
+        if key in scored:
+            # same efficacy as when first scored, so it cannot beat the best
+            continue
+        scored.add(key)
         efficacy = metrics.grouping_efficacy(metrics.count_blocks(data, candidate))
         if best is None or efficacy > best[0]:
             best = (efficacy, candidate)

@@ -176,6 +176,30 @@ def test_form_cells_beats_every_candidate_k(problem1):
         assert best >= grouping_efficacy(count_blocks(problem1, candidate))
 
 
+def test_form_cells_scores_each_distinct_candidate_once(problem1, monkeypatch):
+    # on the demo every k from 2 to 4 settles into the same two cells, so
+    # only the first is scored and it still wins
+    from somcell import metrics
+
+    model = _trained(problem1, seed=42, grid=MapGrid(12, 10))
+    hits = compute_hits(model, problem1)
+    settled = [
+        _settle_assignment(problem1, assign_parts(cluster_map(model, hits, k), hits))
+        for k in range(2, 5)
+    ]
+    assert len(set(settled)) == 1
+    scored = []
+    real = metrics.count_blocks
+
+    def counting(data, assignment):
+        scored.append(assignment)
+        return real(data, assignment)
+
+    monkeypatch.setattr(metrics, "count_blocks", counting)
+    asg = form_cells(model, problem1, k_max=5, hits=hits)
+    assert scored == settled[:1] and asg == settled[0]
+
+
 def test_form_cells_on_demo_instance_matches_known_grouping(problem1):
     model = _trained(problem1, seed=42, grid=MapGrid(12, 10))
     asg = form_cells(model, problem1, k_max=5)
