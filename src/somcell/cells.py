@@ -204,13 +204,12 @@ def form_cells(
     upper = min(k_max, busy_units, data.machines, data.parts)
     basis = cluster_basis(model, hits, upper)
     best: tuple[Fraction, CellAssignment] | None = None
-    scored: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    scored = set()
     for k in range(2, upper + 1):
         clusters = cluster_map(model, hits, k, basis=basis)
         candidate = _settle_assignment(data, assign_parts(clusters, hits))
         key = (candidate.part_family, candidate.machine_cell)
         if key in scored:
-            # same efficacy as when first scored, so it cannot beat the best
             continue
         scored.add(key)
         efficacy = metrics.grouping_efficacy(metrics.count_blocks(data, candidate))

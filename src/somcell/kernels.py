@@ -60,7 +60,9 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     if al.shape[0] != ords.size or sg.shape[0] != ords.size:
         raise ValueError("alphas/sigmas must provide one value per training step")
     steps = ords.ravel()
-    per_epoch = ords.shape[-1] if ords.ndim else 1
+    # scalars are converted one epoch at a time; empty epochs (no samples)
+    # still step the slice forward
+    per_epoch = max(ords.shape[-1], 1) if ords.ndim else 1
     diff = np.empty_like(cb)
     dist = np.empty(cb.shape[0], dtype=np.float64)
     h = np.empty(cb.shape[0], dtype=np.float64)

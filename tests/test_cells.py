@@ -177,27 +177,39 @@ def test_form_cells_beats_every_candidate_k(problem1):
 
 
 def test_form_cells_scores_each_distinct_candidate_once(problem1, monkeypatch):
-    # on the demo every k from 2 to 4 settles into the same two cells, so
-    # only the first is scored and it still wins
+    # on the demo every k from 2 to 4 settles into the same two cells; on
+    # the planted 12x12 three of the four settle into three cells, two of
+    # them alike. Each distinct assignment is scored once, in sweep order.
     from somcell import metrics
 
-    model = _trained(problem1, seed=42, grid=MapGrid(12, 10))
-    hits = compute_hits(model, problem1)
-    settled = [
-        _settle_assignment(problem1, assign_parts(cluster_map(model, hits, k), hits))
-        for k in range(2, 5)
+    rng = np.random.default_rng(8)
+    planted_instance(rng, 12, (2, 4), 6)  # the second draw is the one wanted
+    planted = IncidenceMatrix.from_array(planted_instance(rng, 12, (2, 4), 6))
+    cases = [
+        (_trained(problem1, seed=42, grid=MapGrid(12, 10)), problem1, 5),
+        (_trained(planted, seed=5), planted, 6),
     ]
-    assert len(set(settled)) == 1
-    scored = []
     real = metrics.count_blocks
+    scored = []
 
     def counting(data, assignment):
         scored.append(assignment)
         return real(data, assignment)
 
     monkeypatch.setattr(metrics, "count_blocks", counting)
-    asg = form_cells(model, problem1, k_max=5, hits=hits)
-    assert scored == settled[:1] and asg == settled[0]
+    for model, data, k_max in cases:
+        hits = compute_hits(model, data)
+        upper = min(k_max, int((hits.hits > 0).sum()), data.machines, data.parts)
+        settled = [
+            _settle_assignment(data, assign_parts(cluster_map(model, hits, k), hits))
+            for k in range(2, upper + 1)
+        ]
+        distinct = list(dict.fromkeys(settled))
+        assert len(distinct) < len(settled)
+        scored.clear()
+        asg = form_cells(model, data, k_max=k_max, hits=hits)
+        assert scored == distinct
+        assert asg == max(distinct, key=lambda c: grouping_efficacy(real(data, c)))
 
 
 def test_form_cells_on_demo_instance_matches_known_grouping(problem1):

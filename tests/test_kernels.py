@@ -152,37 +152,38 @@ def test_train_run_validates_step_arrays():
         )
 
 
-def test_train_run_does_not_mutate_input_codebook():
-    # SomModel holds a read-only codebook; every input stays as it was
-    inputs = (
-        np.ones((2, 2)),
-        np.array([[0.0, 1.0]]),
-        np.array([[0]], dtype=np.int64),
-        np.array([0.5]),
-        np.array([1.0]),
-        np.eye(2),
+def test_train_run_without_samples_returns_the_codebook():
+    # som.train on zero rows passes epochs of empty orders
+    codebook = np.arange(6.0).reshape(3, 2)
+    out = kernels.train_run(
+        codebook, np.zeros((0, 2)), np.zeros((4, 0), dtype=np.int64),
+        np.zeros(0), np.zeros(0), np.eye(3),
     )
-    for arr in inputs:
-        arr.flags.writeable = False
-    before = [arr.copy() for arr in inputs]
-    out = kernels.train_run(*inputs)
-    assert out.flags.writeable and not np.array_equal(out, inputs[0])
-    for arr, was in zip(inputs, before):
-        assert np.array_equal(arr, was)
+    assert np.array_equal(out, codebook) and out is not codebook
 
 
-def test_train_run_zero_sigma_schedule_emits_no_warning():
-    # 1 / (2 sigma^2) is computed for a whole epoch at once; zero sigmas
-    # must not surface as a divide-by-zero RuntimeWarning
+def test_train_run_does_not_mutate_input_codebook():
+    # SomModel holds a read-only codebook; every input stays as it was, and
+    # an all-zero-sigma schedule does not warn about its 1 / (2 sigma^2)
     rng = np.random.default_rng(4)
-    orders = np.stack([rng.permutation(3) for _ in range(2)]).astype(np.int64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = kernels.train_run(
-            rng.normal(size=(4, 3)), rng.normal(size=(3, 3)), orders,
-            np.full(6, 0.4), np.zeros(6), np.ones((4, 4)) - np.eye(4),
+    for sigma in (1.0, 0.0):
+        inputs = (
+            rng.normal(size=(4, 3)),
+            rng.normal(size=(3, 3)),
+            np.stack([rng.permutation(3) for _ in range(2)]).astype(np.int64),
+            np.full(6, 0.4),
+            np.full(6, sigma),
+            np.ones((4, 4)) - np.eye(4),
         )
-    assert np.isfinite(out).all()
+        for arr in inputs:
+            arr.flags.writeable = False
+        before = [arr.copy() for arr in inputs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kernels.train_run(*inputs)
+        assert out.flags.writeable and not np.array_equal(out, inputs[0])
+        for arr, was in zip(inputs, before):
+            assert np.array_equal(arr, was)
 
 
 def _split_cases(rng, n):
