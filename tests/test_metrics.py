@@ -126,6 +126,33 @@ def test_score_bundles_everything(problem1):
     assert sc.efficiency == pytest.approx(0.98)
 
 
+def test_score_format_is_pinned():
+    # score.json is written from to_dict(), so its keys and their order are
+    # the file format; the tallies must be exactly count_blocks'
+    tallies = ("n1", "n1_out", "n0_in", "in_block_elements", "total_elements")
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        p, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        data = IncidenceMatrix.from_array(random_incidence(rng, p, m))
+        k = int(rng.integers(1, min(p, m) + 1))
+        pf, mc = random_assignment(rng, p, m, k)
+        asg = CellAssignment(k=k, part_family=pf, machine_cell=mc)
+        sc = score(data, asg)
+        counts = count_blocks(data, asg)
+        assert [getattr(sc, name) for name in tallies] == [getattr(counts, name) for name in tallies]
+        assert list(sc.to_dict()) == [
+            *tallies,
+            "efficacy_num",
+            "efficacy_den",
+            "efficacy",
+            "efficacy_text",
+            "r",
+            "eta1",
+            "eta2",
+            "efficiency",
+        ]
+
+
 def test_part_partitions_enumerates_restricted_growth_strings():
     got = [a.copy().tolist() for a in _part_partitions(3, 3)]
     assert got == [
