@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics
 from .incidence import BlockDiagonalView, IncidenceMatrix
 from .metrics import CellAssignment
-from .som import SomModel
+from .som import SomModel, _check_machines
 from .viz import HitHistogram, compute_hits, nearest_hit_units
 
 
@@ -194,10 +194,9 @@ def form_cells(
     ``hits`` is ``compute_hits(model, data)``, computed here when not given.
     All candidates share one ``cluster_basis``.
     """
+    _check_machines(model, data.machines)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    if model.input_dim != data.machines:
-        raise ValueError(f"model expects {model.input_dim} machines, matrix has {data.machines}")
     if hits is None:
         hits = compute_hits(model, data)
     busy_units = int((hits.hits > 0).sum())

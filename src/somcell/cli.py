@@ -151,26 +151,17 @@ def _load_assignment(path) -> CellAssignment:
         raise CliError(f"{path}: not a valid assignment file ({exc})") from exc
 
 
-def _check_dims(model: SomModel, matrix: IncidenceMatrix) -> None:
-    if model.input_dim != matrix.machines:
-        raise CliError(
-            f"model expects {model.input_dim} machines but the matrix has {matrix.machines}; "
-            "was it trained on a different instance?"
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_train(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
-    grid = args.grid or default_grid(matrix.parts)
-    model = train_map(matrix, args.seed, grid)
+    model = train_map(matrix, args.seed, args.grid)
     save_model(model, args.out)
     qe = quantization_error(model, matrix)
     print(
-        f"trained {grid.rows}x{grid.cols} map on {matrix.parts} parts x "
+        f"trained {model.grid.rows}x{model.grid.cols} map on {matrix.parts} parts x "
         f"{matrix.machines} machines (seed {args.seed}); quantization error {qe:.6f}"
     )
     print(f"model written to {args.out}")
@@ -180,7 +171,6 @@ def cmd_train(args) -> int:
 def cmd_cells(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
     model = _read_model(args.model)
-    _check_dims(model, matrix)
     assignment, grouping = extract_cells(model, matrix, args.kmax)
     view = build_view(assignment)
     print(render_block_diagonal(matrix, view), end="")
@@ -214,7 +204,6 @@ def cmd_metrics(args) -> int:
 def cmd_viz(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
     model = _read_model(args.model)
-    _check_dims(model, matrix)
     # one BMU pass serves the sweep, the hit view and the scatter CSV
     hits = compute_hits(model, matrix)
     assignment, _ = extract_cells(model, matrix, args.kmax, hits=hits)

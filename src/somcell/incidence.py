@@ -18,6 +18,7 @@ __all__ = [
     "IncidenceMatrix",
     "BlockDiagonalView",
     "parse_matrix",
+    "positional_labels",
     "load_matrix",
     "load_problem1",
     "render_block_diagonal",
@@ -32,6 +33,11 @@ class MatrixFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def positional_labels(prefix: str, count: int) -> tuple[str, ...]:
+    """``prefix`` numbered from 1: ``p1..pP`` for parts, ``m1..mM`` for machines."""
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +76,7 @@ class IncidenceMatrix:
         v = np.asarray(values)
         if v.ndim != 2:
             raise MatrixFormatError("matrix must be 2-D")
-        parts = tuple(f"p{i + 1}" for i in range(v.shape[0]))
-        machines = tuple(f"m{j + 1}" for j in range(v.shape[1]))
-        return cls(v, parts, machines)
+        return cls(v, positional_labels("p", v.shape[0]), positional_labels("m", v.shape[1]))
 
     @property
     def parts(self) -> int:

@@ -9,7 +9,7 @@ instances for calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -124,14 +124,9 @@ def grouping_efficiency(counts: BlockCounts, r: float = 0.5) -> float:
 
 
 @dataclass(frozen=True)
-class GroupingScore:
+class GroupingScore(BlockCounts):
     """Everything the two measures need, bundled for reports."""
 
-    n1: int
-    n1_out: int
-    n0_in: int
-    in_block_elements: int
-    total_elements: int
     efficacy: Fraction
     r: float
     eta1: float
@@ -144,11 +139,7 @@ class GroupingScore:
 
     def to_dict(self) -> dict:
         return {
-            "n1": self.n1,
-            "n1_out": self.n1_out,
-            "n0_in": self.n0_in,
-            "in_block_elements": self.in_block_elements,
-            "total_elements": self.total_elements,
+            **{f.name: getattr(self, f.name) for f in fields(BlockCounts)},
             "efficacy_num": self.efficacy.numerator,
             "efficacy_den": self.efficacy.denominator,
             "efficacy": float(self.efficacy),
@@ -164,11 +155,7 @@ def score(data, assignment, r: float = 0.5) -> GroupingScore:
     counts = count_blocks(data, assignment)
     eta1, eta2, eta = efficiency_components(counts, r)
     return GroupingScore(
-        n1=counts.n1,
-        n1_out=counts.n1_out,
-        n0_in=counts.n0_in,
-        in_block_elements=counts.in_block_elements,
-        total_elements=counts.total_elements,
+        **vars(counts),
         efficacy=grouping_efficacy(counts),
         r=r,
         eta1=eta1,

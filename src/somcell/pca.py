@@ -1,4 +1,5 @@
-"""Top eigenpairs of small dense symmetric PSD matrices.
+"""The principal plane of a set of rows, from the top eigenpairs of small
+dense symmetric PSD matrices.
 
 One ``np.linalg.eigh`` call (LAPACK's symmetric eigensolver) gives every
 eigenpair; the largest ``count`` are kept in descending order. Eigenvector
@@ -34,3 +35,19 @@ def top_eigenpairs(sym, count: int = 2):
     reference = 1.0 + np.outer(np.arange(1, count + 1) * 1e-3, np.arange(n))
     vectors[np.einsum("ij,ij->i", vectors, reference) < 0] *= -1.0
     return values, vectors
+
+
+def principal_plane(rows: np.ndarray):
+    """Mean, centred rows and the top two eigenpairs of their sample covariance.
+
+    Returns ``(mean, centered, values, vectors)``, the eigenpairs as
+    ``top_eigenpairs`` gives them. Fewer than two rows or two columns span
+    no plane; ``values`` and ``vectors`` are then None.
+    """
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    n_samples, dim = rows.shape
+    if n_samples < 2 or dim < 2:
+        return mean, centered, None, None
+    values, vectors = top_eigenpairs(centered.T @ centered / (n_samples - 1), count=2)
+    return mean, centered, values, vectors

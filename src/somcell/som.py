@@ -192,6 +192,15 @@ def _as_rows(data) -> np.ndarray:
     return rows
 
 
+def _check_machines(model: SomModel, machines: int) -> None:
+    """Reject data whose machine count is not the model's input width."""
+    if machines != model.input_dim:
+        raise ValueError(
+            f"model expects {model.input_dim} machines but the data has {machines}; "
+            "was it trained on a different instance?"
+        )
+
+
 def init_codebook(grid: MapGrid, data, seed: int) -> SomModel:
     """Deterministic codebook spanning the top two principal directions.
 
@@ -203,13 +212,8 @@ def init_codebook(grid: MapGrid, data, seed: int) -> SomModel:
     around the data mean (every unit within 0.2 of it).
     """
     rows = _as_rows(data)
-    n_samples, dim = rows.shape
-    mean = rows.mean(axis=0)
-    lam = vecs = None
-    if n_samples >= 2 and dim >= 2:
-        centered = rows - mean
-        cov = centered.T @ centered / (n_samples - 1)
-        lam, vecs = pca.top_eigenpairs(cov, count=2)
+    dim = rows.shape[1]
+    mean, _, lam, vecs = pca.principal_plane(rows)
     if lam is None or lam[0] <= _RANK_TOL or lam[1] <= _RANK_TOL * max(lam[0], 1.0):
         rng = np.random.default_rng(seed)
         offsets = rng.uniform(-0.1, 0.1, size=(grid.units, dim)) / math.sqrt(dim)
@@ -241,8 +245,7 @@ def init_codebook(grid: MapGrid, data, seed: int) -> SomModel:
 def find_bmu(model: SomModel, x) -> int:
     """Flat index of the codebook row nearest to ``x``; ties go to the lowest index."""
     xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    if xv.shape[0] != model.input_dim:
-        raise ValueError(f"input has {xv.shape[0]} features, model expects {model.input_dim}")
+    _check_machines(model, xv.shape[0])
     return int(kernels.batch_bmu(model.codebook, xv[None, :])[0])
 
 
@@ -255,8 +258,7 @@ def train(model: SomModel, data, schedule: TrainingSchedule) -> SomModel:
     shuffles.
     """
     rows = _as_rows(data)
-    if rows.shape[1] != model.input_dim:
-        raise ValueError(f"data has {rows.shape[1]} features, model expects {model.input_dim}")
+    _check_machines(model, rows.shape[1])
     if not schedule.phases:
         raise ValueError("empty schedule")
     n_samples = rows.shape[0]
@@ -278,8 +280,7 @@ def train(model: SomModel, data, schedule: TrainingSchedule) -> SomModel:
 def quantization_error(model: SomModel, data) -> float:
     """Mean Euclidean distance from each sample to its BMU's codebook vector."""
     rows = _as_rows(data)
-    if rows.shape[1] != model.input_dim:
-        raise ValueError(f"data has {rows.shape[1]} features, model expects {model.input_dim}")
+    _check_machines(model, rows.shape[1])
     bmus = kernels.batch_bmu(model.codebook, rows)
     return float(np.linalg.norm(rows - model.codebook[bmus], axis=1).mean())
 

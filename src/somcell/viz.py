@@ -22,7 +22,8 @@ import numpy as np
 
 from . import kernels, pca
 from ._util import atomic_write_text
-from .som import MapGrid, SomModel, _as_rows
+from .incidence import positional_labels
+from .som import MapGrid, SomModel, _as_rows, _check_machines
 
 _PALETTE = (
     "#1f77b4",
@@ -90,7 +91,7 @@ class Projection:
 def _part_labels_for(data, count: int) -> tuple[str, ...]:
     labels = getattr(data, "part_labels", None)
     if labels is None:
-        labels = tuple(f"p{i + 1}" for i in range(count))
+        labels = positional_labels("p", count)
     return tuple(labels)
 
 
@@ -112,7 +113,7 @@ def compute_umatrix(model: SomModel) -> UMatrix:
 def component_planes(model: SomModel, machine_labels=None) -> list[ComponentPlane]:
     """One plane per input feature, in feature order."""
     if machine_labels is None:
-        machine_labels = tuple(f"m{j + 1}" for j in range(model.input_dim))
+        machine_labels = positional_labels("m", model.input_dim)
     if len(machine_labels) != model.input_dim:
         raise ValueError("need one label per input feature")
     return [
@@ -129,8 +130,7 @@ def component_planes(model: SomModel, machine_labels=None) -> list[ComponentPlan
 def compute_hits(model: SomModel, data) -> HitHistogram:
     """Map every part to its BMU and count arrivals per unit."""
     rows = _as_rows(data)
-    if rows.shape[1] != model.input_dim:
-        raise ValueError(f"data has {rows.shape[1]} features, model expects {model.input_dim}")
+    _check_machines(model, rows.shape[1])
     bmus = kernels.batch_bmu(model.codebook, rows)
     hits = np.bincount(bmus, minlength=model.grid.units).astype(np.int64)
     return HitHistogram(
@@ -152,14 +152,12 @@ def pca_project(model: SomModel, data) -> Projection:
     rows = _as_rows(data)
     if rows.shape[0] < 2:
         raise ValueError("need at least two parts to project")
-    if rows.shape[1] != model.input_dim:
-        raise ValueError(f"data has {rows.shape[1]} features, model expects {model.input_dim}")
-    mean = rows.mean(axis=0)
-    centered = rows - mean
+    _check_machines(model, rows.shape[1])
+    mean, centered, lam, vecs = pca.principal_plane(rows)
     if np.abs(centered).max() <= 1e-12:
         raise ValueError("parts are all identical; nothing to project")
-    cov = centered.T @ centered / (rows.shape[0] - 1)
-    lam, vecs = pca.top_eigenpairs(cov, count=2)
+    if lam is None:
+        raise ValueError("need at least two machines to project")
     if lam[0] <= 1e-12:
         raise ValueError("parts have zero variance; nothing to project")
     axes = vecs.copy()
@@ -301,7 +299,8 @@ def _plane_svg(plane: ComponentPlane) -> str:
 def unit_cells_from_hits(hits: HitHistogram, part_cells) -> np.ndarray:
     """Cell id per unit, majority vote of its parts' cells (ties to the smaller id).
 
-    Units with no hits get 0; fill_hitless_units fills them in.
+    Units with no hits get 0; indexing the result with
+    ``nearest_hit_units(model, hits)`` fills them in.
     """
     part_cells = np.asarray(part_cells, dtype=np.int64)
     if part_cells.shape[0] != hits.bmus.shape[0]:
@@ -327,12 +326,6 @@ def nearest_hit_units(model: SomModel, hits: HitHistogram) -> np.ndarray:
     nearest = np.arange(model.grid.units, dtype=np.int64)
     nearest[hitless] = hit_units[np.argmin(d2, axis=1)]
     return nearest
-
-
-def fill_hitless_units(model: SomModel, hits: HitHistogram, unit_ids) -> np.ndarray:
-    """Copy of per-unit ``unit_ids`` where units with no hits take the id of
-    the nearest hit unit in codebook space (ties to the lower unit index)."""
-    return np.asarray(unit_ids, dtype=np.int64)[nearest_hit_units(model, hits)]
 
 
 def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
@@ -452,13 +445,11 @@ def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistog
     ``compute_hits(model, data)``, computed here when not given.
     """
     rows = _as_rows(data)
-    machine_labels = getattr(data, "machine_labels", None) or tuple(
-        f"m{j + 1}" for j in range(model.input_dim)
-    )
+    machine_labels = getattr(data, "machine_labels", None) or positional_labels("m", model.input_dim)
     if hits is None:
         hits = compute_hits(model, data)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
-    unit_cells = fill_hitless_units(model, hits, unit_cells_from_hits(hits, part_cells))
+    unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

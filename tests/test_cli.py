@@ -117,6 +117,18 @@ def test_cells_rejects_model_matrix_mismatch(tmp_path, trained, capsys):
     assert "model expects 5 machines" in err
 
 
+def test_viz_rejects_model_matrix_mismatch(tmp_path, trained, capsys):
+    _, model_path = trained
+    other = write_matrix(tmp_path / "other.txt", ["1 0 1", "0 1 0", "1 1 1"])
+    out_dir = tmp_path / "viz"
+    rc = main(["viz", "--input", str(other), "--model", str(model_path), "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    assert "model expects 5 machines" in err
+    assert not out_dir.exists()
+
+
 def test_cells_rejects_garbage_model_file(tmp_path, blocks_file, capsys):
     bad = tmp_path / "model.json"
     bad.write_text('{"oops": true}')

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from somcell import (
+    IncidenceMatrix,
     MapGrid,
     Phase,
     SomModel,
     TrainingSchedule,
     default_grid,
+    compute_hits,
     default_schedule,
     find_bmu,
+    form_cells,
     init_codebook,
     load_model,
+    pca_project,
     quantization_error,
     save_model,
     train,
@@ -248,3 +252,26 @@ def test_model_validates_codebook_shape():
         SomModel(grid=MapGrid(2, 2), codebook=np.full((4, 2), np.nan), input_dim=2, seed=0)
     with pytest.raises(ValueError):
         SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), input_dim=2, seed=-1)
+
+
+MISMATCH_CALLS = {
+    "train": lambda model, data: train(model, data, default_schedule(model.grid)),
+    "quantization_error": quantization_error,
+    "find_bmu": lambda model, data: find_bmu(model, data.values[0]),
+    "compute_hits": compute_hits,
+    "pca_project": pca_project,
+    "form_cells": lambda model, data: form_cells(model, data, k_max=2),
+    # the machine count is checked before k_max, so the mismatch is reported
+    "form_cells_kmax_1": lambda model, data: form_cells(model, data, k_max=1),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCH_CALLS.values(), ids=MISMATCH_CALLS.keys())
+def test_machine_count_mismatch_has_one_message(call):
+    model = init_codebook(MapGrid(3, 3), np.eye(5), seed=0)
+    data = IncidenceMatrix.from_array(np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1]]))
+    with pytest.raises(ValueError) as exc:
+        call(model, data)
+    assert str(exc.value) == (
+        "model expects 5 machines but the data has 3; was it trained on a different instance?"
+    )

@@ -22,7 +22,7 @@ from somcell import (
     unit_cells_from_hits,
 )
 from somcell import pca
-from somcell.viz import HitHistogram, _ramp_fills, fill_hitless_units
+from somcell.viz import HitHistogram, _ramp_fills, nearest_hit_units
 
 
 def _model_with(codebook, grid=None):
@@ -238,8 +238,9 @@ def partly_hit_maps(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(partly_hit_maps())
 def test_fill_hitless_units_matches_per_unit_loop(case):
+    # export_scatter_data fills its hitless units by this gather
     model, hits, ids = case
-    got = fill_hitless_units(model, hits, ids)
+    got = ids[nearest_hit_units(model, hits)]
     want = fill_hitless_reference(model.codebook, hits.hits, ids)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert (got[hits.hits > 0] == ids[hits.hits > 0]).all()
