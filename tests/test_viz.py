@@ -112,6 +112,16 @@ def test_pca_project_rejects_identical_parts():
         pca_project(model, data)
 
 
+def test_pca_project_needs_two_machines():
+    # a one-machine matrix is all ones, so `somcell viz` reports identical
+    # parts; one varying column has no plane to project onto
+    model = _model_with([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="parts are all identical"):
+        pca_project(model, np.ones((3, 1)))
+    with pytest.raises(ValueError, match="need at least two machines"):
+        pca_project(model, np.array([[0.0], [1.0], [2.0]]))
+
+
 def test_unit_cells_majority_tie_and_empty_rules():
     grid = MapGrid(1, 3)
     hits = HitHistogram(
