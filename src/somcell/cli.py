@@ -215,7 +215,7 @@ def cmd_viz(args) -> int:
     if "umatrix" in wanted:
         svgs.append(("umatrix.svg", compute_umatrix(model), None))
     if "planes" in wanted:
-        for plane in component_planes(model, matrix.machine_labels):
+        for plane in component_planes(model):
             svgs.append((f"plane_{plane.label}.svg", plane, None))
     if "hits" in wanted:
         svgs.append(("hits.svg", hits, part_cells))
@@ -358,16 +358,13 @@ def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     manifest_path = Path(args.manifest) if args.manifest else corpus / "manifest.json"
     cases = _load_manifest(manifest_path)
-    if cases:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda case: _bench_case(case, corpus, args.restarts, args.seed, args.grid, args.kmax),
-                    cases,
-                )
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(
+            pool.map(
+                lambda case: _bench_case(case, corpus, args.restarts, args.seed, args.grid, args.kmax),
+                cases,
             )
-    else:
-        rows = []
+        )
 
     matched = improved = regressed = errors = 0
     for row in rows:
@@ -496,7 +493,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

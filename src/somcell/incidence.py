@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,6 @@ class IncidenceMatrix:
     """Validated part-by-machine 0/1 matrix with stable positional labels."""
 
     values: np.ndarray
-    part_labels: tuple[str, ...]
-    machine_labels: tuple[str, ...]
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -65,18 +64,11 @@ class IncidenceMatrix:
             raise MatrixFormatError(f"machine m{empty} serves no part (empty column)")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "part_labels", tuple(self.part_labels))
-        object.__setattr__(self, "machine_labels", tuple(self.machine_labels))
-        if len(self.part_labels) != v.shape[0] or len(self.machine_labels) != v.shape[1]:
-            raise MatrixFormatError("label count does not match matrix shape")
 
     @classmethod
     def from_array(cls, values) -> "IncidenceMatrix":
-        """Build from any 0/1 array-like, regenerating positional labels."""
-        v = np.asarray(values)
-        if v.ndim != 2:
-            raise MatrixFormatError("matrix must be 2-D")
-        return cls(v, positional_labels("p", v.shape[0]), positional_labels("m", v.shape[1]))
+        """Build from any 0/1 array-like."""
+        return cls(values)
 
     @property
     def parts(self) -> int:
@@ -85,6 +77,16 @@ class IncidenceMatrix:
     @property
     def machines(self) -> int:
         return int(self.values.shape[1])
+
+    @cached_property
+    def part_labels(self) -> tuple[str, ...]:
+        """``p1..pP``, one per row."""
+        return positional_labels("p", self.parts)
+
+    @cached_property
+    def machine_labels(self) -> tuple[str, ...]:
+        """``m1..mM``, one per column."""
+        return positional_labels("m", self.machines)
 
     def transposed(self) -> "IncidenceMatrix":
         """Swap the part/machine roles (labels are regenerated)."""

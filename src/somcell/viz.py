@@ -15,7 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -44,9 +44,13 @@ class UMatrix:
     """Adjacent-unit codebook distances plus their per-unit means."""
 
     grid: MapGrid
-    pairs: np.ndarray
     pair_values: np.ndarray
     unit_values: np.ndarray
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The adjacent unit pairs ``pair_values`` follows, row for row."""
+        return self.grid.neighbor_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +68,18 @@ class HitHistogram:
     """Per-unit sample counts plus which part landed where."""
 
     grid: MapGrid
-    hits: np.ndarray
     bmus: np.ndarray
-    part_labels: tuple[str, ...]
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """Parts per unit."""
+        return np.bincount(self.bmus, minlength=self.grid.units).astype(np.int64)
 
     def unit_labels(self) -> tuple[tuple[str, ...], ...]:
         """Part labels grouped by their BMU, one tuple per unit."""
         out: list[list[str]] = [[] for _ in range(self.grid.units)]
-        for part, unit in enumerate(self.bmus):
-            out[int(unit)].append(self.part_labels[part])
+        for label, unit in zip(positional_labels("p", len(self.bmus)), self.bmus):
+            out[int(unit)].append(label)
         return tuple(tuple(labels) for labels in out)
 
 
@@ -85,14 +92,6 @@ class Projection:
     unit_points: np.ndarray
     axes: np.ndarray
     eigenvalues: np.ndarray
-    part_labels: tuple[str, ...]
-
-
-def _part_labels_for(data, count: int) -> tuple[str, ...]:
-    labels = getattr(data, "part_labels", None)
-    if labels is None:
-        labels = positional_labels("p", count)
-    return tuple(labels)
 
 
 def compute_umatrix(model: SomModel) -> UMatrix:
@@ -107,23 +106,19 @@ def compute_umatrix(model: SomModel) -> UMatrix:
     np.add.at(counts, pairs[:, 0], 1.0)
     np.add.at(counts, pairs[:, 1], 1.0)
     unit_values = np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
-    return UMatrix(grid=model.grid, pairs=pairs, pair_values=pair_values, unit_values=unit_values)
+    return UMatrix(grid=model.grid, pair_values=pair_values, unit_values=unit_values)
 
 
-def component_planes(model: SomModel, machine_labels=None) -> list[ComponentPlane]:
-    """One plane per input feature, in feature order."""
-    if machine_labels is None:
-        machine_labels = positional_labels("m", model.input_dim)
-    if len(machine_labels) != model.input_dim:
-        raise ValueError("need one label per input feature")
+def component_planes(model: SomModel) -> list[ComponentPlane]:
+    """One plane per input feature, in feature order, labelled ``m1..mM``."""
     return [
         ComponentPlane(
             grid=model.grid,
             machine_index=j,
-            label=str(machine_labels[j]),
+            label=label,
             values=model.codebook[:, j].copy(),
         )
-        for j in range(model.input_dim)
+        for j, label in enumerate(positional_labels("m", model.input_dim))
     ]
 
 
@@ -131,14 +126,7 @@ def compute_hits(model: SomModel, data) -> HitHistogram:
     """Map every part to its BMU and count arrivals per unit."""
     rows = _as_rows(data)
     _check_machines(model, rows.shape[1])
-    bmus = kernels.batch_bmu(model.codebook, rows)
-    hits = np.bincount(bmus, minlength=model.grid.units).astype(np.int64)
-    return HitHistogram(
-        grid=model.grid,
-        hits=hits,
-        bmus=bmus,
-        part_labels=_part_labels_for(data, rows.shape[0]),
-    )
+    return HitHistogram(grid=model.grid, bmus=kernels.batch_bmu(model.codebook, rows))
 
 
 def pca_project(model: SomModel, data) -> Projection:
@@ -172,7 +160,6 @@ def pca_project(model: SomModel, data) -> Projection:
         unit_points=(model.codebook - mean) @ axes.T,
         axes=axes,
         eigenvalues=lam,
-        part_labels=_part_labels_for(data, rows.shape[0]),
     )
 
 
@@ -287,8 +274,6 @@ def _heatmap_svg(grid: MapGrid, unit_values, title: str, pair_values=None) -> st
 
 
 def _umatrix_svg(um: UMatrix) -> str:
-    # compute_umatrix takes its pairs from grid.neighbor_pairs, so the
-    # midpoint hexes cached per grid line up with pair_values
     return _heatmap_svg(um.grid, um.unit_values, "u-matrix (codebook distance between neighbors)", um.pair_values)
 
 
@@ -401,13 +386,14 @@ def _projection_svg(proj: Projection, part_cells=None) -> str:
         cells = np.asarray(part_cells, dtype=np.int64)
         if cells.shape[0] != proj.part_points.shape[0]:
             raise ValueError("need one cell id per part")
+    labels = positional_labels("p", proj.part_points.shape[0])
     for i, point in enumerate(proj.part_points):
         x, y = to_px(point)
         fill = _cell_color(cells[i]) if cells is not None else "#222"
         body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{fill}" stroke="black" stroke-width="0.6"/>')
         body.append(
             f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11">{escape(proj.part_labels[i])}</text>'
+            f'font-size="11">{escape(labels[i])}</text>'
         )
     title = (
         "principal projection of parts (dots) and prototypes (gray net); "
@@ -445,7 +431,6 @@ def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistog
     ``compute_hits(model, data)``, computed here when not given.
     """
     rows = _as_rows(data)
-    machine_labels = getattr(data, "machine_labels", None) or positional_labels("m", model.input_dim)
     if hits is None:
         hits = compute_hits(model, data)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
@@ -453,11 +438,13 @@ def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistog
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "label", *machine_labels, "cell"])
+    writer.writerow(["source", "label", *positional_labels("m", model.input_dim), "cell"])
     # csv writes a Python float as its repr, the shortest round-trip form
     writer.writerows(
         ["data", label, *row, cell]
-        for label, row, cell in zip(hits.part_labels, rows.astype(np.int64).tolist(), part_cells.tolist())
+        for label, row, cell in zip(
+            positional_labels("p", rows.shape[0]), rows.astype(np.int64).tolist(), part_cells.tolist()
+        )
     )
     writer.writerows(
         ["prototype", f"u{u + 1}", *row, cell]

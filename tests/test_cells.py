@@ -74,9 +74,7 @@ def test_assign_parts_inherits_bmu_cluster():
     grid = MapGrid(1, 2)
     hits = HitHistogram(
         grid=grid,
-        hits=np.array([2, 1]),
         bmus=np.array([0, 1, 0]),
-        part_labels=("p1", "p2", "p3"),
     )
     assert assign_parts([5, 9], hits).tolist() == [5, 9, 5]
     with pytest.raises(ValueError):
@@ -406,9 +404,7 @@ def clustered_maps(draw):
     counts[draw(st.integers(0, units - 1))] += 1  # at least one busy unit
     hits = HitHistogram(
         grid=MapGrid(rows, cols),
-        hits=counts,
         bmus=np.repeat(np.arange(units), counts),
-        part_labels=tuple(f"p{i + 1}" for i in range(int(counts.sum()))),
     )
     model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, input_dim=dim, seed=draw(st.integers(0, 2**32)))
     k = draw(st.integers(1, int((counts > 0).sum())))

@@ -526,3 +526,66 @@ def test_viz_leaves_no_partial_output_on_degenerate_matrices(tmp_path, capsys, r
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "wrote" not in captured.out
     assert not out_dir.exists()
+
+
+def test_bench_empty_manifest_writes_empty_reports(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_text("[]")
+    out_dir = tmp_path / "bench"
+    assert main(["bench", "--corpus", str(corpus), "--restarts", "1", "--out-dir", str(out_dir)]) == 0
+    assert "summary: 0 cases, 0 matched, 0 improved, 0 regressed, 0 errors" in capsys.readouterr().out
+    assert (out_dir / "report.csv").read_text() == "name,P,M,k,mu_num,mu_den,mu,target,delta,seconds\n"
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["cases"] == []
+    assert report["summary"] == {"cases": 0, "matched": 0, "improved": 0, "regressed": 0, "errors": 0}
+
+
+def test_viz_after_transpose_labels_by_position(tmp_path, blocks_file, capsys):
+    # the file has 6 rows and 5 columns, so the transposed matrix has 5 parts
+    # and 6 machines, and every label is regenerated for the new axes
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input", str(blocks_file), "--transpose", "--out", str(model_path)]) == 0
+    out_dir = tmp_path / "viz"
+    rc = main(["viz", "--input", str(blocks_file), "--transpose", "--model", str(model_path), "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert rc == 0
+    planes = sorted(path.name for path in out_dir.glob("plane_*.svg"))
+    assert planes == sorted(f"plane_m{j}.svg" for j in range(1, 7))
+    with open(out_dir / "scatter.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["source", "label", *(f"m{j}" for j in range(1, 7)), "cell"]
+    assert [row[1] for row in rows[1:] if row[0] == "data"] == [f"p{i}" for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_huge_grid_is_a_clean_error(tmp_path, capsys, command):
+    # problem1 spans a principal plane, so the codebook is laid out over all
+    # 10^18 units; that needs more bytes than any 64-bit address space
+    # holds, and the allocation is refused outright
+    path = write_matrix(tmp_path / "p1.txt", [" ".join(str(v) for v in row) for row in load_problem1().values])
+    grid = "1000000000x1000000000"
+    if command == "train":
+        written = tmp_path / "m.json"
+        argv = ["train", "--input", str(path), "--grid", grid, "--out", str(written)]
+    else:
+        (tmp_path / "manifest.json").write_text(json.dumps([{"name": "p1", "path": path.name}]))
+        written = tmp_path / "bench"
+        argv = ["bench", "--corpus", str(tmp_path), "--restarts", "1", "--grid", grid, "--out-dir", str(written)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/m.json", "adir"], ids=["missing-directory", "existing-directory"])
+def test_write_errors_name_the_destination(tmp_path, blocks_file, capsys, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    rc = main(["train", "--input", str(blocks_file), "--out", target])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(target) in err and ".tmp." not in err
+    assert not list(tmp_path.rglob(".tmp.*.part"))

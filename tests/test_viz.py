@@ -53,12 +53,10 @@ def test_umatrix_values_are_nonnegative_means_of_incident_pairs():
 
 def test_component_planes_expose_codebook_columns():
     model = _model_with([[1.0, 2.0], [3.0, 4.0]])
-    planes = component_planes(model, machine_labels=("a", "b"))
-    assert [p.label for p in planes] == ["a", "b"]
+    planes = component_planes(model)
+    assert [p.label for p in planes] == ["m1", "m2"]
     assert planes[0].values.tolist() == [1.0, 3.0]
     assert planes[1].values.tolist() == [2.0, 4.0]
-    with pytest.raises(ValueError):
-        component_planes(model, machine_labels=("only-one",))
 
 
 def test_compute_hits_counts_and_labels(problem1):
@@ -126,9 +124,7 @@ def test_unit_cells_majority_tie_and_empty_rules():
     grid = MapGrid(1, 3)
     hits = HitHistogram(
         grid=grid,
-        hits=np.array([3, 2, 0]),
         bmus=np.array([0, 0, 0, 1, 1]),
-        part_labels=("p1", "p2", "p3", "p4", "p5"),
     )
     # unit 0 majority cell 2; unit 1 ties 1 vs 2 so the smaller id wins
     cells = unit_cells_from_hits(hits, [2, 2, 1, 1, 2])
@@ -161,9 +157,7 @@ def voted_hits(draw):
     cells = draw(arrays(np.int64, parts, elements=st.sampled_from(pool)))
     hits = HitHistogram(
         grid=MapGrid(1, units),
-        hits=np.bincount(bmus, minlength=units).astype(np.int64),
         bmus=bmus,
-        part_labels=tuple(f"p{i + 1}" for i in range(parts)),
     )
     return hits, cells
 
@@ -237,9 +231,7 @@ def partly_hit_maps(draw):
     grid = MapGrid(1, units)
     hits = HitHistogram(
         grid=grid,
-        hits=counts,
         bmus=np.repeat(np.arange(units), counts),
-        part_labels=tuple(f"p{i + 1}" for i in range(int(counts.sum()))),
     )
     ids = draw(arrays(np.int64, units, elements=st.integers(0, 9)))
     return _model_with(codebook, grid), hits, ids
