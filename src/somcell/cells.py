@@ -41,18 +41,22 @@ def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> np.ndarr
 def _kmeans_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Lloyd iterations from ``centers`` (updated in place) until the labels
     stop changing, at most 100 rounds."""
-    k = centers.shape[0]
+    k, dim = centers.shape
     labels = np.full(points.shape[0], -1, dtype=np.int64)
+    flat_points = points.ravel()
+    columns = np.arange(dim)
+    diff = np.empty((points.shape[0], k, dim))  # reused by every round
     for _ in range(100):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        np.subtract(points[:, None, :], centers[None, :, :], out=diff)
+        d2 = np.square(diff, out=diff).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)  # ties to the lowest center index
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        # np.add.at sums rows in index order, as members.mean(axis=0) does,
-        # so the centers match the per-cluster means bit for bit
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
+        # bincount adds each (cluster, column) bin's weights in row order,
+        # so each center is its members' in-order sum over their count
+        bins = (labels[:, None] * dim + columns).ravel()
+        sums = np.bincount(bins, weights=flat_points, minlength=k * dim).reshape(k, dim)
         sizes = np.bincount(labels, minlength=k)
         filled = sizes > 0  # an emptied cluster keeps its previous center
         centers[filled] = sums[filled] / sizes[filled, None]
@@ -123,12 +127,9 @@ def assign_machines(data: IncidenceMatrix, part_family) -> np.ndarray:
     part_family = np.asarray(part_family, dtype=np.int64)
     if part_family.shape[0] != data.parts:
         raise ValueError("need one family id per part")
-    ids, index = np.unique(part_family, return_inverse=True)
-    # (families x machines) counts; float64 sums of 0/1 are exact
-    onehot = (index[None, :] == np.arange(ids.size)[:, None]).astype(np.float64)
-    density = (onehot @ data.values) / onehot.sum(axis=1)[:, None]
+    ids, counts, sizes = metrics.family_tally(data.values, part_family)
     # rows ascend by id, so argmax's first maximum keeps the smaller id on ties
-    return ids[np.argmax(density, axis=0)]
+    return ids[np.argmax(counts / sizes[:, None], axis=0)]
 
 
 def _relabel_by_size(part_family: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -140,14 +141,16 @@ def _relabel_by_size(part_family: np.ndarray, values: np.ndarray) -> np.ndarray:
     small or sparse one. Ordering: size desc, in-family ones desc, earliest
     part asc.
     """
-    _, first, index, counts = np.unique(
-        part_family, return_index=True, return_inverse=True, return_counts=True
-    )
-    ones = np.bincount(index, weights=values.sum(axis=1))
-    order = np.lexsort((first, -ones, -counts))  # last key sorts first
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(1, order.size + 1)
-    return rank[index]
+    # ids are small positive cluster ids, so per-id bins need no sort
+    sizes = np.bincount(part_family)
+    ones = np.bincount(part_family, weights=values.sum(axis=1))
+    first = np.full(sizes.size, part_family.size)
+    np.minimum.at(first, part_family, np.arange(part_family.size))
+    ids = np.flatnonzero(sizes)
+    order = np.lexsort((first[ids], -ones[ids], -sizes[ids]))  # last key sorts first
+    rank = np.zeros(sizes.size, dtype=np.int64)
+    rank[ids[order]] = np.arange(1, ids.size + 1)
+    return rank[part_family]
 
 
 def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAssignment:

@@ -269,7 +269,8 @@ def _load_manifest(path: Path) -> list[dict]:
 
 
 def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGrid | None, kmax: int | None) -> dict:
-    """One report row; a malformed case fills ``error`` instead of raising."""
+    """One report row; a case that is malformed or runs out of memory fills
+    ``error`` instead of raising."""
     row = {
         "name": str(case.get("name", "unnamed")) if isinstance(case, dict) else "unnamed",
         "parts": None,
@@ -324,7 +325,7 @@ def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGr
         )
         if target is not None:
             row["delta"] = float(efficacy) - target
-    except (CliError, ValueError, MatrixFormatError) as exc:
+    except (CliError, ValueError, MatrixFormatError, MemoryError) as exc:
         row["error"] = str(exc)
     row["seconds"] = time.perf_counter() - start
     return row

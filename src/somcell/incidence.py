@@ -208,23 +208,19 @@ def render_block_diagonal(matrix: IncidenceMatrix, view: BlockDiagonalView) -> s
     col_labels = [matrix.machine_labels[j] for j in view.col_order]
 
     label_width = max(len(lab) for lab in row_labels)
-    col_widths = [max(len(lab), 1) for lab in col_labels]
     col_starts = {bounds[1][0] for bounds in view.cell_boundaries[1:]}
     row_starts = {bounds[0][0] for bounds in view.cell_boundaries[1:]}
+    # one template per render: the label left-aligned, then each column
+    # right-aligned to its label's width, with "|" before each cell start
+    template = f"%-{label_width}s" + "".join(
+        (" |" if j in col_starts else "") + f" %{max(len(lab), 1)}s" for j, lab in enumerate(col_labels)
+    )
 
-    def format_row(leader: str, cells: list[str]) -> str:
-        out = [leader.ljust(label_width)]
-        for j, cell in enumerate(cells):
-            if j in col_starts:
-                out.append("|")
-            out.append(cell.rjust(col_widths[j]))
-        return " ".join(out)
-
-    lines = [format_row("", col_labels)]
+    lines = [template % ("", *col_labels)]
     width = len(lines[0])
-    for i in range(values.shape[0]):
+    for i, row in enumerate(values.tolist()):
         if i in row_starts:
             lines.append("-" * width)
-        lines.append(format_row(row_labels[i], [str(int(x)) for x in values[i]]))
+        lines.append(template % (row_labels[i], *row))
     return "\n".join(lines) + "\n"
 

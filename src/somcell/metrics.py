@@ -38,23 +38,26 @@ class CellAssignment:
     machine_cell: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "part_family", tuple(int(f) for f in self.part_family))
-        object.__setattr__(self, "machine_cell", tuple(int(c) for c in self.machine_cell))
+        part_family = tuple(map(int, self.part_family))
+        machine_cell = tuple(map(int, self.machine_cell))
+        object.__setattr__(self, "part_family", part_family)
+        object.__setattr__(self, "machine_cell", machine_cell)
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not self.part_family or not self.machine_cell:
+        if not part_family or not machine_cell:
             raise ValueError("assignment needs at least one part and one machine")
         # checked before the id set is built, which grows with k
-        if self.k > len(self.part_family):
+        if self.k > len(part_family):
             raise ValueError("every cell needs at least one part")
-        if self.k > len(self.machine_cell):
+        if self.k > len(machine_cell):
             raise ValueError("every cell needs at least one machine")
         ids = set(range(1, self.k + 1))
-        if not set(self.part_family) <= ids or not set(self.machine_cell) <= ids:
+        part_ids, machine_ids = set(part_family), set(machine_cell)
+        if not part_ids <= ids or not machine_ids <= ids:
             raise ValueError("ids must lie in 1..k")
-        if set(self.part_family) != ids:
+        if part_ids != ids:
             raise ValueError("every cell needs at least one part")
-        if set(self.machine_cell) != ids:
+        if machine_ids != ids:
             raise ValueError("every cell needs at least one machine")
 
 
@@ -74,16 +77,34 @@ class BlockCounts:
     total_elements: int
 
 
+def family_tally(values, part_family):
+    """``(ids, counts, sizes)``: each family's ones per machine.
+
+    ``ids`` are the distinct family ids, ascending; ``counts[f, j]`` is the
+    number of ones in machine column j over family ``ids[f]``'s parts, as
+    float64 (sums of 0/1 are exact far beyond any matrix here); ``sizes[f]``
+    is that family's part count.
+    """
+    ids, index, sizes = np.unique(part_family, return_inverse=True, return_counts=True)
+    onehot = (index[None, :] == np.arange(ids.size)[:, None]).astype(np.float64)
+    return ids, onehot @ values, sizes
+
+
 def count_blocks(data, assignment) -> BlockCounts:
     part_family = np.asarray(assignment.part_family, dtype=np.int64)
     machine_cell = np.asarray(assignment.machine_cell, dtype=np.int64)
     values = data.values
     if part_family.shape[0] != values.shape[0] or machine_cell.shape[0] != values.shape[1]:
         raise ValueError("assignment does not match the matrix dimensions")
-    in_block = part_family[:, None] == machine_cell[None, :]
+    ids, counts, sizes = family_tally(values, part_family)
+    # machine j's family row, where some part shares its cell id; a machine
+    # whose id no part uses has no in-block elements
+    row = np.minimum(np.searchsorted(ids, machine_cell), ids.size - 1)
+    inside = np.flatnonzero(ids[row] == machine_cell)
+    row = row[inside]
     n1 = int(values.sum())
-    n1_in = int(values[in_block].sum())
-    in_elements = int(in_block.sum())
+    n1_in = int(counts[row, inside].sum())
+    in_elements = int(sizes[row].sum())
     return BlockCounts(
         n1=n1,
         n1_out=n1 - n1_in,

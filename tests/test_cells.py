@@ -1,4 +1,6 @@
 """Cell extraction: clustering, inheritance, machine pull, k sweep."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,9 @@ from somcell import (
     init_codebook,
     train,
 )
-from somcell.cells import _relabel_by_size, _settle_assignment, cluster_basis
+from somcell import cells
+from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_assignment, cluster_basis
+from somcell.metrics import BlockCounts
 from somcell.viz import HitHistogram
 
 
@@ -289,6 +293,15 @@ def _settle_reference(values, part_family):
     )
 
 
+def _count_blocks_reference(values, part_family, machine_cell):
+    """The (parts x machines) in-block mask tally."""
+    in_block = np.asarray(part_family)[:, None] == np.asarray(machine_cell)[None, :]
+    n1 = int(values.sum())
+    n1_in = int(values[in_block].sum())
+    in_elements = int(in_block.sum())
+    return BlockCounts(n1, n1 - n1_in, in_elements - n1_in, in_elements, int(values.size))
+
+
 def _farthest_first_reference(points, k, seed):
     """Seed centers one at a time: each next one is the point farthest from
     all chosen so far (first such point on ties)."""
@@ -393,6 +406,55 @@ def test_settle_matches_loop_reference(problem):
 
 
 @st.composite
+def block_problems(draw):
+    """``family_problems`` plus a cell id per machine, drawn from the part ids
+    and from ids no part uses (0 and 13), so some machines sit in no block."""
+    values, family = draw(family_problems())
+    ids = sorted(set(family.tolist()) | {0, 13})
+    machine_cell = draw(st.lists(st.sampled_from(ids), min_size=values.shape[1], max_size=values.shape[1]))
+    return values, family, np.array(machine_cell, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_problems())
+@example((*_GAPPY, np.array([3, 0, 9])))
+@example((*_BIG_FAMILY, np.array([5, 13])))
+def test_count_blocks_matches_mask_reference(problem):
+    values, family, machine_cell = problem
+    assignment = SimpleNamespace(part_family=family, machine_cell=machine_cell)
+    got = count_blocks(IncidenceMatrix.from_array(values), assignment)
+    assert got == _count_blocks_reference(values, family, machine_cell)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_problems())
+@example(_GAPPY)
+@example(_BIG_FAMILY)
+def test_settle_looks_up_assign_machines_once_per_round(problem):
+    # every round relabels once and assigns machines once, and each round
+    # but the last dissolves one family; the benchmark's tracer counts
+    # dissolves as assign_machines calls beyond one per candidate
+    values, family = problem
+    calls = {"assign_machines": 0, "_relabel_by_size": 0}
+
+    def counting(name):
+        real = getattr(cells, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(cells, name, counting(name))
+        settled = _settle_assignment(IncidenceMatrix.from_array(values), family)
+    rounds = np.unique(family).size - settled.k + 1
+    assert calls == {"assign_machines": rounds, "_relabel_by_size": rounds}
+
+
+@st.composite
 def clustered_maps(draw):
     """(model, hits, k) on a small map whose codebook rows often coincide or tie."""
     rows, cols, dim = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
@@ -432,3 +494,23 @@ def test_shared_basis_matches_standalone_cluster_map(case):
         shared = cluster_map(model, hits, k, basis=basis)
         assert shared.tolist() == cluster_map(model, hits, k).tolist()
         assert shared.tolist() == _cluster_map_reference(model, hits, k).tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(clustered_maps())
+def test_kmeans_centers_are_member_means_bit_for_bit(case):
+    # each center is its members' rows added in index order, over their
+    # count; members.mean(axis=0) adds the same way except on one-column
+    # points, which numpy sums pairwise
+    model, hits, k = case
+    basis = cluster_basis(model, hits, k)
+    centers = basis.points[basis.order[:k]]
+    labels = _kmeans_labels(basis.points, centers)
+    for c in np.unique(labels):
+        members = basis.points[labels == c]
+        total = np.zeros(members.shape[1])
+        for row in members:
+            total += row
+        assert centers[c].tobytes() == (total / members.shape[0]).tobytes()
+        if members.shape[1] > 1:
+            assert centers[c].tobytes() == members.mean(axis=0).tobytes()

@@ -562,21 +562,30 @@ def test_viz_after_transpose_labels_by_position(tmp_path, blocks_file, capsys):
 def test_huge_grid_is_a_clean_error(tmp_path, capsys, command):
     # problem1 spans a principal plane, so the codebook is laid out over all
     # 10^18 units; that needs more bytes than any 64-bit address space
-    # holds, and the allocation is refused outright
+    # holds, and the allocation is refused outright. train stops with one
+    # error line; bench reports it as that case's row and runs the next case
     path = write_matrix(tmp_path / "p1.txt", [" ".join(str(v) for v in row) for row in load_problem1().values])
     grid = "1000000000x1000000000"
     if command == "train":
         written = tmp_path / "m.json"
-        argv = ["train", "--input", str(path), "--grid", grid, "--out", str(written)]
-    else:
-        (tmp_path / "manifest.json").write_text(json.dumps([{"name": "p1", "path": path.name}]))
-        written = tmp_path / "bench"
-        argv = ["bench", "--corpus", str(tmp_path), "--restarts", "1", "--grid", grid, "--out-dir", str(written)]
-    rc = main(argv)
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not written.exists()
+        rc = main(["train", "--input", str(path), "--grid", grid, "--out", str(written)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not written.exists()
+        return
+    cases = [{"name": "p1", "path": path.name}, {"name": "p1t", "path": path.name, "transpose": True}]
+    (tmp_path / "manifest.json").write_text(json.dumps(cases))
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--corpus", str(tmp_path), "--restarts", "1", "--grid", grid, "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = json.loads((out_dir / "report.json").read_text())["cases"]
+    assert [row["name"] for row in rows] == ["p1", "p1t"]
+    for row in rows:
+        assert (row["parts"], row["machines"]) == (10, 10)
+        assert row["error"] and row["k"] is None
+    assert "summary: 2 cases, 0 matched, 0 improved, 0 regressed, 2 errors" in out
 
 
 @pytest.mark.parametrize("target", ["missing/m.json", "adir"], ids=["missing-directory", "existing-directory"])

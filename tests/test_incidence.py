@@ -179,3 +179,68 @@ def test_render_block_diagonal_layout():
     assert "|" in lines[1] and any(set(line.strip()) <= {"-", "+", "|", " "} for line in lines)
     assert lines[1].startswith("p1")
 
+
+
+def _render_reference(matrix, view):
+    """The per-cell renderer: every cell padded on its own, ``|`` before each cell start."""
+    values = matrix.values[np.ix_(view.row_order, view.col_order)]
+    row_labels = [matrix.part_labels[i] for i in view.row_order]
+    col_labels = [matrix.machine_labels[j] for j in view.col_order]
+    label_width = max(len(lab) for lab in row_labels)
+    col_widths = [max(len(lab), 1) for lab in col_labels]
+    col_starts = {bounds[1][0] for bounds in view.cell_boundaries[1:]}
+    row_starts = {bounds[0][0] for bounds in view.cell_boundaries[1:]}
+
+    def format_row(leader, cells):
+        out = [leader.ljust(label_width)]
+        for j, cell in enumerate(cells):
+            if j in col_starts:
+                out.append("|")
+            out.append(cell.rjust(col_widths[j]))
+        return " ".join(out)
+
+    lines = [format_row("", col_labels)]
+    width = len(lines[0])
+    for i in range(values.shape[0]):
+        if i in row_starts:
+            lines.append("-" * width)
+        lines.append(format_row(row_labels[i], [str(int(x)) for x in values[i]]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def rendered_views(draw):
+    """(matrix, view): up to 3-digit labels on either axis, one to many cells,
+    and sometimes the transposed matrix with the view's axes swapped, as
+    ``--transpose`` renders it."""
+    parts = draw(st.sampled_from([1, 2, 7, 9, 10, 12, 101]))
+    machines = draw(st.sampled_from([1, 3, 9, 10, 11]))
+    values = np.array(
+        draw(st.lists(st.integers(0, 1), min_size=parts * machines, max_size=parts * machines)),
+        dtype=np.uint8,
+    ).reshape(parts, machines)
+    values[np.arange(parts), np.arange(parts) % machines] = 1  # no empty row
+    values[np.arange(machines) % parts, np.arange(machines)] = 1  # no empty column
+    k = draw(st.integers(1, min(parts, machines)))
+    rows = draw(st.permutations(range(parts)))
+    cols = draw(st.permutations(range(machines)))
+
+    def cuts(n):
+        inner = draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1)) if k > 1 else ()
+        return [0, *sorted(inner), n]
+
+    row_cuts, col_cuts = cuts(parts), cuts(machines)
+    bounds = [((row_cuts[c], row_cuts[c + 1]), (col_cuts[c], col_cuts[c + 1])) for c in range(k)]
+    matrix = IncidenceMatrix.from_array(values)
+    if draw(st.booleans()):
+        matrix = matrix.transposed()
+        rows, cols = cols, rows
+        bounds = [(m, p) for p, m in bounds]
+    return matrix, BlockDiagonalView(tuple(rows), tuple(cols), tuple(bounds))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rendered_views())
+def test_render_block_diagonal_matches_per_cell_reference(case):
+    matrix, view = case
+    assert render_block_diagonal(matrix, view) == _render_reference(matrix, view)
