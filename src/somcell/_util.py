@@ -30,6 +30,9 @@ def atomic_write_text(path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
+JSON_NUMBERS = frozenset((int, float))  # the types json loads numbers as; bool is neither
+
+
 def is_json_int(value) -> bool:
     """True for a JSON integer as ``json`` loads it: an int, but not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from ._util import atomic_write_text, is_json_int
+from ._util import JSON_NUMBERS, atomic_write_text, is_json_int
 from .cells import CellAssignment, build_view, form_cells
 from .incidence import (
     IncidenceMatrix,
@@ -54,10 +55,6 @@ DEFAULT_SEED = 42
 DEFAULT_RESTARTS = 10
 
 
-class CliError(Exception):
-    """User-facing command failure; message goes to stderr, exit code 2."""
-
-
 def _parse_grid(text: str) -> MapGrid:
     try:
         rows_text, cols_text = text.lower().split("x")
@@ -83,9 +80,9 @@ def _read_matrix(path, transpose: bool = False) -> IncidenceMatrix:
     try:
         matrix = load_matrix(path)
     except OSError as exc:
-        raise CliError(f"cannot read matrix file {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read matrix file {path}: {exc.strerror or exc}") from exc
     except (MatrixFormatError, UnicodeDecodeError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return matrix.transposed() if transpose else matrix
 
 
@@ -93,9 +90,9 @@ def _read_model(path) -> SomModel:
     try:
         return load_model(path)
     except OSError as exc:
-        raise CliError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CliError(f"{path}: not a valid model file ({exc})") from exc
+        raise ValueError(f"{path}: not a valid model file ({exc})") from exc
 
 
 def default_kmax(matrix: IncidenceMatrix) -> int:
@@ -146,9 +143,9 @@ def _load_assignment(path) -> CellAssignment:
             machine_cell=tuple(doc["machine_cell"]),
         )
     except OSError as exc:
-        raise CliError(f"cannot read assignment file {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read assignment file {path}: {exc.strerror or exc}") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CliError(f"{path}: not a valid assignment file ({exc})") from exc
+        raise ValueError(f"{path}: not a valid assignment file ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +172,10 @@ def cmd_cells(args) -> int:
     view = build_view(assignment)
     print(render_block_diagonal(matrix, view), end="")
     print(f"cells: {assignment.k}")
-    for cell in range(1, assignment.k + 1):
-        machines = [matrix.machine_labels[j] for j, c in enumerate(assignment.machine_cell) if c == cell]
-        parts = [matrix.part_labels[i] for i, f in enumerate(assignment.part_family) if f == cell]
-        print(f"  cell {cell}: machines {{{', '.join(machines)}}} parts {{{', '.join(parts)}}}")
+    for cell, ((p0, p1), (m0, m1)) in enumerate(view.cell_boundaries, start=1):
+        machines = ", ".join(matrix.machine_labels[j] for j in view.col_order[m0:m1])
+        parts = ", ".join(matrix.part_labels[i] for i in view.row_order[p0:p1])
+        print(f"  cell {cell}: machines {{{machines}}} parts {{{parts}}}")
     print(f"grouping efficacy {grouping.efficacy_text}; efficiency (r={grouping.r:g}) = {grouping.efficiency:.4f}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,37 +251,34 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # bench harness
 
+# one report row per case, keys in report.json order
+_ROW_KEYS = ("name", "parts", "machines", "k", "mu_num", "mu_den", "mu", "target", "delta", "seconds", "best_seed", "error")
+# report.csv columns: (header, row key, format spec); an absent value is an empty field
+_CSV_COLUMNS = (
+    ("name", "name", ""), ("P", "parts", ""), ("M", "machines", ""), ("k", "k", ""),
+    ("mu_num", "mu_num", ""), ("mu_den", "mu_den", ""), ("mu", "mu", ".6f"),
+    ("target", "target", ".6f"), ("delta", "delta", ".6f"), ("seconds", "seconds", ".3f"),
+)
+
 
 def _load_manifest(path: Path) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
-        raise CliError(f"{path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, list):
-        raise CliError(f"{path}: manifest must be a JSON array of cases")
+        raise ValueError(f"{path}: manifest must be a JSON array of cases")
     return doc
 
 
 def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGrid | None, kmax: int | None) -> dict:
     """One report row; a case that is malformed or runs out of memory fills
     ``error`` instead of raising."""
-    row = {
-        "name": str(case.get("name", "unnamed")) if isinstance(case, dict) else "unnamed",
-        "parts": None,
-        "machines": None,
-        "k": None,
-        "mu_num": None,
-        "mu_den": None,
-        "mu": None,
-        "target": None,
-        "delta": None,
-        "seconds": None,
-        "best_seed": None,
-        "error": None,
-    }
+    row = dict.fromkeys(_ROW_KEYS)
+    row["name"] = str(case.get("name", "unnamed")) if isinstance(case, dict) else "unnamed"
     start = time.perf_counter()
     try:
         if not isinstance(case, dict):
@@ -292,8 +286,10 @@ def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGr
         target = case.get("target_efficacy")
         if target is not None:
             try:
+                if type(target) not in JSON_NUMBERS:
+                    raise TypeError
                 target = float(target)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 raise ValueError(f"target_efficacy must be a number, got {json.dumps(target)}") from None
             if not 0.0 < target <= 1.0:
                 raise ValueError(f"target_efficacy must lie in (0, 1], got {target}")
@@ -325,33 +321,19 @@ def _bench_case(case, base_dir: Path, restarts: int, base_seed: int, grid: MapGr
         )
         if target is not None:
             row["delta"] = float(efficacy) - target
-    except (CliError, ValueError, MatrixFormatError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         row["error"] = str(exc)
     row["seconds"] = time.perf_counter() - start
     return row
 
 
 def _bench_report_csv(rows: list[dict]) -> str:
-    def fmt(row, key, spec=""):
-        value = row[key]
-        return "" if value is None else format(value, spec)
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "P", "M", "k", "mu_num", "mu_den", "mu", "target", "delta", "seconds"])
-    for row in rows:
-        writer.writerow([
-            row["name"],
-            fmt(row, "parts"),
-            fmt(row, "machines"),
-            fmt(row, "k"),
-            fmt(row, "mu_num"),
-            fmt(row, "mu_den"),
-            fmt(row, "mu", ".6f"),
-            fmt(row, "target", ".6f"),
-            fmt(row, "delta", ".6f"),
-            fmt(row, "seconds", ".3f"),
-        ])
+    writer.writerow([header for header, _, _ in _CSV_COLUMNS])
+    writer.writerows(
+        ["" if row[key] is None else format(row[key], spec) for _, key, spec in _CSV_COLUMNS] for row in rows
+    )
     return buf.getvalue()
 
 
@@ -367,49 +349,30 @@ def cmd_bench(args) -> int:
             )
         )
 
-    matched = improved = regressed = errors = 0
+    summary = {"cases": len(rows), "matched": 0, "improved": 0, "regressed": 0, "errors": 0}
     for row in rows:
         if row["error"] is not None:
-            errors += 1
+            summary["errors"] += 1
             print(f"{row['name']}: ERROR {row['error']}")
             continue
         note = ""
-        if row["delta"] is not None:
+        if (delta := row["delta"]) is not None:
             # 4-decimal reporting resolution decides the verdict
-            if abs(row["delta"]) <= 5e-5:
-                matched += 1
-                note = f" (target {row['target']:.4f}, matched)"
-            elif row["delta"] > 0:
-                improved += 1
-                note = f" (target {row['target']:.4f}, improved by {row['delta']:+.4f})"
-            else:
-                regressed += 1
-                note = f" (target {row['target']:.4f}, regressed by {row['delta']:+.4f})"
+            verdict = "matched" if abs(delta) <= 5e-5 else "improved" if delta > 0 else "regressed"
+            summary[verdict] += 1
+            change = "" if verdict == "matched" else f" by {delta:+.4f}"
+            note = f" (target {row['target']:.4f}, {verdict}{change})"
         print(
             f"{row['name']}: {row['parts']}x{row['machines']} k={row['k']} "
             f"mu={row['mu_num']}/{row['mu_den']}={row['mu']:.4f}{note} "
             f"[{row['seconds']:.2f}s, best seed {row['best_seed']}]"
         )
-    print(
-        f"summary: {len(rows)} cases, {matched} matched, {improved} improved, "
-        f"{regressed} regressed, {errors} errors "
-        f"(restarts {args.restarts}, seeds {args.seed}..{args.seed + args.restarts - 1})"
-    )
+    counts = ", ".join(f"{count} {name}" for name, count in summary.items())
+    print(f"summary: {counts} (restarts {args.restarts}, seeds {args.seed}..{args.seed + args.restarts - 1})")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "report.csv", _bench_report_csv(rows))
-    report = {
-        "restarts": args.restarts,
-        "base_seed": args.seed,
-        "cases": rows,
-        "summary": {
-            "cases": len(rows),
-            "matched": matched,
-            "improved": improved,
-            "regressed": regressed,
-            "errors": errors,
-        },
-    }
+    report = {"restarts": args.restarts, "base_seed": args.seed, "cases": rows, "summary": summary}
     atomic_write_text(out_dir / "report.json", json.dumps(report, indent=1))
     print(f"report written to {out_dir}")
     # regressions are reported, not fatal: exit 0 so sweeps keep running
@@ -420,7 +383,9 @@ def cmd_bench(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``main`` reuses it for every call."""
     parser = argparse.ArgumentParser(
         prog="somcell",
         description="Train self-organizing maps on part-machine incidence matrices and extract manufacturing cells.",
@@ -436,21 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=_parse_grid, default=None, help="ROWSxCOLS (default: near-square, about 5*sqrt(P) units)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--out", required=True, help="model output path")
-    sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("cells", help="extract cells from a trained model and score them")
     add_matrix_flags(sp)
     sp.add_argument("--model", required=True, help="model JSON from `somcell train`")
     sp.add_argument("--kmax", type=_positive_int, default=None, help="largest cell count to try (default max(2, ceil(min(P, M)/2)))")
     sp.add_argument("--out-dir", default="cells-out", help="where assignment.json and score.json go")
-    sp.set_defaults(func=cmd_cells)
 
     sp = sub.add_parser("metrics", help="score an existing assignment against a matrix")
     add_matrix_flags(sp)
     sp.add_argument("--assignment", required=True, help="assignment JSON (as written by `somcell cells`)")
     sp.add_argument("--r", type=float, default=0.5, help="efficiency weight between in-block density and off-block sparsity")
     sp.add_argument("--out", default=None, help="optional score JSON output path")
-    sp.set_defaults(func=cmd_metrics)
 
     sp = sub.add_parser("viz", help="render map surfaces as SVG plus a scatter CSV")
     add_matrix_flags(sp)
@@ -463,13 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["umatrix", "planes", "hits", "projection", "scatter"],
         help="restrict output (repeatable)",
     )
-    sp.set_defaults(func=cmd_viz)
 
     sp = sub.add_parser("oracle", help="exhaustive best assignment for small instances")
     add_matrix_flags(sp)
     sp.add_argument("--k", type=int, default=2, help="largest number of cells to consider (at most 3)")
     sp.add_argument("--out", default=None, help="optional assignment JSON output path")
-    sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("bench", help="run the pipeline over a corpus and compare to targets")
     sp.add_argument("--corpus", required=True, help="directory with matrix files (and manifest.json unless --manifest)")
@@ -485,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads (default: 1; threads contend for the interpreter lock, so more of them rarely help)",
     )
     sp.add_argument("--out-dir", default="bench-out", help="where report.csv and report.json go")
-    sp.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -493,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+        # looked up on the module at call time, so a wrapper installed after the first call runs
+        return globals()[f"cmd_{args.command}"](args)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, pca
-from ._util import atomic_write_text, is_json_int
+from ._util import JSON_NUMBERS, atomic_write_text, is_json_int
 
 _ROW_PITCH = math.sqrt(3.0) / 2.0
 _RANK_TOL = 1e-9
@@ -300,16 +300,13 @@ def save_model(model: SomModel, path) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1))
 
 
-_JSON_NUMBERS = frozenset((int, float))  # the types json loads numbers as; bool is neither
-
-
 def _load_phase(doc) -> Phase:
     if not isinstance(doc, dict):
         raise ValueError(f"schedule phase must be an object, got {json.dumps(doc)}")
     if not is_json_int(doc.get("epochs")):
         raise ValueError(f"phase epochs must be an integer, got {json.dumps(doc.get('epochs'))}")
     for name in ("alpha_start", "alpha_end", "sigma_start", "sigma_end"):
-        if type(doc.get(name)) not in _JSON_NUMBERS:
+        if type(doc.get(name)) not in JSON_NUMBERS:
             raise ValueError(f"phase {name} must be a number, got {json.dumps(doc.get(name))}")
     return Phase(**doc)
 
@@ -345,7 +342,7 @@ def load_model(path) -> SomModel:
     if not (
         isinstance(codebook, list)
         and all(isinstance(row, list) for row in codebook)
-        and {type(v) for row in codebook for v in row} <= _JSON_NUMBERS
+        and {type(v) for row in codebook for v in row} <= JSON_NUMBERS
     ):
         raise ValueError("codebook must be a list of rows of numbers")
     try:

@@ -58,7 +58,6 @@ class ComponentPlane:
     """One codebook column rendered over the lattice."""
 
     grid: MapGrid
-    machine_index: int
     label: str
     values: np.ndarray
 
@@ -90,7 +89,6 @@ class Projection:
     grid: MapGrid
     part_points: np.ndarray
     unit_points: np.ndarray
-    axes: np.ndarray
     eigenvalues: np.ndarray
 
 
@@ -99,25 +97,21 @@ def compute_umatrix(model: SomModel) -> UMatrix:
     pairs = model.grid.neighbor_pairs
     diffs = model.codebook[pairs[:, 0]] - model.codebook[pairs[:, 1]]
     pair_values = np.linalg.norm(diffs, axis=1)
-    totals = np.zeros(model.grid.units)
-    counts = np.zeros(model.grid.units)
-    np.add.at(totals, pairs[:, 0], pair_values)
-    np.add.at(totals, pairs[:, 1], pair_values)
-    np.add.at(counts, pairs[:, 0], 1.0)
-    np.add.at(counts, pairs[:, 1], 1.0)
-    unit_values = np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
+    # first ends, then second ends: bincount adds in index order, so each unit
+    # sums its pairs as it is their first end, then as their second
+    ends = pairs.T.ravel()
+    units = model.grid.units
+    totals = np.bincount(ends, weights=np.tile(pair_values, 2), minlength=units)
+    counts = np.bincount(ends, minlength=units)
+    # a one-unit grid has no pairs, and a weighted bincount of nothing is int64
+    unit_values = np.divide(totals, counts, out=np.zeros(units), where=counts > 0)
     return UMatrix(grid=model.grid, pair_values=pair_values, unit_values=unit_values)
 
 
 def component_planes(model: SomModel) -> list[ComponentPlane]:
     """One plane per input feature, in feature order, labelled ``m1..mM``."""
     return [
-        ComponentPlane(
-            grid=model.grid,
-            machine_index=j,
-            label=label,
-            values=model.codebook[:, j].copy(),
-        )
+        ComponentPlane(grid=model.grid, label=label, values=model.codebook[:, j].copy())
         for j, label in enumerate(positional_labels("m", model.input_dim))
     ]
 
@@ -158,7 +152,6 @@ def pca_project(model: SomModel, data) -> Projection:
         grid=model.grid,
         part_points=centered @ axes.T,
         unit_points=(model.codebook - mean) @ axes.T,
-        axes=axes,
         eigenvalues=lam,
     )
 

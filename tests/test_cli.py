@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from somcell import kernels, load_model
+from somcell import cli, kernels, load_model
 from somcell.cli import default_kmax, main
 from somcell.incidence import load_problem1
 
@@ -281,6 +281,35 @@ def test_viz_only_flag_filters_outputs(tmp_path, trained, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["scatter.csv", "umatrix.svg"]
 
 
+def test_viz_only_does_not_carry_over_to_the_next_call(tmp_path, trained, capsys):
+    # one parser serves every call in a process, so no call may inherit another's --only
+    matrix_path, model_path = trained
+    argv = ["viz", "--input", str(matrix_path), "--model", str(model_path), "--out-dir"]
+    assert main(argv + [str(tmp_path / "only"), "--only", "hits"]) == 0
+    assert main(argv + [str(tmp_path / "all")]) == 0
+    capsys.readouterr()
+    assert [p.name for p in (tmp_path / "only").iterdir()] == ["hits.svg"]
+    # umatrix, five planes, hits, projection and scatter
+    assert len(list((tmp_path / "all").iterdir())) == 9
+
+
+def test_main_runs_a_command_wrapped_after_the_parser_is_built(tmp_path, trained, capsys, monkeypatch):
+    # the train call in `trained` built the parser; main looks the command up at call time
+    matrix_path, model_path = trained
+    assert cli.build_parser() is cli.build_parser()
+    real = cli.cmd_cells
+    calls = []
+
+    def wrapped(args):
+        calls.append(args.command)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_cells", wrapped)
+    rc = main(["cells", "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(tmp_path / "c")])
+    capsys.readouterr()
+    assert rc == 0 and calls == ["cells"]
+
+
 def test_oracle_reports_exact_optimum(tmp_path, capsys):
     path = write_matrix(tmp_path / "tiny.txt", ["1 1 0 0", "1 1 0 0", "0 0 1 1", "0 0 1 1"])
     out_path = tmp_path / "best.json"
@@ -367,8 +396,21 @@ def test_bench_report_csv_quotes_names_with_commas(tmp_path, capsys):
             {"name": "huge", "path": "blocks.txt", "target_efficacy": 10**400},
             f"target_efficacy must be a number, got {10**400}",
         ),
+        (
+            {"name": "text", "path": "blocks.txt", "target_efficacy": "0.9615"},
+            'target_efficacy must be a number, got "0.9615"',
+        ),
+        ({"name": "yes", "path": "blocks.txt", "target_efficacy": True}, "target_efficacy must be a number, got true"),
     ],
-    ids=["not-an-object", "path-not-a-string", "transpose-not-a-bool", "target-not-a-number", "target-too-big"],
+    ids=[
+        "not-an-object",
+        "path-not-a-string",
+        "transpose-not-a-bool",
+        "target-not-a-number",
+        "target-too-big",
+        "target-a-string",
+        "target-a-bool",
+    ],
 )
 def test_bench_malformed_case_is_an_error_row(tmp_path, capsys, entry, message):
     corpus = tmp_path / "corpus"

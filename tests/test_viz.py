@@ -39,6 +39,13 @@ def test_umatrix_of_two_units_is_their_distance():
     assert um.unit_values.tolist() == [5.0, 5.0]
 
 
+def test_umatrix_of_one_unit_is_zero():
+    # a 1x1 grid has no adjacent pairs, so its one unit has nothing to average
+    um = compute_umatrix(_model_with([[1.0, 2.0]]))
+    assert um.pairs.shape == (0, 2) and um.pair_values.size == 0
+    assert um.unit_values.dtype == np.float64 and um.unit_values.tolist() == [0.0]
+
+
 def test_umatrix_values_are_nonnegative_means_of_incident_pairs():
     rng = np.random.default_rng(3)
     grid = MapGrid(4, 4)
