@@ -76,6 +76,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
+    return value
+
+
 def _read_matrix(path, transpose: bool = False) -> IncidenceMatrix:
     try:
         matrix = load_matrix(path)
@@ -399,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train a map and write the model JSON")
     add_matrix_flags(sp)
     sp.add_argument("--grid", type=_parse_grid, default=None, help="ROWSxCOLS (default: near-square, about 5*sqrt(P) units)")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
     sp.add_argument("--out", required=True, help="model output path")
 
     sp = sub.add_parser("cells", help="extract cells from a trained model and score them")
@@ -435,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True, help="directory with matrix files (and manifest.json unless --manifest)")
     sp.add_argument("--manifest", default=None, help="manifest JSON (default: <corpus>/manifest.json)")
     sp.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS, help="seeds per case; the best efficacy wins")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed; restart i uses seed+i")
+    sp.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED, help="base seed; restart i uses seed+i")
     sp.add_argument("--grid", type=_parse_grid, default=None, help="override the per-case default grid")
     sp.add_argument("--kmax", type=_positive_int, default=None)
     sp.add_argument(

@@ -185,26 +185,18 @@ def score(data, assignment, r: float = 0.5) -> GroupingScore:
     )
 
 
-def _part_partitions(n_parts: int, max_blocks: int):
+def _part_partitions(n_parts: int, max_blocks: int) -> np.ndarray:
     """Canonical partitions of n parts into at most max_blocks families.
 
-    Yields restricted growth strings in ascending lexicographic order: the
-    first part is always family 0 and each new family id is one past the
-    current maximum. The yielded array is reused; copy to keep it.
+    One row per restricted growth string, ascending lexicographic: the first
+    part is family 0 and each id is at most one past the largest id before
+    it. The rows are those of the cached labeling table
+    ``kernels._assignment_matrix`` that meet that rule.
     """
-    a = np.zeros(n_parts, dtype=np.int64)
-    while True:
-        yield a
-        pos = n_parts - 1
-        while pos > 0:
-            cap = min(int(a[:pos].max()) + 1, max_blocks - 1)
-            if a[pos] < cap:
-                break
-            pos -= 1
-        if pos == 0:
-            return
-        a[pos] += 1
-        a[pos + 1:] = 0
+    labels = kernels._assignment_matrix(max_blocks, n_parts)
+    seen = np.maximum.accumulate(labels, axis=1)
+    canonical = (labels[:, 0] == 0) & (labels[:, 1:] <= seen[:, :-1] + 1).all(axis=1)
+    return labels[canonical]
 
 
 def oracle_best_assignment(data, k: int):
@@ -230,20 +222,19 @@ def oracle_best_assignment(data, k: int):
         )
     values = data.values.astype(np.int64)
     n1 = int(values.sum())
+    partitions = _part_partitions(n_parts, min(k, n_parts))
+    k_effs = partitions.max(axis=1) + 1
+    # a partition with more families than machines has no surjective split
+    feasible = k_effs <= n_machines
+    partitions, k_effs = partitions[feasible], k_effs[feasible]
+    # onehot[i, f, p]: part p is in family f under partition i
+    onehot = (partitions[:, None, :] == np.arange(k_effs.max())[:, None]).astype(np.int64)
+    block_ones, sizes = onehot @ values, onehot.sum(axis=2)
     best: tuple[int, int, np.ndarray, np.ndarray] | None = None
-    for part_family in _part_partitions(n_parts, min(k, n_parts)):
-        k_eff = int(part_family.max()) + 1
-        if k_eff > n_machines:
-            continue  # no surjective machine assignment exists
-        block_ones = np.zeros((k_eff, n_machines), dtype=np.int64)
-        for f in range(k_eff):
-            block_ones[f] = values[part_family == f].sum(axis=0)
-        sizes = np.bincount(part_family, minlength=k_eff).astype(np.int64)
-        num, den, machine_cell = kernels.best_machine_split(block_ones, sizes, n1)
-        if num < 0:
-            continue
+    for part_family, k_eff, ones, size in zip(partitions, k_effs.tolist(), block_ones, sizes):
+        num, den, machine_cell = kernels.best_machine_split(ones[:k_eff], size[:k_eff], n1)
         if best is None or num * best[1] > best[0] * den:
-            best = (int(num), int(den), part_family.copy(), np.asarray(machine_cell))
+            best = (int(num), int(den), part_family, np.asarray(machine_cell))
     assert best is not None  # the single-family partition is always feasible
     assignment = CellAssignment(
         k=int(best[2].max()) + 1,

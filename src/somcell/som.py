@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -120,18 +120,6 @@ class TrainingSchedule:
             alphas.append(ph.alpha_start + (ph.alpha_end - ph.alpha_start) * frac)
             sigmas.append(ph.sigma_start + (ph.sigma_end - ph.sigma_start) * frac)
         return np.concatenate(alphas), np.concatenate(sigmas)
-
-    def to_dicts(self) -> list[dict]:
-        return [
-            {
-                "epochs": ph.epochs,
-                "alpha_start": ph.alpha_start,
-                "alpha_end": ph.alpha_end,
-                "sigma_start": ph.sigma_start,
-                "sigma_end": ph.sigma_end,
-            }
-            for ph in self.phases
-        ]
 
 
 def default_schedule(grid: MapGrid) -> TrainingSchedule:
@@ -294,7 +282,7 @@ def save_model(model: SomModel, path) -> None:
         "input_dim": model.input_dim,
         "seed": model.seed,
         "trained_epochs": model.trained_epochs,
-        "schedule": model.schedule.to_dicts() if model.schedule is not None else None,
+        "schedule": [asdict(ph) for ph in model.schedule.phases] if model.schedule is not None else None,
         "codebook": [[float(v) for v in row] for row in model.codebook],
     }
     atomic_write_text(path, json.dumps(doc, indent=1))

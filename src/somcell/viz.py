@@ -266,14 +266,6 @@ def _heatmap_svg(grid: MapGrid, unit_values, title: str, pair_values=None) -> st
     return _svg_document(width, height, body, title)
 
 
-def _umatrix_svg(um: UMatrix) -> str:
-    return _heatmap_svg(um.grid, um.unit_values, "u-matrix (codebook distance between neighbors)", um.pair_values)
-
-
-def _plane_svg(plane: ComponentPlane) -> str:
-    return _heatmap_svg(plane.grid, plane.values, f"component plane {plane.label}")
-
-
 def unit_cells_from_hits(hits: HitHistogram, part_cells) -> np.ndarray:
     """Cell id per unit, majority vote of its parts' cells (ties to the smaller id).
 
@@ -402,9 +394,11 @@ def export_svg(surface, path, part_cells=None) -> None:
     to the categorical cell palette; heatmap surfaces ignore it.
     """
     if isinstance(surface, UMatrix):
-        text = _umatrix_svg(surface)
+        text = _heatmap_svg(
+            surface.grid, surface.unit_values, "u-matrix (codebook distance between neighbors)", surface.pair_values
+        )
     elif isinstance(surface, ComponentPlane):
-        text = _plane_svg(surface)
+        text = _heatmap_svg(surface.grid, surface.values, f"component plane {surface.label}")
     elif isinstance(surface, HitHistogram):
         text = _hits_svg(surface, part_cells)
     elif isinstance(surface, Projection):

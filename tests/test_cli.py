@@ -502,11 +502,11 @@ def test_bench_rejects_nonpositive_restarts(tmp_path, capsys):
         assert err_lines == [f"somcell bench: error: argument --restarts: must be a positive integer, got '{value}'"]
 
 
-def _assert_usage_error(capsys, exc, flag, value):
+def _assert_usage_error(capsys, exc, flag, value, kind="positive"):
     assert exc.value.code == 2
     err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(err_lines) == 1
-    assert err_lines[0].endswith(f"error: argument {flag}: must be a positive integer, got '{value}'")
+    assert err_lines[0].endswith(f"error: argument {flag}: must be a {kind} integer, got '{value}'")
 
 
 @pytest.mark.parametrize("command", ["cells", "viz"])
@@ -527,6 +527,21 @@ def test_bench_kmax_and_jobs_must_be_positive(tmp_path, capsys, flag, value):
         main(["bench", "--corpus", str(tmp_path), flag, value, "--out-dir", str(tmp_path / "b")])
     _assert_usage_error(capsys, exc, flag, value)
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_seed_must_be_non_negative(tmp_path, blocks_file, capsys, value):
+    argvs = [
+        ["train", "--input", str(blocks_file), "--out", str(tmp_path / "model.json")],
+        ["bench", "--corpus", str(tmp_path), "--out-dir", str(tmp_path / "b")],
+    ]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", value])
+        _assert_usage_error(capsys, exc, "--seed", value, kind="non-negative")
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "b").exists()
+    assert main([*argvs[0], "--seed", "0"]) == 0
 
 
 def test_model_errors_name_the_path_once(tmp_path, blocks_file, trained, capsys):

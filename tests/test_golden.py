@@ -5,8 +5,9 @@ Each case trains a map with ``cli.train_map`` and extracts cells with
 the trained codebook bytes must match the values pinned below bit for bit.
 A refactor that changes float summation order can flip a BMU argmin, and
 this is the test that notices. Two cases also pin the sha256 of every file
-``somcell viz`` writes, so a rendering refactor must keep the bytes. Regenerate the table only for a deliberate
-change of results, never to absorb an accidental one.
+``somcell viz`` writes, so a rendering refactor must keep the bytes, and one
+pins the model file ``save_model`` writes. Regenerate the table only for a
+deliberate change of results, never to absorb an accidental one.
 """
 import hashlib
 from fractions import Fraction
@@ -211,6 +212,15 @@ def test_scatter_csv_is_pinned(name, tmp_path):
     path = tmp_path / "scatter.csv"
     export_scatter_data(model, matrix, assignment, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCATTER_GOLDEN[name]
+
+
+def test_saved_model_is_pinned(tmp_path):
+    matrix, seed = _case("problem1-42")
+    path = tmp_path / "model.json"
+    save_model(train_map(matrix, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "798f3380c0342d7258529ebe728fbcfb2d26dda43a77a33725bf3b861e97f9a8"
+    )
 
 
 # sha256 of every file `somcell viz` writes (default flags), plus the hit

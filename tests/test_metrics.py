@@ -154,7 +154,7 @@ def test_score_format_is_pinned():
 
 
 def test_part_partitions_enumerates_restricted_growth_strings():
-    got = [a.copy().tolist() for a in _part_partitions(3, 3)]
+    got = _part_partitions(3, 3).tolist()
     assert got == [
         [0, 0, 0],
         [0, 0, 1],
@@ -162,8 +162,19 @@ def test_part_partitions_enumerates_restricted_growth_strings():
         [0, 1, 1],
         [0, 1, 2],
     ]
-    capped = [a.copy().tolist() for a in _part_partitions(3, 2)]
+    capped = _part_partitions(3, 2).tolist()
     assert capped == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]
+
+    def reference(n, max_blocks, prefix=(0,)):
+        # each next id runs from 0 to one past the largest so far, capped
+        if len(prefix) == n:
+            return [list(prefix)]
+        top = min(max(prefix) + 1, max_blocks - 1)
+        return [s for f in range(top + 1) for s in reference(n, max_blocks, prefix + (f,))]
+
+    for n in range(1, 9):
+        for max_blocks in range(1, 4):
+            assert _part_partitions(n, max_blocks).tolist() == reference(n, max_blocks), (n, max_blocks)
 
 
 def test_oracle_prefers_single_block_on_all_ones():
