@@ -26,7 +26,7 @@ from somcell import (
     init_codebook,
     train,
 )
-from somcell import cells
+from somcell import cells, metrics
 from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_assignment, cluster_basis
 from somcell.metrics import BlockCounts
 from somcell.viz import HitHistogram
@@ -254,6 +254,12 @@ def test_build_view_on_known_grouping(problem1):
 # or per-unit loop the helper replaced; outputs must match bit for bit.
 
 
+def _family_tally_reference(values, part_family):
+    ids, index, sizes = np.unique(part_family, return_inverse=True, return_counts=True)
+    onehot = (index[None, :] == np.arange(ids.size)[:, None]).astype(np.float64)
+    return ids, onehot @ values, sizes
+
+
 def _assign_machines_reference(values, part_family):
     out = np.zeros(values.shape[1], dtype=np.int64)
     best = np.full(values.shape[1], -1.0)
@@ -346,14 +352,14 @@ def family_problems(draw):
     """(0/1 matrix, family id per part) rigged for ties.
 
     Rows are copies of a few base rows, so families often have exactly equal
-    densities; ids come from a small gappy pool; sometimes one family gets
-    more than 255 parts, past any uint8 count.
+    densities; ids come from a small gappy pool that includes 0; sometimes
+    one family gets more than 255 parts, past any uint8 count.
     """
     machines = draw(st.integers(1, 6))
     base = draw(arrays(np.uint8, (draw(st.integers(1, 4)), machines), elements=st.integers(0, 1)))
     base[base.sum(axis=1) == 0, 0] = 1
     rows = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=1, max_size=14))
-    pool = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True))
+    pool = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
     family = draw(st.lists(st.sampled_from(pool), min_size=len(rows), max_size=len(rows)))
     if draw(st.booleans()):
         extra = draw(st.integers(256, 300))
@@ -372,6 +378,18 @@ _BIG_FAMILY = (
     np.array([[1, 1]] * 300 + [[1, 0], [0, 1]], dtype=np.uint8),
     np.array([5] * 300 + [2, 8], dtype=np.int64),
 )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_problems())
+@example(_GAPPY)
+@example(_BIG_FAMILY)
+def test_family_tally_matches_unique_reference(problem):
+    values, family = problem
+    got = metrics.family_tally(values, family)
+    want = _family_tally_reference(values, family)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
