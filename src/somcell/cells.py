@@ -21,34 +21,39 @@ from .som import SomModel, _check_machines
 from .viz import HitHistogram, compute_hits, nearest_hit_units
 
 
-def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Indices into ``points`` of the first ``count`` farthest-first centers.
+def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into ``points`` of the first ``count`` farthest-first centers,
+    and the (points, count) squared distances from every point to each.
 
     The first is drawn from ``seed``; each next one is the point farthest
     from all chosen so far. The centers for any smaller count are a prefix
-    of these (Gonzalez 1985), so one order serves a whole k-sweep.
+    of these (Gonzalez 1985), so one order serves a whole k-sweep, and the
+    first ``k`` distance columns are k-means' first round for k.
     """
     rng = np.random.default_rng(seed)
-    order = [int(rng.integers(points.shape[0]))]
-    d2 = ((points - points[order[0]]) ** 2).sum(axis=1)
-    while len(order) < count:
-        nxt = int(np.argmax(d2))  # first max, so ties go to the lowest index
-        order.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
-    return np.array(order, dtype=np.int64)
+    order = np.empty(count, dtype=np.int64)
+    seed_d2 = np.empty((points.shape[0], count))
+    nearest = np.full(points.shape[0], np.inf)
+    for j in range(count):
+        # argmax takes the first max, so ties go to the lowest index
+        order[j] = np.argmax(nearest) if j else rng.integers(points.shape[0])
+        seed_d2[:, j] = ((points - points[order[j]]) ** 2).sum(axis=1)
+        np.minimum(nearest, seed_d2[:, j], out=nearest)
+    return order, seed_d2
 
 
-def _kmeans_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray) -> np.ndarray:
     """Lloyd iterations from ``centers`` (updated in place) until the labels
-    stop changing, at most 100 rounds."""
+    stop changing, at most 100 rounds. ``first_d2`` holds the squared
+    distances from each point to each starting center, as every later round
+    computes them."""
     k, dim = centers.shape
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     flat_points = points.ravel()
     columns = np.arange(dim)
     diff = np.empty((points.shape[0], k, dim))  # reused by every round
+    d2 = first_d2
     for _ in range(100):
-        np.subtract(points[:, None, :], centers[None, :, :], out=diff)
-        d2 = np.square(diff, out=diff).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)  # ties to the lowest center index
         if np.array_equal(new_labels, labels):
             break
@@ -60,18 +65,22 @@ def _kmeans_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         sizes = np.bincount(labels, minlength=k)
         filled = sizes > 0  # an emptied cluster keeps its previous center
         centers[filled] = sums[filled] / sizes[filled, None]
+        np.subtract(points[:, None, :], centers[None, :, :], out=diff)
+        d2 = np.square(diff, out=diff).sum(axis=2)
     return labels
 
 
 @dataclass(frozen=True, eq=False)
 class ClusterBasis:
     """What clustering one map shares across k: the units with hits, their
-    codebook rows, their farthest-first order and each unit's nearest unit
+    codebook rows, their farthest-first order, the squared distances from
+    each of them to each seed in that order, and each unit's nearest unit
     with hits."""
 
     hit_units: np.ndarray
     points: np.ndarray
     order: np.ndarray
+    seed_d2: np.ndarray
     nearest: np.ndarray
 
 
@@ -81,10 +90,12 @@ def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> ClusterBas
     if not 1 <= k_max <= hit_units.size:
         raise ValueError(f"k must lie in 1..{hit_units.size} (units with hits)")
     points = model.codebook[hit_units]
+    order, seed_d2 = _farthest_first_order(points, k_max, model.seed)
     return ClusterBasis(
         hit_units=hit_units,
         points=points,
-        order=_farthest_first_order(points, k_max, model.seed),
+        order=order,
+        seed_d2=seed_d2,
         nearest=nearest_hit_units(model, hits),
     )
 
@@ -103,7 +114,7 @@ def cluster_map(model: SomModel, hits: HitHistogram, k: int, basis: ClusterBasis
         basis = cluster_basis(model, hits, k)
     if not 1 <= k <= basis.order.size:
         raise ValueError(f"k must lie in 1..{basis.order.size} for this basis")
-    labels = _kmeans_labels(basis.points, basis.points[basis.order[:k]])
+    labels = _kmeans_labels(basis.points, basis.points[basis.order[:k]], basis.seed_d2[:, :k])
     out = np.zeros(model.grid.units, dtype=np.int64)
     out[basis.hit_units] = labels + 1
     return out[basis.nearest]
@@ -132,18 +143,18 @@ def assign_machines(data: IncidenceMatrix, part_family) -> np.ndarray:
     return ids[np.argmax(counts / sizes[:, None], axis=0)]
 
 
-def _relabel_by_size(part_family: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _relabel_by_size(part_family: np.ndarray, part_ones: np.ndarray) -> np.ndarray:
     """Renumber family ids 1..k: biggest family first, then densest.
 
     Machine assignment breaks density ties toward the smaller family id, so
     this ordering makes a machine that is equally dense everywhere side
     with the largest (then fullest) family instead of collapsing onto a
     small or sparse one. Ordering: size desc, in-family ones desc, earliest
-    part asc.
+    part asc. ``part_ones`` is each part's count of ones.
     """
     # ids are small positive cluster ids, so per-id bins need no sort
     sizes = np.bincount(part_family)
-    ones = np.bincount(part_family, weights=values.sum(axis=1))
+    ones = np.bincount(part_family, weights=part_ones)
     first = np.full(sizes.size, part_family.size)
     np.minimum.at(first, part_family, np.arange(part_family.size))
     ids = np.flatnonzero(sizes)
@@ -163,8 +174,9 @@ def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAs
     assign_machines idempotent on the result.
     """
     values = data.values
+    part_ones = values.sum(axis=1)
     while True:
-        part_family = _relabel_by_size(part_family, values)
+        part_family = _relabel_by_size(part_family, part_ones)
         k = int(part_family.max())  # relabelled ids are exactly 1..k
         machine_cell = assign_machines(data, part_family)
         has_machines = np.bincount(machine_cell, minlength=k + 1)[1:] > 0

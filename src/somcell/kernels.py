@@ -23,14 +23,17 @@ BACKEND = "numpy"
 
 def batch_bmu(codebook, samples) -> np.ndarray:
     """Index of the nearest codebook row per sample (ties go to the lowest index)."""
-    cb = np.ascontiguousarray(codebook, dtype=np.float64)
-    xs = np.ascontiguousarray(samples, dtype=np.float64)
+    # transposed once, so each column below is a contiguous row
+    cb_t = np.ascontiguousarray(np.asarray(codebook, dtype=np.float64).T)
+    xs_t = np.ascontiguousarray(np.asarray(samples, dtype=np.float64).T)
     # one column at a time keeps the temporary at (samples, units), not
     # (samples, units, dim)
-    d2 = np.zeros((xs.shape[0], cb.shape[0]), dtype=np.float64)
-    for j in range(cb.shape[1]):
-        diff = xs[:, j, None] - cb[None, :, j]
-        d2 += diff * diff
+    d2 = np.zeros((xs_t.shape[1], cb_t.shape[1]), dtype=np.float64)
+    diff = np.empty_like(d2)
+    for j in range(cb_t.shape[0]):
+        np.subtract(xs_t[j, :, None], cb_t[j], out=diff)
+        diff *= diff
+        d2 += diff
     # argmin returns the first minimum
     return np.argmin(d2, axis=1).astype(np.int64)
 
@@ -99,6 +102,18 @@ def _assignment_matrix(k: int, m: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _surjective_rows(k: int, m: int) -> np.ndarray:
+    """Which rows of ``_assignment_matrix(k, m)`` use every label 0..k-1."""
+    assigns = _assignment_matrix(k, m)
+    cover = np.zeros(assigns.shape[0], dtype=np.int64)
+    for j in range(m):
+        cover |= np.int64(1) << assigns[:, j]
+    out = cover == (1 << k) - 1
+    out.flags.writeable = False
+    return out
+
+
 def best_machine_split(block_ones, block_sizes, n_ones):
     """Best surjective machine-to-family assignment for fixed part families.
 
@@ -114,10 +129,7 @@ def best_machine_split(block_ones, block_sizes, n_ones):
     assigns = _assignment_matrix(k, m)
     nums = bo[assigns, np.arange(m)].sum(axis=1)
     dens = int(n_ones) + bs[assigns].sum(axis=1) - nums
-    cover = np.zeros(assigns.shape[0], dtype=np.int64)
-    for j in range(m):
-        cover |= np.int64(1) << assigns[:, j]
-    valid = cover == (1 << k) - 1
+    valid = _surjective_rows(k, m)
     if not valid.any():
         return -1, 1, np.zeros(m, dtype=np.int64)
     ratio = np.where(valid, nums / dens, -1.0)

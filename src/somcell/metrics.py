@@ -80,14 +80,16 @@ class BlockCounts:
 def family_tally(values, part_family):
     """``(ids, counts, sizes)``: each family's ones per machine.
 
-    ``ids`` are the distinct family ids, ascending; ``counts[f, j]`` is the
-    number of ones in machine column j over family ``ids[f]``'s parts, as
-    float64 (sums of 0/1 are exact far beyond any matrix here); ``sizes[f]``
-    is that family's part count.
+    Family ids are non-negative integers; a negative one raises
+    ``ValueError``. ``ids`` are the distinct family ids, ascending;
+    ``counts[f, j]`` is the number of ones in machine column j over family
+    ``ids[f]``'s parts, as float64 (sums of 0/1 are exact far beyond any
+    matrix here); ``sizes[f]`` is that family's part count.
     """
-    ids, index, sizes = np.unique(part_family, return_inverse=True, return_counts=True)
-    onehot = (index[None, :] == np.arange(ids.size)[:, None]).astype(np.float64)
-    return ids, onehot @ values, sizes
+    sizes = np.bincount(part_family)
+    ids = np.flatnonzero(sizes)
+    onehot = (part_family[None, :] == ids[:, None]).astype(np.float64)
+    return ids, onehot @ values, sizes[ids]
 
 
 def count_blocks(data, assignment) -> BlockCounts:

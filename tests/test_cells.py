@@ -409,7 +409,7 @@ def test_assign_machines_matches_per_family_loop(problem):
 @example(_BIG_FAMILY)
 def test_relabel_by_size_matches_sorted_remap(problem):
     values, family = problem
-    got = _relabel_by_size(family, values)
+    got = _relabel_by_size(family, values.sum(axis=1))
     want = _relabel_reference(family, values)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -514,6 +514,20 @@ def test_shared_basis_matches_standalone_cluster_map(case):
         assert shared.tolist() == _cluster_map_reference(model, hits, k).tolist()
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(clustered_maps())
+def test_seed_distances_are_each_k_first_lloyd_round(case):
+    # every k's first Lloyd round reads the first k columns of the basis's
+    # seed table, so each prefix must hold that round's bytes
+    model, hits, _ = case
+    busy = int((hits.hits > 0).sum())
+    basis = cluster_basis(model, hits, busy)
+    points, order = basis.points, basis.order
+    for k in range(1, busy + 1):
+        want = np.square(points[:, None] - points[order[:k]][None]).sum(axis=2)
+        assert np.ascontiguousarray(basis.seed_d2[:, :k]).tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_kmeans_centers_are_member_means_bit_for_bit(case):
@@ -523,7 +537,7 @@ def test_kmeans_centers_are_member_means_bit_for_bit(case):
     model, hits, k = case
     basis = cluster_basis(model, hits, k)
     centers = basis.points[basis.order[:k]]
-    labels = _kmeans_labels(basis.points, centers)
+    labels = _kmeans_labels(basis.points, centers, basis.seed_d2[:, :k])
     for c in np.unique(labels):
         members = basis.points[labels == c]
         total = np.zeros(members.shape[1])
