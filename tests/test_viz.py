@@ -1,5 +1,8 @@
 """Map surfaces and their SVG/CSV exports."""
 import csv
+import io
+import math
+from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from somcell import (
     pca_project,
     unit_cells_from_hits,
 )
-from somcell import pca
+from somcell import pca, viz
 from somcell.viz import HitHistogram, _ramp_fills, nearest_hit_units
 
 
@@ -318,3 +321,211 @@ def test_export_scatter_data_layout(tmp_path, problem1):
     assert data_rows[0][1] == "p1" and data_rows[0][-1] == "1"
     assert {r[-1] for r in proto_rows} <= {"1", "2"}  # empty units inherit a cell
     assert all(v in ("0", "1") for v in data_rows[0][2:-1])
+
+
+# ---------------------------------------------------------------------------
+# Rendering references: the element-by-element writers the exporters had
+# before they rendered in bulk. Each output must match them byte for byte.
+
+
+def _canvas_reference(grid):
+    coords = grid.coords * viz._CELL
+    xs = coords[:, 0] + viz._MARGIN + viz._CELL / 2
+    ys = coords[:, 1] + viz._MARGIN + viz._CELL / 2
+    width = xs.max() + viz._CELL / 2 + viz._MARGIN
+    height = ys.max() + viz._CELL / 2 + viz._MARGIN + viz._FOOTER
+    return xs, ys, width, height
+
+
+def _hex_points_reference(cx, cy, radius):
+    pts = []
+    for i in range(6):
+        ang = math.radians(60 * i + 30)
+        pts.append(f"{cx + radius * math.cos(ang):.2f},{cy + radius * math.sin(ang):.2f}")
+    return " ".join(pts)
+
+
+def _legend_reference(x, y, lo, hi):
+    parts = []
+    for offset, val, fill in ((0.0, lo, "white"), (120.0, hi, "black")):
+        parts.append(
+            f'<rect x="{x + offset:.1f}" y="{y:.1f}" width="16" height="16" '
+            f'fill="{fill}" stroke="#333"/>'
+        )
+        parts.append(
+            f'<text x="{x + offset + 22:.1f}" y="{y + 13:.1f}" '
+            f'font-family="sans-serif" font-size="12">{val:.4f}</text>'
+        )
+    return parts
+
+
+def _svg_document_reference(width, height, body, title):
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">'
+    )
+    caption = (
+        f'<text x="{viz._MARGIN:.1f}" y="{height - viz._FOOTER + 24:.1f}" '
+        f'font-family="sans-serif" font-size="13">{xml_escape(title)}</text>'
+    )
+    return "\n".join([head, '<rect width="100%" height="100%" fill="white"/>', *body, caption, "</svg>"]) + "\n"
+
+
+def heatmap_svg_reference(grid, unit_values, title, pair_values=None):
+    """One f-string per polygon, unit hexes then pair-midpoint hexes."""
+    xs, ys, width, height = _canvas_reference(grid)
+    values = np.asarray(unit_values, dtype=np.float64)
+    if pair_values is not None:
+        values = np.concatenate([values, np.asarray(pair_values, dtype=np.float64)])
+    lo, hi = float(values.min()), float(values.max())
+    fills = [ramp_fill_reference(float(v), lo, hi) for v in values]
+    xs, ys = xs.tolist(), ys.tolist()
+    body = [
+        f'<polygon points="{_hex_points_reference(x, y, viz._HEX_RADIUS)}" fill="{fill}" '
+        'stroke="#666" stroke-width="0.6"/>'
+        for x, y, fill in zip(xs, ys, fills)
+    ]
+    if pair_values is not None:
+        for (a, b), fill in zip(grid.neighbor_pairs.tolist(), fills[grid.units:]):
+            points = _hex_points_reference((xs[a] + xs[b]) / 2, (ys[a] + ys[b]) / 2, viz._HEX_RADIUS * 0.52)
+            body.append(f'<polygon points="{points}" fill="{fill}" stroke="#888" stroke-width="0.4"/>')
+    body += _legend_reference(viz._MARGIN, height - viz._FOOTER + 34, lo, hi)
+    return _svg_document_reference(width, height, body, title)
+
+
+def projection_svg_reference(proj, part_cells=None):
+    """One ``to_px`` call per net end, prototype and part."""
+    pts = np.vstack([proj.unit_points, proj.part_points])
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+    scale = 480.0 / span.max()
+
+    def to_px(p):
+        return viz._MARGIN + (p[0] - lo[0]) * scale, viz._MARGIN + (hi[1] - p[1]) * scale
+
+    width = viz._MARGIN * 2 + span[0] * scale
+    height = viz._MARGIN * 2 + span[1] * scale + viz._FOOTER
+    body = []
+    for a, b in proj.grid.neighbor_pairs:
+        xa, ya = to_px(proj.unit_points[a])
+        xb, yb = to_px(proj.unit_points[b])
+        body.append(
+            f'<line x1="{xa:.1f}" y1="{ya:.1f}" x2="{xb:.1f}" y2="{yb:.1f}" '
+            f'stroke="#ccc" stroke-width="0.7"/>'
+        )
+    for point in proj.unit_points:
+        x, y = to_px(point)
+        body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.6" fill="#aaa"/>')
+    for i, point in enumerate(proj.part_points):
+        x, y = to_px(point)
+        fill = viz._PALETTE[(int(part_cells[i]) - 1) % len(viz._PALETTE)] if part_cells is not None else "#222"
+        body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{fill}" stroke="black" stroke-width="0.6"/>')
+        body.append(
+            f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-family="sans-serif" '
+            f'font-size="11">{xml_escape(f"p{i + 1}")}</text>'
+        )
+    title = (
+        "principal projection of parts (dots) and prototypes (gray net); "
+        f"component variances {proj.eigenvalues[0]:.3f}, {proj.eigenvalues[1]:.3f}"
+    )
+    return _svg_document_reference(width, height, body, title)
+
+
+def scatter_csv_reference(model, rows, part_cells, unit_cells):
+    """``csv.writer`` over one list per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["source", "label", *(f"m{j + 1}" for j in range(model.input_dim)), "cell"])
+    writer.writerows(
+        ["data", f"p{i + 1}", *row, cell]
+        for i, (row, cell) in enumerate(zip(rows.astype(np.int64).tolist(), part_cells.tolist()))
+    )
+    writer.writerows(
+        ["prototype", f"u{u + 1}", *row, cell]
+        for u, (row, cell) in enumerate(zip(model.codebook.tolist(), unit_cells.tolist()))
+    )
+    return buf.getvalue()
+
+
+# 1x1, 1xn and nx1 grids, and larger ones
+grids = st.builds(MapGrid, st.integers(1, 7), st.integers(1, 7))
+# coarse values make ties; "flat" makes every value equal
+coarse = st.sampled_from([0.0, 0.5, 1.0, -2.0]) | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def heatmap_cases(draw):
+    grid = draw(grids)
+    pairs = grid.neighbor_pairs.shape[0]
+    flat = draw(st.booleans())
+    if flat:
+        value = draw(coarse)
+        unit_values = np.full(grid.units, value)
+        pair_values = np.full(pairs, value)
+    else:
+        unit_values = draw(arrays(np.float64, grid.units, elements=coarse))
+        pair_values = draw(arrays(np.float64, pairs, elements=coarse))
+    title = draw(st.text(alphabet="ab &<>\"'=é", max_size=12))
+    return grid, unit_values, title, pair_values if draw(st.booleans()) else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(heatmap_cases())
+def test_heatmap_svg_matches_per_polygon_reference(case):
+    grid, unit_values, title, pair_values = case
+    assert viz._heatmap_svg(grid, unit_values, title, pair_values) == heatmap_svg_reference(
+        grid, unit_values, title, pair_values
+    )
+
+
+@st.composite
+def projection_cases(draw):
+    grid = draw(grids)
+    parts = draw(st.integers(1, 25))
+    elements = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-50, 50, allow_nan=False, allow_subnormal=False)
+    if draw(st.booleans()):
+        point = draw(arrays(np.float64, 2, elements=elements))
+        unit_points, part_points = np.tile(point, (grid.units, 1)), np.tile(point, (parts, 1))
+    else:
+        unit_points = draw(arrays(np.float64, (grid.units, 2), elements=elements))
+        part_points = draw(arrays(np.float64, (parts, 2), elements=elements))
+    eigenvalues = draw(arrays(np.float64, 2, elements=st.floats(0, 100, allow_nan=False)))
+    proj = viz.Projection(grid=grid, part_points=part_points, unit_points=unit_points, eigenvalues=eigenvalues)
+    cells = draw(st.none() | arrays(np.int64, parts, elements=st.integers(-3, 14)))
+    return proj, cells
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(projection_cases())
+def test_projection_svg_matches_per_point_reference(case):
+    proj, cells = case
+    assert viz._projection_svg(proj, cells) == projection_svg_reference(proj, cells)
+
+
+@st.composite
+def scatter_cases(draw):
+    grid = draw(grids)
+    machines, parts = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    elements = st.sampled_from([0.0, 0.5, 1.0, -0.0, 1e-7, 123456.789]) | st.floats(-1e6, 1e6, allow_nan=False)
+    codebook = draw(arrays(np.float64, (grid.units, machines), elements=elements))
+    data = draw(arrays(np.uint8, (parts, machines), elements=st.integers(0, 1)))
+    k = draw(st.integers(1, min(parts, machines)))
+    part_family = list(range(1, k + 1)) + draw(st.lists(st.integers(1, k), min_size=parts - k, max_size=parts - k))
+    machine_cell = list(range(1, k + 1)) + draw(st.lists(st.integers(1, k), min_size=machines - k, max_size=machines - k))
+    model = _model_with(codebook, grid)
+    return model, data, CellAssignment(k=k, part_family=part_family, machine_cell=machine_cell)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=scatter_cases())
+def test_scatter_csv_matches_csv_writer_reference(case, tmp_path_factory):
+    model, data, assignment = case
+    path = tmp_path_factory.mktemp("scatter") / "scatter.csv"
+    export_scatter_data(model, data, assignment, path)
+    hits = compute_hits(model, data)
+    part_cells = np.asarray(assignment.part_family, dtype=np.int64)
+    unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
+    want = scatter_csv_reference(model, data.astype(np.float64), part_cells, unit_cells)
+    assert path.read_bytes() == want.encode("utf-8")
