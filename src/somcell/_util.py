@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import os
-import tempfile
+
+# a plain open(path, "w") but with exclusive creation in place of truncation;
+# O_BINARY (Windows only) keeps newlines as written
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partial output.
 
-    An OSError keeps its errno and strerror but names ``path`` alone, never
-    the temp file.
+    The file gets the mode ``open(path, "w")`` gives a new file, 0o666 less
+    the umask, also when it replaces an existing one. An OSError keeps its
+    errno and strerror but names ``path`` alone, never the temp file.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+        # a random name, created exclusively: a clash fails, never overwrites
+        tmp = os.path.join(directory, f".tmp.{os.urandom(8).hex()}.part")
+        fd = os.open(tmp, _TEMP_FLAGS, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

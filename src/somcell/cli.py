@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -351,6 +350,9 @@ def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     manifest_path = Path(args.manifest) if args.manifest else corpus / "manifest.json"
     cases = _load_manifest(manifest_path)
+    # imported here: the pool loads threading, queue and logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(
             pool.map(

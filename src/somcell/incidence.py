@@ -8,7 +8,6 @@ positional (p1..pP, m1..mM) and regenerated rather than parsed.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -190,6 +189,8 @@ def load_matrix(path) -> IncidenceMatrix:
 
 def load_problem1() -> IncidenceMatrix:
     """The bundled 10x10 demo instance."""
+    import importlib.resources  # here, so importing the package does not load it
+
     resource = importlib.resources.files("somcell").joinpath("data").joinpath("problem1.txt")
     return parse_matrix(resource.read_text(encoding="utf-8"))
 
@@ -210,17 +211,19 @@ def render_block_diagonal(matrix: IncidenceMatrix, view: BlockDiagonalView) -> s
     label_width = max(len(lab) for lab in row_labels)
     col_starts = {bounds[1][0] for bounds in view.cell_boundaries[1:]}
     row_starts = {bounds[0][0] for bounds in view.cell_boundaries[1:]}
-    # one template per render: the label left-aligned, then each column
-    # right-aligned to its label's width, with "|" before each cell start
-    template = f"%-{label_width}s" + "".join(
-        (" |" if j in col_starts else "") + f" %{max(len(lab), 1)}s" for j, lab in enumerate(col_labels)
-    )
+    # each column is one space and its label, with " |" before each cell
+    # start; a body row puts its digit under the label's last character
+    columns = [(" |" if j in col_starts else "") + " " + lab for j, lab in enumerate(col_labels)]
+    header = "".join(columns)
+    width = len(header)
+    bars = np.frombuffer(header.encode("ascii"), dtype=np.uint8)
+    rows = np.tile(np.where(bars == ord("|"), bars, np.uint8(ord(" "))), (len(row_labels), 1))
+    rows[:, np.cumsum([len(col) for col in columns]) - 1] = values + ord("0")
+    body = rows.tobytes().decode("ascii")
 
-    lines = [template % ("", *col_labels)]
-    width = len(lines[0])
-    for i, row in enumerate(values.tolist()):
+    lines = [" " * label_width + header]
+    for i, label in enumerate(row_labels):
         if i in row_starts:
-            lines.append("-" * width)
-        lines.append(template % (row_labels[i], *row))
+            lines.append("-" * (label_width + width))
+        lines.append(label.ljust(label_width) + body[i * width:(i + 1) * width])
     return "\n".join(lines) + "\n"
-

@@ -11,12 +11,9 @@ optional per-part cell id sequence and then color by cell.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -167,6 +164,12 @@ _HEX_RADIUS = _CELL / math.sqrt(3.0) * 0.98
 _GRAYS = tuple(f"rgb({g},{g},{g})" for g in range(256))
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    writes them (which would load the network stack along with ``xml.sax``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _hex_points(cx: float, cy: float, radius: float) -> str:
     pts = []
     for i in range(6):
@@ -198,7 +201,7 @@ def _svg_document(width: float, height: float, body: list[str], title: str) -> s
     )
     caption = (
         f'<text x="{_MARGIN:.1f}" y="{height - _FOOTER + 24:.1f}" '
-        f'font-family="sans-serif" font-size="13">{escape(title)}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(title)}</text>'
     )
     return "\n".join([head, f'<rect width="100%" height="100%" fill="white"/>', *body, caption, "</svg>"]) + "\n"
 
@@ -217,10 +220,13 @@ def _legend(x: float, y: float, lo: float, hi: float) -> list[str]:
     return parts
 
 
+@lru_cache(maxsize=32)
 def _lattice_canvas(grid: MapGrid):
+    """Unit center pixels (read-only) and the canvas size of a lattice figure."""
     coords = grid.coords * _CELL
     xs = coords[:, 0] + _MARGIN + _CELL / 2
     ys = coords[:, 1] + _MARGIN + _CELL / 2
+    xs.flags.writeable = ys.flags.writeable = False
     width = xs.max() + _CELL / 2 + _MARGIN
     height = ys.max() + _CELL / 2 + _MARGIN + _FOOTER
     return xs, ys, width, height
@@ -234,14 +240,23 @@ def _unit_hexagons(grid: MapGrid, radius: float) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=32)
-def _pair_hexagons(grid: MapGrid, radius: float) -> tuple[str, ...]:
-    """Polygon points of a hexagon at the midpoint of every ``grid.neighbor_pairs`` row."""
-    xs, ys, _, _ = _lattice_canvas(grid)
-    xs, ys = xs.tolist(), ys.tolist()
-    return tuple(
-        _hex_points((xs[a] + xs[b]) / 2, (ys[a] + ys[b]) / 2, radius)
-        for a, b in grid.neighbor_pairs.tolist()
-    )
+def _heatmap_template(grid: MapGrid, with_pairs: bool) -> str:
+    """The polygons of a heatmap, one per line, with a ``%s`` slot for each fill:
+    a hexagon per unit, then (``with_pairs``) a small one at the midpoint of
+    every ``grid.neighbor_pairs`` row."""
+    polygons = [
+        f'<polygon points="{points}" fill="%s" stroke="#666" stroke-width="0.6"/>'
+        for points in _unit_hexagons(grid, _HEX_RADIUS)
+    ]
+    if with_pairs:
+        xs, ys, _, _ = _lattice_canvas(grid)
+        xs, ys = xs.tolist(), ys.tolist()
+        polygons += [
+            f'<polygon points="{_hex_points((xs[a] + xs[b]) / 2, (ys[a] + ys[b]) / 2, _HEX_RADIUS * 0.52)}" '
+            'fill="%s" stroke="#888" stroke-width="0.4"/>'
+            for a, b in grid.neighbor_pairs.tolist()
+        ]
+    return "\n".join(polygons)
 
 
 def _heatmap_svg(grid: MapGrid, unit_values, title: str, pair_values=None) -> str:
@@ -252,17 +267,10 @@ def _heatmap_svg(grid: MapGrid, unit_values, title: str, pair_values=None) -> st
     if pair_values is not None:
         values = np.concatenate([values, np.asarray(pair_values, dtype=np.float64)])
     lo, hi = float(values.min()), float(values.max())
-    fills = _ramp_fills(values, lo, hi)
     body = [
-        f'<polygon points="{points}" fill="{fill}" stroke="#666" stroke-width="0.6"/>'
-        for points, fill in zip(_unit_hexagons(grid, _HEX_RADIUS), fills)
+        _heatmap_template(grid, pair_values is not None) % tuple(_ramp_fills(values, lo, hi)),
+        *_legend(_MARGIN, height - _FOOTER + 34, lo, hi),
     ]
-    if pair_values is not None:
-        body += [
-            f'<polygon points="{points}" fill="{fill}" stroke="#888" stroke-width="0.4"/>'
-            for points, fill in zip(_pair_hexagons(grid, _HEX_RADIUS * 0.52), fills[grid.units:])
-        ]
-    body += _legend(_MARGIN, height - _FOOTER + 34, lo, hi)
     return _svg_document(width, height, body, title)
 
 
@@ -331,7 +339,7 @@ def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
             shown = ",".join(labels[u])
             body.append(
                 f'<text x="{xs[u]:.1f}" y="{ys[u] + 10:.1f}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="6.5" fill="{text_color}">{escape(shown)}</text>'
+                f'font-family="sans-serif" font-size="6.5" fill="{text_color}">{_escape(shown)}</text>'
             )
     if unit_cells is None:
         body += _legend(_MARGIN, height - _FOOTER + 34, lo, hi)
@@ -343,43 +351,32 @@ def _projection_svg(proj: Projection, part_cells=None) -> str:
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    side = 480.0
-    scale = side / span.max()
-
-    def to_px(p):
-        # y flipped so the second component points up
-        return (
-            _MARGIN + (p[0] - lo[0]) * scale,
-            _MARGIN + (hi[1] - p[1]) * scale,
-        )
-
+    scale = 480.0 / span.max()
+    parts = proj.part_points.shape[0]
+    if part_cells is None:
+        fills = ["#222"] * parts
+    else:
+        cells = np.asarray(part_cells, dtype=np.int64)
+        if cells.shape[0] != parts:
+            raise ValueError("need one cell id per part")
+        fills = [_cell_color(c) for c in cells.tolist()]
+    # x grows with the first component, y is flipped so the second points up
+    xs = (_MARGIN + (pts[:, 0] - lo[0]) * scale).tolist()
+    ys = (_MARGIN + (hi[1] - pts[:, 1]) * scale).tolist()
+    units = proj.unit_points.shape[0]
     width = _MARGIN * 2 + span[0] * scale
     height = _MARGIN * 2 + span[1] * scale + _FOOTER
-    body = []
-    for a, b in proj.grid.neighbor_pairs:
-        xa, ya = to_px(proj.unit_points[a])
-        xb, yb = to_px(proj.unit_points[b])
-        body.append(
-            f'<line x1="{xa:.1f}" y1="{ya:.1f}" x2="{xb:.1f}" y2="{yb:.1f}" '
-            f'stroke="#ccc" stroke-width="0.7"/>'
-        )
-    for point in proj.unit_points:
-        x, y = to_px(point)
-        body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.6" fill="#aaa"/>')
-    cells = None
-    if part_cells is not None:
-        cells = np.asarray(part_cells, dtype=np.int64)
-        if cells.shape[0] != proj.part_points.shape[0]:
-            raise ValueError("need one cell id per part")
-    labels = positional_labels("p", proj.part_points.shape[0])
-    for i, point in enumerate(proj.part_points):
-        x, y = to_px(point)
-        fill = _cell_color(cells[i]) if cells is not None else "#222"
-        body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{fill}" stroke="black" stroke-width="0.6"/>')
-        body.append(
-            f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11">{escape(labels[i])}</text>'
-        )
+    body = [
+        f'<line x1="{xs[a]:.1f}" y1="{ys[a]:.1f}" x2="{xs[b]:.1f}" y2="{ys[b]:.1f}" stroke="#ccc" stroke-width="0.7"/>'
+        for a, b in proj.grid.neighbor_pairs.tolist()
+    ]
+    body += [f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.6" fill="#aaa"/>' for x, y in zip(xs[:units], ys[:units])]
+    # positional part labels (p1, p2, ...) hold nothing to escape
+    body += [
+        f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{fill}" stroke="black" stroke-width="0.6"/>\n'
+        f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-family="sans-serif" font-size="11">p{i}</text>'
+        for i, x, y, fill in zip(range(1, parts + 1), xs[units:], ys[units:], fills)
+    ]
     title = (
         "principal projection of parts (dots) and prototypes (gray net); "
         f"component variances {proj.eigenvalues[0]:.3f}, {proj.eigenvalues[1]:.3f}"
@@ -418,23 +415,26 @@ def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistog
     ``compute_hits(model, data)``, computed here when not given.
     """
     rows = _as_rows(data)
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValueError("scatter data entries must be 0 or 1")
     if hits is None:
         hits = compute_hits(model, data)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
     unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "label", *positional_labels("m", model.input_dim), "cell"])
-    # csv writes a Python float as its repr, the shortest round-trip form
-    writer.writerows(
-        ["data", label, *row, cell]
-        for label, row, cell in zip(
-            positional_labels("p", rows.shape[0]), rows.astype(np.int64).tolist(), part_cells.tolist()
-        )
-    )
-    writer.writerows(
-        ["prototype", f"u{u + 1}", *row, cell]
+    # every data row's entries as "d," pairs, rendered from one buffer of ASCII bytes
+    parts, width = rows.shape[0], 2 * rows.shape[1]
+    buf = np.full((parts, width), ord(","), dtype=np.uint8)
+    buf[:, 0::2] = rows.astype(np.uint8) + ord("0")
+    entries = buf.tobytes().decode("ascii")
+    lines = [f"source,label,{','.join(positional_labels('m', model.input_dim))},cell"]
+    lines += [
+        f"data,p{i + 1},{entries[i * width:(i + 1) * width]}{cell}" for i, cell in enumerate(part_cells.tolist())
+    ]
+    # a Python float's repr is what csv.writer writes for it (the shortest
+    # round-trip form), and no field here ever needs quoting
+    lines += [
+        f"prototype,u{u + 1},{','.join(map(repr, row))},{cell}"
         for u, (row, cell) in enumerate(zip(model.codebook.tolist(), unit_cells.tolist()))
-    )
-    atomic_write_text(path, buf.getvalue())
+    ]
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -2,6 +2,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,24 @@ def write_matrix(path, rows):
     cols = len(rows[0].split())
     path.write_text(f"{len(rows)} {cols}\n" + "\n".join(rows) + "\n")
     return path
+
+
+# what `import somcell.cli` must not load: the network stack (ssl, http,
+# urllib, email) and xml.sax, the bench command's thread pool, and the
+# bundled-data reader behind load_problem1
+NOT_AT_IMPORT = (
+    "ssl", "http.client", "urllib.request", "email.parser", "xml.sax", "concurrent.futures", "importlib.resources",
+)
+
+
+def test_import_loads_no_network_stack():
+    code = "import sys; before = set(sys.modules); import somcell.cli; print(*sorted(set(sys.modules) - before))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(done.stdout.split())
+    assert "somcell.cli" in loaded
+    assert sorted(loaded.intersection(NOT_AT_IMPORT)) == []
 
 
 @pytest.fixture()

@@ -529,3 +529,14 @@ def test_scatter_csv_matches_csv_writer_reference(case, tmp_path_factory):
     unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
     want = scatter_csv_reference(model, data.astype(np.float64), part_cells, unit_cells)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+def test_export_scatter_data_rejects_non_binary_entries(tmp_path, bad):
+    # casting would have written 0.5 as 0 and 2.0 as 2
+    model = _model_with([[0.0, 1.0], [1.0, 0.0]])
+    data = np.array([[1.0, 0.0], [0.0, bad]])
+    assignment = CellAssignment(k=1, part_family=(1, 1), machine_cell=(1, 1))
+    with pytest.raises(ValueError, match="0 or 1"):
+        export_scatter_data(model, data, assignment, tmp_path / "scatter.csv")
+    assert not (tmp_path / "scatter.csv").exists()
