@@ -588,6 +588,32 @@ def test_model_errors_name_the_path_once(tmp_path, blocks_file, trained, capsys)
     assert capsys.readouterr().err.count(str(tmp_path / "broken.json")) == 1
 
 
+@pytest.mark.parametrize("command", ["cells", "viz"])
+@pytest.mark.parametrize("offset", [1, -1], ids=["wider", "narrower"])
+def test_model_input_dim_must_match_the_codebook_width(tmp_path, trained, capsys, command, offset):
+    matrix_path, model_path = trained
+    doc = json.loads(model_path.read_text())
+    path = tmp_path / "model-dim.json"
+    path.write_text(json.dumps({**doc, "input_dim": doc["input_dim"] + offset}))
+    out_dir = tmp_path / "out"
+    rc = main([command, "--input", str(matrix_path), "--model", str(path), "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: not a valid model file (") and err.count("\n") == 1
+    assert "input_dim" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("k", [3, 1], ids=["above-largest-id", "below-largest-id"])
+def test_assignment_k_must_match_its_largest_id(tmp_path, blocks_file, capsys, k):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps({**BLOCKS_ASSIGNMENT, "k": k}))
+    rc = main(["metrics", "--input", str(blocks_file), "--assignment", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: not a valid assignment file (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "rows",
     [["1 1 1"], ["1 1", "1 1", "1 1", "1 1"]],

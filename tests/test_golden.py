@@ -5,8 +5,9 @@ Each case trains a map with ``cli.train_map`` and extracts cells with
 the trained codebook bytes must match the values pinned below bit for bit.
 A refactor that changes float summation order can flip a BMU argmin, and
 this is the test that notices. Two cases also pin the sha256 of every file
-``somcell viz`` writes, so a rendering refactor must keep the bytes, and one
-pins the model file ``save_model`` writes. Regenerate the table only for a
+``somcell viz`` writes, so a rendering refactor must keep the bytes, two pin
+the JSON files ``somcell cells`` and ``somcell metrics`` write, and one pins
+the model file ``save_model`` writes. Regenerate the table only for a
 deliberate change of results, never to absorb an accidental one.
 """
 import hashlib
@@ -298,19 +299,52 @@ VIZ_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(VIZ_GOLDEN))
-def test_viz_files_are_pinned(name, tmp_path, capsys):
+def _write_case(name, tmp_path):
+    """(matrix, model, matrix file, model file) of a case, both files in ``tmp_path``."""
     matrix, seed = _case(name)
     matrix_path = tmp_path / "matrix.txt"
     rows = "\n".join(" ".join(map(str, row)) for row in matrix.values.tolist())
     matrix_path.write_text(f"{matrix.parts} {matrix.machines}\n{rows}\n")
     model = train_map(matrix, seed)
     save_model(model, tmp_path / "model.json")
+    return matrix, model, matrix_path, tmp_path / "model.json"
+
+
+@pytest.mark.parametrize("name", sorted(VIZ_GOLDEN))
+def test_viz_files_are_pinned(name, tmp_path, capsys):
+    matrix, model, matrix_path, model_path = _write_case(name, tmp_path)
     out_dir = tmp_path / "viz"
-    rc = main(["viz", "--input", str(matrix_path), "--model", str(tmp_path / "model.json"),
-               "--out-dir", str(out_dir)])
+    rc = main(["viz", "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(out_dir)])
     assert rc == 0
     capsys.readouterr()
     export_svg(compute_hits(model, matrix), out_dir / "hits-ramp.svg")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == VIZ_GOLDEN[name]
+
+
+# sha256 of the files `somcell cells` writes (default flags) and of the
+# score `somcell metrics --out` writes for that assignment (default r)
+SCORE_GOLDEN = {
+    "problem1-42": {
+        "assignment.json": "6f2819f69231e9a472f40b40ebb74b354308d9284afbdabd40469796fb76e963",
+        "score.json": "a071f88956df0c9cd380ece4d3d8324a38d82c833f33ddcf21e6541ce9dac2b0",
+        "metrics.json": "a071f88956df0c9cd380ece4d3d8324a38d82c833f33ddcf21e6541ce9dac2b0",
+    },
+    "planted250x45-3": {
+        "assignment.json": "dbb5972e38e444f440693ba5fa018cfa95a2c9cb7c84b4328be415099def2cb6",
+        "score.json": "224069bed6653226ab10fc6937b85849345c33c1ce4de83ccb1868f0e96f8cce",
+        "metrics.json": "224069bed6653226ab10fc6937b85849345c33c1ce4de83ccb1868f0e96f8cce",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_GOLDEN))
+def test_cells_and_metrics_json_are_pinned(name, tmp_path, capsys):
+    _, _, matrix_path, model_path = _write_case(name, tmp_path)
+    out_dir = tmp_path / "cells"
+    assert main(["cells", "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(out_dir)]) == 0
+    assert main(["metrics", "--input", str(matrix_path), "--assignment", str(out_dir / "assignment.json"),
+                 "--out", str(out_dir / "metrics.json")]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == SCORE_GOLDEN[name]
