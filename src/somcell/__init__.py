@@ -9,6 +9,7 @@ from .cells import (
     assign_machines,
     assign_parts,
     build_view,
+    cluster_basis,
     cluster_map,
     form_cells,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "assign_machines",
     "assign_parts",
     "build_view",
+    "cluster_basis",
     "cluster_map",
     "component_planes",
     "compute_hits",

@@ -100,22 +100,19 @@ def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> ClusterBas
     )
 
 
-def cluster_map(model: SomModel, hits: HitHistogram, k: int, basis: ClusterBasis | None = None) -> np.ndarray:
+def cluster_map(basis: ClusterBasis, k: int) -> np.ndarray:
     """Cluster ids (1..k) for every map unit.
 
     k-means over the codebook rows of units with at least one hit:
     farthest-first seeding from the model seed, then Lloyd iterations until
     the labels stop changing (at most 100 rounds). Units with no hits
     inherit the cluster of the nearest hit unit in codebook space.
-    ``basis`` is ``cluster_basis(model, hits, k_max)`` for some k_max >= k,
-    built here for k alone when not given.
+    ``basis`` is ``cluster_basis(model, hits, k_max)`` for some k_max >= k.
     """
-    if basis is None:
-        basis = cluster_basis(model, hits, k)
     if not 1 <= k <= basis.order.size:
         raise ValueError(f"k must lie in 1..{basis.order.size} for this basis")
     labels = _kmeans_labels(basis.points, basis.points[basis.order[:k]], basis.seed_d2[:, :k])
-    out = np.zeros(model.grid.units, dtype=np.int64)
+    out = np.zeros(basis.nearest.size, dtype=np.int64)
     out[basis.hit_units] = labels + 1
     return out[basis.nearest]
 
@@ -190,9 +187,7 @@ def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAs
         onehot = (machine_cell[:, None] == owners[None, :]).astype(np.float64)
         density = (values[orphans].astype(np.float64) @ onehot) / onehot.sum(axis=0)
         part_family[orphans] = owners[np.argmax(density, axis=1)]
-    return CellAssignment(
-        k=k, part_family=tuple(part_family.tolist()), machine_cell=tuple(machine_cell.tolist())
-    )
+    return CellAssignment(part_family=tuple(part_family.tolist()), machine_cell=tuple(machine_cell.tolist()))
 
 
 def form_cells(
@@ -220,7 +215,7 @@ def form_cells(
     best: tuple[Fraction, CellAssignment] | None = None
     scored = set()
     for k in range(2, upper + 1):
-        clusters = cluster_map(model, hits, k, basis=basis)
+        clusters = cluster_map(basis, k)
         candidate = _settle_assignment(data, assign_parts(clusters, hits))
         key = (candidate.part_family, candidate.machine_cell)
         if key in scored:
@@ -230,9 +225,7 @@ def form_cells(
         if best is None or efficacy > best[0]:
             best = (efficacy, candidate)
     if best is None:
-        return CellAssignment(
-            k=1, part_family=(1,) * data.parts, machine_cell=(1,) * data.machines
-        )
+        return CellAssignment(part_family=(1,) * data.parts, machine_cell=(1,) * data.machines)
     return best[1]
 
 

@@ -146,11 +146,12 @@ def _load_assignment(path) -> CellAssignment:
         for key in ("part_family", "machine_cell"):
             if not isinstance(doc[key], list) or not all(is_json_int(v) for v in doc[key]):
                 raise ValueError(f"{key} must be a list of integers")
-        return CellAssignment(
-            k=doc["k"],
-            part_family=tuple(doc["part_family"]),
-            machine_cell=tuple(doc["machine_cell"]),
+        assignment = CellAssignment(
+            part_family=tuple(doc["part_family"]), machine_cell=tuple(doc["machine_cell"])
         )
+        if doc["k"] != assignment.k:
+            raise ValueError(f"k is {doc['k']} but the largest id is {assignment.k}")
+        return assignment
     except OSError as exc:
         raise ValueError(f"cannot read assignment file {path}: {exc.strerror or exc}") from exc
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -233,7 +234,7 @@ def cmd_viz(args) -> int:
         export_svg(surface, out_dir / name, part_cells=cells)
         print(f"wrote {out_dir / name}")
     if "scatter" in wanted:
-        export_scatter_data(model, matrix, assignment, out_dir / "scatter.csv", hits=hits)
+        export_scatter_data(model, matrix, assignment, out_dir / "scatter.csv", hits)
         print(f"wrote {out_dir / 'scatter.csv'}")
     return 0
 

@@ -128,11 +128,6 @@ class BlockDiagonalView:
             if cursor != total:
                 raise ValueError("cell ranges must cover the whole axis")
 
-    @classmethod
-    def identity(cls, parts: int, machines: int) -> "BlockDiagonalView":
-        """Original order, one cell spanning the whole matrix."""
-        return cls(tuple(range(parts)), tuple(range(machines)), (((0, parts), (0, machines)),))
-
 
 _BITS = frozenset(("0", "1"))
 

@@ -9,7 +9,7 @@ instances for calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +33,6 @@ class CellAssignment:
     without parts is not a cell.
     """
 
-    k: int
     part_family: tuple[int, ...]
     machine_cell: tuple[int, ...]
 
@@ -42,23 +41,19 @@ class CellAssignment:
         machine_cell = tuple(map(int, self.machine_cell))
         object.__setattr__(self, "part_family", part_family)
         object.__setattr__(self, "machine_cell", machine_cell)
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
         if not part_family or not machine_cell:
             raise ValueError("assignment needs at least one part and one machine")
-        # checked before the id set is built, which grows with k
-        if self.k > len(part_family):
-            raise ValueError("every cell needs at least one part")
-        if self.k > len(machine_cell):
-            raise ValueError("every cell needs at least one machine")
-        ids = set(range(1, self.k + 1))
-        part_ids, machine_ids = set(part_family), set(machine_cell)
-        if not part_ids <= ids or not machine_ids <= ids:
-            raise ValueError("ids must lie in 1..k")
-        if part_ids != ids:
-            raise ValueError("every cell needs at least one part")
-        if machine_ids != ids:
-            raise ValueError("every cell needs at least one machine")
+        ids = set(part_family)
+        # distinct integers from 1 up, as many as the largest: exactly 1..k
+        if min(ids) < 1 or len(ids) != max(ids):
+            raise ValueError("part family ids must be 1..k with every id used")
+        if set(machine_cell) != ids:
+            raise ValueError("machine cell ids must be the part family ids")
+
+    @property
+    def k(self) -> int:
+        """The number of cells: the largest id."""
+        return max(self.part_family)
 
 
 @dataclass(frozen=True)
@@ -73,8 +68,12 @@ class BlockCounts:
     n1: int
     n1_out: int
     n0_in: int
-    in_block_elements: int
     total_elements: int
+
+    @property
+    def in_block_elements(self) -> int:
+        """Entries inside some block: its ones plus its voids."""
+        return self.n1 - self.n1_out + self.n0_in
 
 
 def family_tally(values, part_family):
@@ -106,12 +105,10 @@ def count_blocks(data, assignment) -> BlockCounts:
     row = row[inside]
     n1 = int(values.sum())
     n1_in = int(counts[row, inside].sum())
-    in_elements = int(sizes[row].sum())
     return BlockCounts(
         n1=n1,
         n1_out=n1 - n1_in,
-        n0_in=in_elements - n1_in,
-        in_block_elements=in_elements,
+        n0_in=int(sizes[row].sum()) - n1_in,
         total_elements=int(values.size),
     )
 
@@ -162,7 +159,11 @@ class GroupingScore(BlockCounts):
 
     def to_dict(self) -> dict:
         return {
-            **{f.name: getattr(self, f.name) for f in fields(BlockCounts)},
+            "n1": self.n1,
+            "n1_out": self.n1_out,
+            "n0_in": self.n0_in,
+            "in_block_elements": self.in_block_elements,
+            "total_elements": self.total_elements,
             "efficacy_num": self.efficacy.numerator,
             "efficacy_den": self.efficacy.denominator,
             "efficacy": float(self.efficacy),
@@ -239,7 +240,6 @@ def oracle_best_assignment(data, k: int):
             best = (int(num), int(den), part_family, np.asarray(machine_cell))
     assert best is not None  # the single-family partition is always feasible
     assignment = CellAssignment(
-        k=int(best[2].max()) + 1,
         part_family=tuple(int(f) + 1 for f in best[2]),
         machine_cell=tuple(int(c) + 1 for c in best[3]),
     )

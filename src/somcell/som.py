@@ -45,9 +45,6 @@ class MapGrid:
     def units(self) -> int:
         return self.rows * self.cols
 
-    def unit_index(self, row: int, col: int) -> int:
-        return row * self.cols + col
-
     @cached_property
     def coords(self) -> np.ndarray:
         """(units, 2) plane positions of unit centers, adjacent centers distance 1."""
@@ -154,21 +151,25 @@ class SomModel:
 
     grid: MapGrid
     codebook: np.ndarray
-    input_dim: int
     seed: int
     trained_epochs: int = 0
     schedule: TrainingSchedule | None = None
 
     def __post_init__(self):
         cb = np.ascontiguousarray(np.asarray(self.codebook, dtype=np.float64))
-        if cb.shape != (self.grid.units, self.input_dim):
-            raise ValueError("codebook shape must be (grid units, input_dim)")
+        if cb.ndim != 2 or cb.shape[0] != self.grid.units:
+            raise ValueError("codebook must be 2-D with one row per grid unit")
         if not np.isfinite(cb).all():
             raise ValueError("codebook entries must be finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         cb.flags.writeable = False
         object.__setattr__(self, "codebook", cb)
+
+    @property
+    def input_dim(self) -> int:
+        """Features per sample (machines): the codebook's width."""
+        return self.codebook.shape[1]
 
 
 def _as_rows(data) -> np.ndarray:
@@ -227,7 +228,7 @@ def init_codebook(grid: MapGrid, data, seed: int) -> SomModel:
             room_dn = np.where(offsets < -1e-9, (lo - mean) / offsets, np.inf)
         scale = min(1.0, float(room_up.min()), float(room_dn.min()))
         codebook = np.clip(mean + scale * offsets, lo, hi)
-    return SomModel(grid=grid, codebook=codebook, input_dim=dim, seed=int(seed))
+    return SomModel(grid=grid, codebook=codebook, seed=int(seed))
 
 
 def find_bmu(model: SomModel, x) -> int:
@@ -337,11 +338,13 @@ def load_model(path) -> SomModel:
         codebook = np.array(codebook, dtype=np.float64)
     except OverflowError:
         raise ValueError("codebook entries must be finite") from None
-    return SomModel(
+    model = SomModel(
         grid=MapGrid(ints["grid.rows"], ints["grid.cols"]),
         codebook=codebook,
-        input_dim=ints["input_dim"],
         seed=ints["seed"],
         trained_epochs=ints["trained_epochs"],
         schedule=schedule,
     )
+    if ints["input_dim"] != model.input_dim:
+        raise ValueError(f"input_dim is {ints['input_dim']} but the codebook has {model.input_dim} columns")
+    return model

@@ -42,12 +42,23 @@ class UMatrix:
 
     grid: MapGrid
     pair_values: np.ndarray
-    unit_values: np.ndarray
 
     @property
     def pairs(self) -> np.ndarray:
         """The adjacent unit pairs ``pair_values`` follows, row for row."""
         return self.grid.neighbor_pairs
+
+    @cached_property
+    def unit_values(self) -> np.ndarray:
+        """Per unit, the mean of its incident pair values (0 with no pairs)."""
+        # first ends, then second ends: bincount adds in index order, so each unit
+        # sums its pairs as it is their first end, then as their second
+        ends = self.pairs.T.ravel()
+        units = self.grid.units
+        totals = np.bincount(ends, weights=np.tile(self.pair_values, 2), minlength=units)
+        counts = np.bincount(ends, minlength=units)
+        # a one-unit grid has no pairs, and a weighted bincount of nothing is int64
+        return np.divide(totals, counts, out=np.zeros(units), where=counts > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +104,7 @@ def compute_umatrix(model: SomModel) -> UMatrix:
     """Codebook distance for every adjacent unit pair; unit value = mean of its incident pairs."""
     pairs = model.grid.neighbor_pairs
     diffs = model.codebook[pairs[:, 0]] - model.codebook[pairs[:, 1]]
-    pair_values = np.linalg.norm(diffs, axis=1)
-    # first ends, then second ends: bincount adds in index order, so each unit
-    # sums its pairs as it is their first end, then as their second
-    ends = pairs.T.ravel()
-    units = model.grid.units
-    totals = np.bincount(ends, weights=np.tile(pair_values, 2), minlength=units)
-    counts = np.bincount(ends, minlength=units)
-    # a one-unit grid has no pairs, and a weighted bincount of nothing is int64
-    unit_values = np.divide(totals, counts, out=np.zeros(units), where=counts > 0)
-    return UMatrix(grid=model.grid, pair_values=pair_values, unit_values=unit_values)
+    return UMatrix(grid=model.grid, pair_values=np.linalg.norm(diffs, axis=1))
 
 
 def component_planes(model: SomModel) -> list[ComponentPlane]:
@@ -233,10 +235,10 @@ def _lattice_canvas(grid: MapGrid):
 
 
 @lru_cache(maxsize=32)
-def _unit_hexagons(grid: MapGrid, radius: float) -> tuple[str, ...]:
+def _unit_hexagons(grid: MapGrid) -> tuple[str, ...]:
     """Polygon points of a hexagon around every unit center, in unit order."""
     xs, ys, _, _ = _lattice_canvas(grid)
-    return tuple(_hex_points(x, y, radius) for x, y in zip(xs.tolist(), ys.tolist()))
+    return tuple(_hex_points(x, y, _HEX_RADIUS) for x, y in zip(xs.tolist(), ys.tolist()))
 
 
 @lru_cache(maxsize=32)
@@ -246,7 +248,7 @@ def _heatmap_template(grid: MapGrid, with_pairs: bool) -> str:
     every ``grid.neighbor_pairs`` row."""
     polygons = [
         f'<polygon points="{points}" fill="%s" stroke="#666" stroke-width="0.6"/>'
-        for points in _unit_hexagons(grid, _HEX_RADIUS)
+        for points in _unit_hexagons(grid)
     ]
     if with_pairs:
         xs, ys, _, _ = _lattice_canvas(grid)
@@ -312,7 +314,7 @@ def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
     lo, hi = 0.0, float(max(counts.max(), 1))
     unit_cells = unit_cells_from_hits(hits, part_cells) if part_cells is not None else None
     labels = hits.unit_labels()
-    hexagons = _unit_hexagons(hits.grid, _HEX_RADIUS)
+    hexagons = _unit_hexagons(hits.grid)
     ramp = _ramp_fills(counts, lo, hi)
     body = []
     for u in range(hits.grid.units):
@@ -405,20 +407,18 @@ def export_svg(surface, path, part_cells=None) -> None:
     atomic_write_text(path, text)
 
 
-def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistogram | None = None) -> None:
+def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistogram) -> None:
     """CSV of part rows and codebook prototypes tagged with cell ids.
 
     Columns: source (data/prototype), label, one column per machine, cell.
     Part rows carry their family id from ``assignment``; prototype rows
     carry the majority family of their parts, and units with no parts
     inherit from the nearest hit unit in codebook space. ``hits`` is
-    ``compute_hits(model, data)``, computed here when not given.
+    ``compute_hits(model, data)``.
     """
     rows = _as_rows(data)
     if not ((rows == 0) | (rows == 1)).all():
         raise ValueError("scatter data entries must be 0 or 1")
-    if hits is None:
-        hits = compute_hits(model, data)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
     unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
 

@@ -22,6 +22,7 @@ from somcell import (
     IncidenceMatrix,
     MapGrid,
     SomModel,
+    cluster_basis,
     cluster_map,
     compute_hits,
     compute_umatrix,
@@ -39,7 +40,6 @@ SEEDS = tuple(range(42, 52))
 
 # The expected two-cell assignment of the bundled 10x10 demo instance.
 P1_ASSIGNMENT = CellAssignment(
-    k=2,
     part_family=tuple(1 if i in P1_PART_FAMILIES[0] else 2 for i in range(10)),
     machine_cell=tuple(2 if j in P1_MACHINE_CELLS[0] else 1 for j in range(10)),
 )
@@ -100,7 +100,7 @@ def _flip_direction(counts, inside: bool, was_one: bool):
 def _check_flip_monotonicity(rng, cases):
     values = random_incidence(rng, 6, 8)
     pf, mc = random_assignment(rng, 6, 8, int(rng.integers(2, 4)))
-    assignment = CellAssignment(k=max(pf + mc), part_family=pf, machine_cell=mc)
+    assignment = CellAssignment(part_family=pf, machine_cell=mc)
     data = type("Data", (), {"values": values})()
     before = count_blocks(data, assignment)
     mu = grouping_efficacy(before)
@@ -161,7 +161,7 @@ def test_criterion_4_property_suite(problem1):
         units, dim = int(rng.integers(4, 30)), int(rng.integers(2, 12))
         codebook = rng.random((units, dim))
         codebook[units // 2] = codebook[0]  # duplicate row: tie must go low
-        model = SomModel(grid=MapGrid(units, 1), codebook=codebook, input_dim=dim, seed=0)
+        model = SomModel(grid=MapGrid(units, 1), codebook=codebook, seed=0)
         for _ in range(50):
             x = codebook[0] if queries % 10 == 0 else rng.random(dim)
             assert find_bmu(model, x) == naive_bmu(codebook.tolist(), x.tolist())
@@ -172,7 +172,7 @@ def test_criterion_4_property_suite(problem1):
     for _ in range(100):
         rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         grid = MapGrid(rows, cols)
-        model = SomModel(grid=grid, codebook=rng.random((grid.units, 4)), input_dim=4, seed=0)
+        model = SomModel(grid=grid, codebook=rng.random((grid.units, 4)), seed=0)
         um = compute_umatrix(model)
         assert (um.pair_values >= 0).all() and (um.unit_values >= 0).all()
         dist = {}
@@ -221,7 +221,7 @@ def test_criterion_5_map_surfaces_show_structure(problem1):
         planes = model.codebook  # column j is machine j's component plane
         corr = np.corrcoef(planes, rowvar=False)
         um = compute_umatrix(model)
-        clusters = cluster_map(model, compute_hits(model, problem1), 2)
+        clusters = cluster_map(cluster_basis(model, compute_hits(model, problem1), 2), 2)
         same = clusters[um.pairs[:, 0]] == clusters[um.pairs[:, 1]]
         assert time.perf_counter() - start < 10.0
         if not same.any() or same.all():

@@ -39,21 +39,25 @@ def _trained(data, seed=42, grid=None):
 
 def test_assignment_requires_every_cell_on_both_sides():
     with pytest.raises(ValueError):
-        CellAssignment(k=2, part_family=(1, 1), machine_cell=(1, 2))
+        CellAssignment(part_family=(1, 1), machine_cell=(1, 2))
     with pytest.raises(ValueError):
-        CellAssignment(k=2, part_family=(1, 2), machine_cell=(1, 1))
+        CellAssignment(part_family=(1, 2), machine_cell=(1, 1))
     with pytest.raises(ValueError):
-        CellAssignment(k=1, part_family=(1, 2), machine_cell=(1,))
+        CellAssignment(part_family=(1, 2), machine_cell=(1,))
     with pytest.raises(ValueError):
-        CellAssignment(k=0, part_family=(), machine_cell=())
-    good = CellAssignment(k=2, part_family=(2, 1), machine_cell=(1, 2, 2))
-    assert good.part_family == (2, 1)
+        CellAssignment(part_family=(), machine_cell=())
+    with pytest.raises(ValueError):  # id 2 has no part and no machine
+        CellAssignment(part_family=(1, 3), machine_cell=(3, 1))
+    with pytest.raises(ValueError):
+        CellAssignment(part_family=(0, 1), machine_cell=(1, 0))
+    good = CellAssignment(part_family=(2, 1), machine_cell=(1, 2, 2))
+    assert good.part_family == (2, 1) and good.k == 2
 
 
 def test_cluster_map_labels_every_unit(problem1):
     model = _trained(problem1)
     hits = compute_hits(model, problem1)
-    clusters = cluster_map(model, hits, 2)
+    clusters = cluster_map(cluster_basis(model, hits, 2), 2)
     assert clusters.shape == (model.grid.units,)
     assert set(np.unique(clusters[hits.hits > 0])) == {1, 2}
     assert (clusters >= 1).all()  # empty units inherit a neighbor's cluster
@@ -64,14 +68,14 @@ def test_cluster_map_bounds(problem1):
     hits = compute_hits(model, problem1)
     busy = int((hits.hits > 0).sum())
     with pytest.raises(ValueError):
-        cluster_map(model, hits, 0)
+        cluster_basis(model, hits, 0)
     with pytest.raises(ValueError):
-        cluster_map(model, hits, busy + 1)
+        cluster_basis(model, hits, busy + 1)
     basis = cluster_basis(model, hits, 2)
     with pytest.raises(ValueError):
-        cluster_map(model, hits, 3, basis=basis)
+        cluster_map(basis, 3)
     with pytest.raises(ValueError):
-        cluster_map(model, hits, 0, basis=basis)
+        cluster_map(basis, 0)
 
 
 def test_assign_parts_inherits_bmu_cluster():
@@ -166,15 +170,13 @@ def test_form_cells_recovers_exact_blocks():
 
 def test_form_cells_beats_every_candidate_k(problem1):
     # the returned assignment's efficacy dominates each k evaluated in the sweep
-    from somcell.cells import cluster_map as cm
-
     model = _trained(problem1, seed=42, grid=MapGrid(12, 10))
     asg = form_cells(model, problem1, k_max=5)
     best = grouping_efficacy(count_blocks(problem1, asg))
     hits = compute_hits(model, problem1)
     busy = int((hits.hits > 0).sum())
     for k in range(2, min(5, busy, 10, 10) + 1):
-        candidate = _settle_assignment(problem1, assign_parts(cm(model, hits, k), hits))
+        candidate = _settle_assignment(problem1, assign_parts(cluster_map(cluster_basis(model, hits, k), k), hits))
         assert best >= grouping_efficacy(count_blocks(problem1, candidate))
 
 
@@ -203,7 +205,7 @@ def test_form_cells_scores_each_distinct_candidate_once(problem1, monkeypatch):
         hits = compute_hits(model, data)
         upper = min(k_max, int((hits.hits > 0).sum()), data.machines, data.parts)
         settled = [
-            _settle_assignment(data, assign_parts(cluster_map(model, hits, k), hits))
+            _settle_assignment(data, assign_parts(cluster_map(cluster_basis(model, hits, k), k), hits))
             for k in range(2, upper + 1)
         ]
         distinct = list(dict.fromkeys(settled))
@@ -229,7 +231,7 @@ def test_form_cells_on_demo_instance_matches_known_grouping(problem1):
 
 
 def test_build_view_orders_and_boundaries():
-    asg = CellAssignment(k=2, part_family=(2, 1, 2), machine_cell=(1, 2))
+    asg = CellAssignment(part_family=(2, 1, 2), machine_cell=(1, 2))
     view = build_view(asg)
     assert view.row_order == (1, 0, 2)
     assert view.col_order == (0, 1)
@@ -238,7 +240,6 @@ def test_build_view_orders_and_boundaries():
 
 def test_build_view_on_known_grouping(problem1):
     asg = CellAssignment(
-        k=2,
         part_family=(2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         machine_cell=(1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
     )
@@ -293,7 +294,6 @@ def _settle_reference(values, part_family):
         density = (values[orphans].astype(np.float64) @ onehot) / onehot.sum(axis=0)
         part_family[orphans] = owners[np.argmax(density, axis=1)]
     return CellAssignment(
-        k=int(np.unique(part_family).size),
         part_family=tuple(part_family),
         machine_cell=tuple(machine_cell),
     )
@@ -305,7 +305,7 @@ def _count_blocks_reference(values, part_family, machine_cell):
     n1 = int(values.sum())
     n1_in = int(values[in_block].sum())
     in_elements = int(in_block.sum())
-    return BlockCounts(n1, n1 - n1_in, in_elements - n1_in, in_elements, int(values.size))
+    return BlockCounts(n1, n1 - n1_in, in_elements - n1_in, int(values.size))
 
 
 def _farthest_first_reference(points, k, seed):
@@ -486,7 +486,7 @@ def clustered_maps(draw):
         grid=MapGrid(rows, cols),
         bmus=np.repeat(np.arange(units), counts),
     )
-    model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, input_dim=dim, seed=draw(st.integers(0, 2**32)))
+    model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, seed=draw(st.integers(0, 2**32)))
     k = draw(st.integers(1, int((counts > 0).sum())))
     return model, hits, k
 
@@ -495,7 +495,7 @@ def clustered_maps(draw):
 @given(clustered_maps())
 def test_cluster_map_matches_loop_reference(case):
     model, hits, k = case
-    got = cluster_map(model, hits, k)
+    got = cluster_map(cluster_basis(model, hits, k), k)
     want = _cluster_map_reference(model, hits, k)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -509,8 +509,8 @@ def test_shared_basis_matches_standalone_cluster_map(case):
     busy = int((hits.hits > 0).sum())
     basis = cluster_basis(model, hits, busy)
     for k in range(1, busy + 1):
-        shared = cluster_map(model, hits, k, basis=basis)
-        assert shared.tolist() == cluster_map(model, hits, k).tolist()
+        shared = cluster_map(basis, k)
+        assert shared.tolist() == cluster_map(cluster_basis(model, hits, k), k).tolist()
         assert shared.tolist() == _cluster_map_reference(model, hits, k).tolist()
 
 

@@ -211,7 +211,7 @@ def test_scatter_csv_is_pinned(name, tmp_path):
     model = train_map(matrix, seed)
     assignment, _ = extract_cells(model, matrix)
     path = tmp_path / "scatter.csv"
-    export_scatter_data(model, matrix, assignment, path)
+    export_scatter_data(model, matrix, assignment, path, compute_hits(model, matrix))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCATTER_GOLDEN[name]
 
 

@@ -162,7 +162,7 @@ def test_view_validates_permutations_and_tiling():
             col_order=(0, 1),
             cell_boundaries=(((0, 1), (0, 2)),),
         )
-    v = BlockDiagonalView.identity(2, 2)
+    v = BlockDiagonalView(row_order=(0, 1), col_order=(0, 1), cell_boundaries=(((0, 2), (0, 2)),))
     assert v.cell_boundaries == (((0, 2), (0, 2)),)
 
 

@@ -48,7 +48,7 @@ def test_count_blocks_matches_naive_tally():
         pf, mc = random_assignment(rng, p, m, k)
         counts = count_blocks(
             IncidenceMatrix.from_array(values),
-            CellAssignment(k=k, part_family=pf, machine_cell=mc),
+            CellAssignment(part_family=pf, machine_cell=mc),
         )
         assert (counts.n1, counts.n1_out, counts.n0_in, counts.in_block_elements) == naive_counts(values, pf, mc)
         assert counts.total_elements == p * m
@@ -57,7 +57,7 @@ def test_count_blocks_matches_naive_tally():
 def test_count_blocks_rejects_size_mismatch():
     data = IncidenceMatrix.from_array(np.eye(3, dtype=np.uint8))
     with pytest.raises(ValueError):
-        count_blocks(data, CellAssignment(k=1, part_family=(1, 1), machine_cell=(1, 1, 1)))
+        count_blocks(data, CellAssignment(part_family=(1, 1), machine_cell=(1, 1, 1)))
 
 
 def test_family_tally_rejects_negative_ids():
@@ -67,7 +67,7 @@ def test_family_tally_rejects_negative_ids():
 
 
 def test_efficacy_is_exact_and_reduces():
-    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, in_block_elements=50, total_elements=100)
+    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, total_elements=100)
     mu = grouping_efficacy(counts)
     assert mu == Fraction(50, 52)
     assert (mu.numerator, mu.denominator) == (25, 26)
@@ -82,7 +82,7 @@ def test_efficacy_one_iff_perfect_blocks():
         pf, mc = random_assignment(rng, p, m, k)
         counts = count_blocks(
             IncidenceMatrix.from_array(values),
-            CellAssignment(k=k, part_family=pf, machine_cell=mc),
+            CellAssignment(part_family=pf, machine_cell=mc),
         )
         mu = grouping_efficacy(counts)
         assert 0 <= mu <= 1
@@ -91,17 +91,17 @@ def test_efficacy_one_iff_perfect_blocks():
 
 def test_efficacy_requires_some_ones():
     with pytest.raises(ValueError):
-        grouping_efficacy(BlockCounts(0, 0, 0, 4, 4))
+        grouping_efficacy(BlockCounts(0, 0, 0, 4))
 
 
 def test_efficiency_components_and_vacuous_sides():
-    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, in_block_elements=50, total_elements=100)
+    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, total_elements=100)
     eta1, eta2, eta = efficiency_components(counts)
     assert eta1 == pytest.approx(1.0)
     assert eta2 == pytest.approx(0.96)
     assert eta == pytest.approx(0.98)
     # blocks covering the whole matrix leave no off-block side
-    full = BlockCounts(n1=3, n1_out=0, n0_in=1, in_block_elements=4, total_elements=4)
+    full = BlockCounts(n1=3, n1_out=0, n0_in=1, total_elements=4)
     _, eta2_full, _ = efficiency_components(full)
     assert eta2_full == 1.0
     with pytest.raises(ValueError):
@@ -111,13 +111,12 @@ def test_efficiency_components_and_vacuous_sides():
 
 
 def test_efficiency_weighting_moves_with_r():
-    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, in_block_elements=50, total_elements=100)
+    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, total_elements=100)
     assert grouping_efficiency(counts, r=0.9) > grouping_efficiency(counts, r=0.1)
 
 
 def test_score_bundles_everything(problem1):
     asg = CellAssignment(
-        k=2,
         part_family=(2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         machine_cell=(1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
     )
@@ -142,7 +141,7 @@ def test_score_format_is_pinned():
         data = IncidenceMatrix.from_array(random_incidence(rng, p, m))
         k = int(rng.integers(1, min(p, m) + 1))
         pf, mc = random_assignment(rng, p, m, k)
-        asg = CellAssignment(k=k, part_family=pf, machine_cell=mc)
+        asg = CellAssignment(part_family=pf, machine_cell=mc)
         sc = score(data, asg)
         counts = count_blocks(data, asg)
         assert [getattr(sc, name) for name in tallies] == [getattr(counts, name) for name in tallies]
@@ -244,7 +243,7 @@ def test_oracle_never_loses_to_any_sampled_assignment():
             k = int(rng.integers(1, 4))
             pf, mc = random_assignment(rng, 5, 5, k)
             mu = grouping_efficacy(
-                count_blocks(data, CellAssignment(k=k, part_family=pf, machine_cell=mc))
+                count_blocks(data, CellAssignment(part_family=pf, machine_cell=mc))
             )
             assert mu <= mu_star
 

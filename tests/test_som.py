@@ -31,11 +31,12 @@ SQ3_2 = math.sqrt(3.0) / 2.0
 def test_grid_coordinates_follow_hex_offsets():
     g = MapGrid(3, 2)
     c = g.coords
-    assert np.allclose(c[g.unit_index(0, 0)], (0.0, 0.0))
-    assert np.allclose(c[g.unit_index(0, 1)], (1.0, 0.0))
+    # unit (r, c) is row-major index r * cols + c
+    assert np.allclose(c[0 * 2 + 0], (0.0, 0.0))
+    assert np.allclose(c[0 * 2 + 1], (1.0, 0.0))
     # odd rows shift right half a unit
-    assert np.allclose(c[g.unit_index(1, 0)], (0.5, SQ3_2))
-    assert np.allclose(c[g.unit_index(2, 1)], (1.0, 2 * SQ3_2))
+    assert np.allclose(c[1 * 2 + 0], (0.5, SQ3_2))
+    assert np.allclose(c[2 * 2 + 1], (1.0, 2 * SQ3_2))
 
 
 def test_grid_distance_matrix_properties():
@@ -43,7 +44,7 @@ def test_grid_distance_matrix_properties():
     d = g.distance_sq
     assert np.allclose(d, d.T)
     assert np.allclose(np.diag(d), 0.0)
-    assert d[g.unit_index(0, 0), g.unit_index(1, 0)] == pytest.approx(1.0)
+    assert d[0, 1 * 3 + 0] == pytest.approx(1.0)  # units (0, 0) and (1, 0)
 
 
 def test_grid_neighbor_pairs_of_small_lattice():
@@ -209,7 +210,7 @@ def test_load_model_rejects_foreign_json(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_model(path)
-    save_model(SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), input_dim=2, seed=0), path)
+    save_model(SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=0), path)
     good = json.loads(path.read_text())
     phase = {"epochs": 2, "alpha_start": 0.5, "alpha_end": 0.1, "sigma_start": 1.0, "sigma_end": 0.5}
     foreign = [
@@ -220,6 +221,9 @@ def test_load_model_rejects_foreign_json(tmp_path):
         {**good, "grid": {**good["grid"], "rows": 2.0}},
         {**good, "grid": {**good["grid"], "cols": "2"}},
         {**good, "input_dim": 2.7},
+        # input_dim must be the codebook's width
+        {**good, "input_dim": 3},
+        {**good, "input_dim": 1},
         {**good, "seed": 3.9},
         {**good, "trained_epochs": True},
         # schedule epochs are integers, rates and radii numbers
@@ -247,11 +251,13 @@ def test_load_model_rejects_foreign_json(tmp_path):
 
 def test_model_validates_codebook_shape():
     with pytest.raises(ValueError):
-        SomModel(grid=MapGrid(2, 2), codebook=np.zeros((3, 2)), input_dim=2, seed=0)
+        SomModel(grid=MapGrid(2, 2), codebook=np.zeros((3, 2)), seed=0)
     with pytest.raises(ValueError):
-        SomModel(grid=MapGrid(2, 2), codebook=np.full((4, 2), np.nan), input_dim=2, seed=0)
+        SomModel(grid=MapGrid(2, 2), codebook=np.zeros(4), seed=0)
     with pytest.raises(ValueError):
-        SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), input_dim=2, seed=-1)
+        SomModel(grid=MapGrid(2, 2), codebook=np.full((4, 2), np.nan), seed=0)
+    with pytest.raises(ValueError):
+        SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=-1)
 
 
 MISMATCH_CALLS = {

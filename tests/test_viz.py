@@ -31,7 +31,7 @@ from somcell.viz import HitHistogram, _ramp_fills, nearest_hit_units
 def _model_with(codebook, grid=None):
     codebook = np.asarray(codebook, dtype=np.float64)
     grid = grid or MapGrid(1, codebook.shape[0])
-    return SomModel(grid=grid, codebook=codebook, input_dim=codebook.shape[1], seed=0)
+    return SomModel(grid=grid, codebook=codebook, seed=0)
 
 
 def test_umatrix_of_two_units_is_their_distance():
@@ -305,12 +305,11 @@ def test_export_scatter_data_layout(tmp_path, problem1):
     grid = MapGrid(4, 4)
     model = init_codebook(grid, problem1, seed=0)
     assignment = CellAssignment(
-        k=2,
         part_family=(1, 1, 2, 2, 2, 2, 2, 2, 2, 1),
         machine_cell=(2, 1, 2, 1, 2, 1, 1, 1, 2, 2),
     )
     path = tmp_path / "scatter.csv"
-    export_scatter_data(model, problem1, assignment, path)
+    export_scatter_data(model, problem1, assignment, path, compute_hits(model, problem1))
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["source", "label", *problem1.machine_labels, "cell"]
@@ -515,7 +514,7 @@ def scatter_cases(draw):
     part_family = list(range(1, k + 1)) + draw(st.lists(st.integers(1, k), min_size=parts - k, max_size=parts - k))
     machine_cell = list(range(1, k + 1)) + draw(st.lists(st.integers(1, k), min_size=machines - k, max_size=machines - k))
     model = _model_with(codebook, grid)
-    return model, data, CellAssignment(k=k, part_family=part_family, machine_cell=machine_cell)
+    return model, data, CellAssignment(part_family=part_family, machine_cell=machine_cell)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -523,8 +522,8 @@ def scatter_cases(draw):
 def test_scatter_csv_matches_csv_writer_reference(case, tmp_path_factory):
     model, data, assignment = case
     path = tmp_path_factory.mktemp("scatter") / "scatter.csv"
-    export_scatter_data(model, data, assignment, path)
     hits = compute_hits(model, data)
+    export_scatter_data(model, data, assignment, path, hits)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
     unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
     want = scatter_csv_reference(model, data.astype(np.float64), part_cells, unit_cells)
@@ -536,7 +535,8 @@ def test_export_scatter_data_rejects_non_binary_entries(tmp_path, bad):
     # casting would have written 0.5 as 0 and 2.0 as 2
     model = _model_with([[0.0, 1.0], [1.0, 0.0]])
     data = np.array([[1.0, 0.0], [0.0, bad]])
-    assignment = CellAssignment(k=1, part_family=(1, 1), machine_cell=(1, 1))
+    assignment = CellAssignment(part_family=(1, 1), machine_cell=(1, 1))
     with pytest.raises(ValueError, match="0 or 1"):
-        export_scatter_data(model, data, assignment, tmp_path / "scatter.csv")
+        hits = HitHistogram(model.grid, np.array([0, 1]))
+        export_scatter_data(model, data, assignment, tmp_path / "scatter.csv", hits)
     assert not (tmp_path / "scatter.csv").exists()
