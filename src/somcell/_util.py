@@ -18,13 +18,17 @@ def atomic_write_text(path, text: str) -> None:
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    data = memoryview(text.encode("utf-8"))  # bytes straight to the descriptor, no text wrapper
     try:
         # a random name, created exclusively: a clash fails, never overwrites
         tmp = os.path.join(directory, f".tmp.{os.urandom(8).hex()}.part")
         fd = os.open(tmp, _TEMP_FLAGS, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            try:
+                while data:  # a write may take fewer bytes than it was given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             try:

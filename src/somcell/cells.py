@@ -125,40 +125,30 @@ def assign_parts(clusters, hits: HitHistogram) -> np.ndarray:
     return clusters[hits.bmus].copy()
 
 
-def assign_machines(data: IncidenceMatrix, part_family) -> np.ndarray:
+def assign_machines(tally) -> np.ndarray:
     """Pull each machine into the family that uses it most densely.
 
-    Density of machine j in family f is the mean of column j over f's
-    parts. Exact ties go to the smaller family id. Idempotent by
-    construction: it depends only on (data, part_family).
+    ``tally`` is ``metrics.family_tally(values, part_family)``. Density of
+    machine j in family f is the mean of column j over f's parts. Exact
+    ties go to the smaller family id. Idempotent by construction: it
+    depends only on (values, part_family).
     """
-    part_family = np.asarray(part_family, dtype=np.int64)
-    if part_family.shape[0] != data.parts:
-        raise ValueError("need one family id per part")
-    ids, counts, sizes = metrics.family_tally(data.values, part_family)
+    ids, counts, sizes = tally
     # rows ascend by id, so argmax's first maximum keeps the smaller id on ties
     return ids[np.argmax(counts / sizes[:, None], axis=0)]
 
 
-def _relabel_by_size(part_family: np.ndarray, part_ones: np.ndarray) -> np.ndarray:
-    """Renumber family ids 1..k: biggest family first, then densest.
+def _relabel_by_size(sizes: np.ndarray, ones: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The row order that renumbers the families 1..k: biggest first, then densest.
 
     Machine assignment breaks density ties toward the smaller family id, so
     this ordering makes a machine that is equally dense everywhere side
     with the largest (then fullest) family instead of collapsing onto a
-    small or sparse one. Ordering: size desc, in-family ones desc, earliest
-    part asc. ``part_ones`` is each part's count of ones.
+    small or sparse one. The keys are each family's part count, its count
+    of ones and its earliest part, which is unique, so no two families tie.
+    Ordering: size desc, ones desc, earliest part asc.
     """
-    # ids are small positive cluster ids, so per-id bins need no sort
-    sizes = np.bincount(part_family)
-    ones = np.bincount(part_family, weights=part_ones)
-    first = np.full(sizes.size, part_family.size)
-    np.minimum.at(first, part_family, np.arange(part_family.size))
-    ids = np.flatnonzero(sizes)
-    order = np.lexsort((first[ids], -ones[ids], -sizes[ids]))  # last key sorts first
-    rank = np.zeros(sizes.size, dtype=np.int64)
-    rank[ids[order]] = np.arange(1, ids.size + 1)
-    return rank[part_family]
+    return np.lexsort((first, -ones, -sizes))  # last key sorts first
 
 
 def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAssignment:
@@ -169,25 +159,47 @@ def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAs
     re-assigned; each round removes one family, so this terminates. The
     returned ids are the canonical size-ordered ones, which keeps
     assign_machines idempotent on the result.
+
+    The parts are tallied once. Each round permutes the tally's rows into
+    size order, and a dissolve adds the orphans' rows into their new
+    families' rows; float64 sums of 0/1 are exact in any order, so this
+    is the tally of the round's families, bit for bit.
     """
     values = data.values
-    part_ones = values.sum(axis=1)
+    ids, counts, sizes = metrics.family_tally(values, part_family)
+    row = np.searchsorted(ids, part_family)  # each part's tally row
+    first = np.full(ids.size, row.size)
+    np.minimum.at(first, row, np.arange(row.size))
+    k = ids.size
     while True:
-        part_family = _relabel_by_size(part_family, part_ones)
-        k = int(part_family.max())  # relabelled ids are exactly 1..k
-        machine_cell = assign_machines(data, part_family)
+        # a family's ones are its tally row's sum; a dissolved family has no
+        # parts left, so it sorts last and is cut
+        order = _relabel_by_size(sizes, counts.sum(axis=1), first)[:k]
+        rank = np.empty_like(sizes)
+        rank[order] = np.arange(k)
+        row = rank[row]
+        counts, sizes, first = counts[order], sizes[order], first[order]
+        machine_cell = assign_machines((np.arange(1, k + 1), counts, sizes))  # row f is family f + 1
         has_machines = np.bincount(machine_cell, minlength=k + 1)[1:] > 0
         if has_machines.all():
             break
-        orphans = np.flatnonzero(part_family == np.argmin(has_machines) + 1)
+        gone = int(np.argmin(has_machines))
+        orphans = np.flatnonzero(row == gone)
         # one column per family that owns machines, ascending, so argmax's
         # first maximum keeps the smaller id on ties; float64 sums of 0/1
         # are exact and cannot wrap like uint8
-        owners = np.flatnonzero(has_machines) + 1
-        onehot = (machine_cell[:, None] == owners[None, :]).astype(np.float64)
-        density = (values[orphans].astype(np.float64) @ onehot) / onehot.sum(axis=0)
-        part_family[orphans] = owners[np.argmax(density, axis=1)]
-    return CellAssignment(part_family=tuple(part_family.tolist()), machine_cell=tuple(machine_cell.tolist()))
+        owners = np.flatnonzero(has_machines)
+        onehot = (machine_cell[:, None] == owners[None, :] + 1).astype(np.float64)
+        orphan_values = values[orphans].astype(np.float64)
+        density = (orphan_values @ onehot) / onehot.sum(axis=0)
+        to = owners[np.argmax(density, axis=1)]
+        row[orphans] = to
+        np.add.at(counts, to, orphan_values)
+        np.add.at(sizes, to, 1)
+        np.minimum.at(first, to, orphans)
+        sizes[gone] = 0
+        k -= 1
+    return CellAssignment(part_family=tuple((row + 1).tolist()), machine_cell=tuple(machine_cell.tolist()))
 
 
 def form_cells(

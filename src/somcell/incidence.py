@@ -8,6 +8,7 @@ positional (p1..pP, m1..mM) and regenerated rather than parsed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,12 +107,13 @@ class BlockDiagonalView:
     cell_boundaries: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "row_order", tuple(int(i) for i in self.row_order))
-        object.__setattr__(self, "col_order", tuple(int(j) for j in self.col_order))
+        index = operator.index  # any integer, numpy's too; rejects 1.5 and "1"
+        object.__setattr__(self, "row_order", tuple(map(index, self.row_order)))
+        object.__setattr__(self, "col_order", tuple(map(index, self.col_order)))
         object.__setattr__(
             self,
             "cell_boundaries",
-            tuple(((int(a), int(b)), (int(c), int(d))) for (a, b), (c, d) in self.cell_boundaries),
+            tuple(((index(a), index(b)), (index(c), index(d))) for (a, b), (c, d) in self.cell_boundaries),
         )
         for name, order in (("row_order", self.row_order), ("col_order", self.col_order)):
             if sorted(order) != list(range(len(order))):

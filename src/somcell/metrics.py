@@ -9,6 +9,7 @@ instances for calibration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,8 +38,9 @@ class CellAssignment:
     machine_cell: tuple[int, ...]
 
     def __post_init__(self):
-        part_family = tuple(map(int, self.part_family))
-        machine_cell = tuple(map(int, self.machine_cell))
+        # operator.index takes any integer, numpy's too, and rejects 1.5 and "1"
+        part_family = tuple(map(operator.index, self.part_family))
+        machine_cell = tuple(map(operator.index, self.machine_cell))
         object.__setattr__(self, "part_family", part_family)
         object.__setattr__(self, "machine_cell", machine_cell)
         if not part_family or not machine_cell:
@@ -97,18 +99,14 @@ def count_blocks(data, assignment) -> BlockCounts:
     values = data.values
     if part_family.shape[0] != values.shape[0] or machine_cell.shape[0] != values.shape[1]:
         raise ValueError("assignment does not match the matrix dimensions")
-    ids, counts, sizes = family_tally(values, part_family)
-    # machine j's family row, where some part shares its cell id; a machine
-    # whose id no part uses has no in-block elements
-    row = np.minimum(np.searchsorted(ids, machine_cell), ids.size - 1)
-    inside = np.flatnonzero(ids[row] == machine_cell)
-    row = row[inside]
-    n1 = int(values.sum())
-    n1_in = int(counts[row, inside].sum())
+    # values are 0/1, so their nonzero entries are their ones
+    in_block = part_family[:, None] == machine_cell
+    n1 = int(np.count_nonzero(values))
+    n1_in = int(np.count_nonzero(values & in_block))
     return BlockCounts(
         n1=n1,
         n1_out=n1 - n1_in,
-        n0_in=int(sizes[row].sum()) - n1_in,
+        n0_in=int(np.count_nonzero(in_block)) - n1_in,
         total_elements=int(values.size),
     )
 

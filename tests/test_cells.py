@@ -54,6 +54,23 @@ def test_assignment_requires_every_cell_on_both_sides():
     assert good.part_family == (2, 1) and good.k == 2
 
 
+@pytest.mark.parametrize(
+    "part_family, machine_cell",
+    [((1.5, 2.9), (1, 2)), ((1, 2), (1.0, 2.0)), (("1", "2"), (1, 2)), ((1, 2), (np.float64(1), 2))],
+    ids=["float-part", "float-machine", "string-part", "numpy-float"],
+)
+def test_assignment_rejects_non_integer_ids(part_family, machine_cell):
+    # a float or string id is an error, never truncated to or parsed as an int
+    with pytest.raises(TypeError):
+        CellAssignment(part_family=part_family, machine_cell=machine_cell)
+
+
+def test_assignment_keeps_numpy_integer_ids_as_ints():
+    asg = CellAssignment(part_family=np.array([2, 1]), machine_cell=(np.int64(1), np.uint8(2)))
+    assert asg.part_family == (2, 1) and asg.machine_cell == (1, 2)
+    assert all(type(i) is int for i in asg.part_family + asg.machine_cell)
+
+
 def test_cluster_map_labels_every_unit(problem1):
     model = _trained(problem1)
     hits = compute_hits(model, problem1)
@@ -101,7 +118,7 @@ def test_assign_machines_prefers_denser_family_and_smaller_id_on_ties():
     )
     data = IncidenceMatrix.from_array(values)
     families = np.array([1, 1, 2, 2])
-    got = assign_machines(data, families)
+    got = assign_machines(metrics.family_tally(data.values, families))
     # m1 denser in family 1, m2 denser in family 2, m3 exactly tied
     assert got.tolist() == [1, 2, 1]
 
@@ -112,7 +129,7 @@ def test_assign_machines_idempotent_on_settled_assignments():
         data = IncidenceMatrix.from_array(planted_instance(rng))
         model = _trained(data, seed=11)
         asg = form_cells(model, data, k_max=3)
-        again = assign_machines(data, asg.part_family)
+        again = assign_machines(metrics.family_tally(data.values, np.array(asg.part_family)))
         assert again.tolist() == list(asg.machine_cell)
 
 
@@ -398,7 +415,7 @@ def test_family_tally_matches_unique_reference(problem):
 @example(_BIG_FAMILY)
 def test_assign_machines_matches_per_family_loop(problem):
     values, family = problem
-    got = assign_machines(IncidenceMatrix.from_array(values), family)
+    got = assign_machines(metrics.family_tally(values, family))
     want = _assign_machines_reference(values, family)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -409,7 +426,13 @@ def test_assign_machines_matches_per_family_loop(problem):
 @example(_BIG_FAMILY)
 def test_relabel_by_size_matches_sorted_remap(problem):
     values, family = problem
-    got = _relabel_by_size(family, values.sum(axis=1))
+    ids, counts, sizes = metrics.family_tally(values, family)
+    row = np.searchsorted(ids, family)
+    first = np.full(ids.size, family.size)
+    np.minimum.at(first, row, np.arange(family.size))
+    rank = np.empty(ids.size, dtype=np.int64)
+    rank[_relabel_by_size(sizes, counts.sum(axis=1), first)] = np.arange(1, ids.size + 1)
+    got = rank[row]
     want = _relabel_reference(family, values)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -470,6 +493,42 @@ def test_settle_looks_up_assign_machines_once_per_round(problem):
         settled = _settle_assignment(IncidenceMatrix.from_array(values), family)
     rounds = np.unique(family).size - settled.k + 1
     assert calls == {"assign_machines": rounds, "_relabel_by_size": rounds}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_problems())
+@example(_GAPPY)
+@example(_BIG_FAMILY)
+def test_settle_carries_the_settled_families_tally(problem):
+    # the settle tallies the parts once and carries that tally, and each
+    # family's size, ones and earliest part, through every relabel and
+    # dissolve; by the last round they must be exactly those of the
+    # families it returns
+    values, family = problem
+    last = {}
+
+    def recording(name):
+        real = getattr(cells, name)
+
+        def wrapper(*args):
+            last[name] = (args, real(*args))
+            return last[name][1]
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("assign_machines", "_relabel_by_size"):
+            mp.setattr(cells, name, recording(name))
+        settled = _settle_assignment(IncidenceMatrix.from_array(values), family)
+    part_family = np.array(settled.part_family)
+    (tally,), _ = last["assign_machines"]
+    for got, want in zip(tally, metrics.family_tally(values, part_family), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    keys, order = last["_relabel_by_size"]
+    sizes, ones, first = (key[order[: settled.k]] for key in keys)
+    assert sizes.tolist() == np.bincount(part_family)[1:].tolist()
+    assert ones.tolist() == np.bincount(part_family, weights=values.sum(axis=1))[1:].tolist()
+    assert first.tolist() == [int(np.flatnonzero(part_family == f)[0]) for f in range(1, settled.k + 1)]
 
 
 @st.composite

@@ -166,6 +166,16 @@ def test_view_validates_permutations_and_tiling():
     assert v.cell_boundaries == (((0, 2), (0, 2)),)
 
 
+@pytest.mark.parametrize(
+    "row_order, cell_boundaries",
+    [((0.0, 1.0), (((0, 2), (0, 2)),)), (("0", "1"), (((0, 2), (0, 2)),)), ((0, 1), (((0, 2.5), (0, 2)),))],
+    ids=["float-order", "string-order", "float-boundary"],
+)
+def test_view_rejects_non_integer_indices(row_order, cell_boundaries):
+    with pytest.raises(TypeError):
+        BlockDiagonalView(row_order=row_order, col_order=(0, 1), cell_boundaries=cell_boundaries)
+
+
 def test_render_block_diagonal_layout():
     m = parse_matrix("2 2\n1 0\n0 1\n")
     view = BlockDiagonalView(

@@ -1,4 +1,5 @@
 """Shared I/O helpers."""
+import errno
 import os
 import stat
 
@@ -28,3 +29,25 @@ def test_atomic_write_gives_a_plain_open_mode(tmp_path, umask, existing):
     assert path.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+
+
+def test_atomic_write_finishes_short_writes(tmp_path, monkeypatch):
+    # os.write may take fewer bytes than it is given; the rest must follow
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+    path = tmp_path / "out.txt"
+    text = "a\r\nb\nµ–é\n" * 5
+    atomic_write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_atomic_write_failure_names_the_path_and_leaves_no_temp(tmp_path, monkeypatch):
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full)
+    path = tmp_path / "out.txt"
+    with pytest.raises(OSError) as info:
+        atomic_write_text(path, "new\n")
+    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(path))
+    assert list(tmp_path.iterdir()) == []
