@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import metrics
+from . import kernels, metrics
 from .incidence import BlockDiagonalView, IncidenceMatrix
 from .metrics import CellAssignment
 from .som import SomModel, _check_machines
@@ -45,16 +45,16 @@ def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> tuple[np
 def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray) -> np.ndarray:
     """Lloyd iterations from ``centers`` (updated in place) until the labels
     stop changing, at most 100 rounds. ``first_d2`` holds the squared
-    distances from each point to each starting center, as every later round
-    computes them."""
+    distances from each point to each starting center. Every later round
+    labels through ``kernels.nearest_rows`` and sums the rows it leaves
+    unsure term by term, as ``first_d2`` was summed."""
     k, dim = centers.shape
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     flat_points = points.ravel()
     columns = np.arange(dim)
-    diff = np.empty((points.shape[0], k, dim))  # reused by every round
-    d2 = first_d2
+    norms = np.einsum("ij,ij->i", points, points)
+    new_labels = np.argmin(first_d2, axis=1)  # ties to the lowest center index
     for _ in range(100):
-        new_labels = np.argmin(d2, axis=1)  # ties to the lowest center index
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -65,8 +65,10 @@ def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray
         sizes = np.bincount(labels, minlength=k)
         filled = sizes > 0  # an emptied cluster keeps its previous center
         centers[filled] = sums[filled] / sizes[filled, None]
-        np.subtract(points[:, None, :], centers[None, :, :], out=diff)
-        d2 = np.square(diff, out=diff).sum(axis=2)
+        new_labels, unsure = kernels.nearest_rows(points, norms, centers)
+        if unsure.any():
+            d2 = ((points[unsure][:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels[unsure] = np.argmin(d2, axis=1)
     return labels
 
 

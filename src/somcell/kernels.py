@@ -1,8 +1,18 @@
 """Hot numeric kernels, vectorized with numpy.
 
-All three are bit-deterministic for fixed inputs: nearest-unit ties go to
-the lowest unit index and exact efficacy ties to the lexicographically
-smallest machine assignment.
+``batch_bmu``, ``train_run`` and ``best_machine_split`` are bit-deterministic
+for fixed inputs: nearest-unit ties go to the lowest unit index and exact
+efficacy ties to the lexicographically smallest machine assignment.
+
+Nearest-row searches (``batch_bmu``, k-means' labels in ``cells`` and the
+hitless-unit fill in ``viz``) go through ``nearest_rows``. One matrix
+product ranks every row, and a rounding-error bound certifies each row
+whose two nearest centers are far enough apart that every
+difference-then-square sum has the same first minimum. Each caller sums
+the rows left unsure (ties, near ties, inf, NaN, overflow) with its own
+difference-then-square formula. So every answer is the one that formula
+gives, whatever order BLAS adds the product in and however many threads
+it uses.
 """
 
 from __future__ import annotations
@@ -21,11 +31,57 @@ __all__ = [
 BACKEND = "numpy"
 
 
-def batch_bmu(codebook, samples) -> np.ndarray:
-    """Index of the nearest codebook row per sample (ties go to the lowest index)."""
+# float64's unit roundoff and smallest normal number
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-1022
+
+
+def nearest_rows(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of ``centers`` per row of ``points``, through one matrix product.
+
+    ``norms`` holds each point's squared norm as a float sum of squares.
+    Returns ``(best, unsure)``: ``best`` is the first minimum of
+    ``norms - 2 points @ centers.T + |centers|^2`` per row, and on every row
+    that ``unsure`` does not mark it is also the first minimum of the
+    squared distances summed term by term, in any order. A one-center call
+    is certain.
+    """
+    n, dim = points.shape
+    if centers.shape[0] == 1:
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    nu = (dim + 4) * _UNIT_ROUNDOFF
+    # overflow and inf - inf here only mark rows unsure; the caller's own
+    # sums on those rows warn as they always did
+    with np.errstate(over="ignore", invalid="ignore"):
+        center_sq = np.einsum("ij,ij->i", centers, centers)
+        approx = points @ centers.T
+        approx *= -2.0
+        approx += norms[:, None]
+        approx += center_sq
+        best = np.argmin(approx, axis=1)
+        rows = np.arange(n)
+        first = approx[rows, best]
+        approx[rows, best] = np.inf
+        gap = approx.min(axis=1) - first
+        # Both this expansion and a term-by-term sum are within
+        # gamma(d+2) * (|x| + |c|)^2 of the exact squared distance, whatever
+        # the summation order (Higham 2002, sec. 3.1: d products and
+        # additions plus two more roundings each), so a gap above twice both
+        # errors leaves the same unique minimum in every such sum. gamma(d+4)
+        # absorbs the rounding of the bound itself, and the 8(d+4) * tiny
+        # term products that underflow. (2(|x| + max|c|))^2 is inf when
+        # anything could overflow, and a NaN makes the gap or the bound NaN,
+        # so those rows fail the comparison and come out unsure.
+        reach = 2.0 * (np.sqrt(norms) + np.sqrt(center_sq.max()))
+        bound = reach * reach * (nu / (1.0 - nu)) + 8 * (dim + 4) * _TINY
+    return best, ~(gap > bound)
+
+
+def _bmu_by_columns(codebook, samples) -> np.ndarray:
+    """``batch_bmu`` summed one column at a time, in column order."""
     # transposed once, so each column below is a contiguous row
-    cb_t = np.ascontiguousarray(np.asarray(codebook, dtype=np.float64).T)
-    xs_t = np.ascontiguousarray(np.asarray(samples, dtype=np.float64).T)
+    cb_t = np.ascontiguousarray(codebook.T)
+    xs_t = np.ascontiguousarray(samples.T)
     # one column at a time keeps the temporary at (samples, units), not
     # (samples, units, dim)
     d2 = np.zeros((xs_t.shape[1], cb_t.shape[1]), dtype=np.float64)
@@ -35,7 +91,21 @@ def batch_bmu(codebook, samples) -> np.ndarray:
         diff *= diff
         d2 += diff
     # argmin returns the first minimum
-    return np.argmin(d2, axis=1).astype(np.int64)
+    return np.argmin(d2, axis=1)
+
+
+def batch_bmu(codebook, samples) -> np.ndarray:
+    """Index of the nearest codebook row per sample (ties go to the lowest index).
+
+    ``nearest_rows`` settles most samples; the rest are summed column by
+    column.
+    """
+    cb = np.asarray(codebook, dtype=np.float64)
+    xs = np.asarray(samples, dtype=np.float64)
+    best, unsure = nearest_rows(xs, np.einsum("ij,ij->i", xs, xs), cb)
+    if unsure.any():
+        best[unsure] = _bmu_by_columns(cb, xs[unsure])
+    return best.astype(np.int64, copy=False)
 
 
 def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:

@@ -300,11 +300,14 @@ def nearest_hit_units(model: SomModel, hits: HitHistogram) -> np.ndarray:
     unit index)."""
     hit_units = np.flatnonzero(hits.hits > 0)
     hitless = np.flatnonzero(hits.hits == 0)
-    cb = model.codebook
-    # (hitless x hit) squared distances; argmin's first minimum is the lower unit
-    d2 = ((cb[hit_units][None, :, :] - cb[hitless][:, None, :]) ** 2).sum(axis=2)
+    points, centers = model.codebook[hitless], model.codebook[hit_units]
+    best, unsure = kernels.nearest_rows(points, np.einsum("ij,ij->i", points, points), centers)
+    if unsure.any():
+        # (unsure hitless x hit) squared distances; argmin's first minimum is the lower unit
+        d2 = ((centers[None, :, :] - points[unsure][:, None, :]) ** 2).sum(axis=2)
+        best[unsure] = np.argmin(d2, axis=1)
     nearest = np.arange(model.grid.units, dtype=np.int64)
-    nearest[hitless] = hit_units[np.argmin(d2, axis=1)]
+    nearest[hitless] = hit_units[best]
     return nearest
 
 

@@ -1,8 +1,11 @@
 """Shared fixtures and independent reference helpers for the test suite."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from somcell import IncidenceMatrix, MatrixFormatError, load_problem1
+from somcell import IncidenceMatrix, MapGrid, MatrixFormatError, SomModel, load_problem1
+from somcell.viz import HitHistogram
 
 # Expected two-cell grouping of the bundled demo instance (0-based indices).
 P1_MACHINE_CELLS = (frozenset({0, 2, 4, 8, 9}), frozenset({1, 3, 5, 6, 7}))
@@ -105,6 +108,25 @@ def fill_hitless_reference(codebook, hit_counts, unit_ids):
         d2 = ((codebook[hit_units] - codebook[u]) ** 2).sum(axis=1)
         out[u] = out[hit_units[int(np.argmin(d2))]]
     return out
+
+
+@st.composite
+def clustered_maps(draw):
+    """(model, hits, k) on a small map whose codebook rows often coincide or tie."""
+    rows, cols, dim = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    units = rows * cols
+    grid_values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    elements = grid_values | st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False)
+    codebook = draw(arrays(np.float64, (units, dim), elements=elements))
+    counts = draw(arrays(np.int64, units, elements=st.integers(0, 3)))
+    counts[draw(st.integers(0, units - 1))] += 1  # at least one busy unit
+    hits = HitHistogram(
+        grid=MapGrid(rows, cols),
+        bmus=np.repeat(np.arange(units), counts),
+    )
+    model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, seed=draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, int((counts > 0).sum())))
+    return model, hits, k
 
 
 def random_incidence(rng, parts, machines, density=0.4):

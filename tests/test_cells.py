@@ -7,12 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import P1_MACHINE_CELLS, P1_PART_FAMILIES, fill_hitless_reference, planted_instance
+from conftest import (
+    P1_MACHINE_CELLS,
+    P1_PART_FAMILIES,
+    clustered_maps,
+    fill_hitless_reference,
+    planted_instance,
+)
 from somcell import (
     CellAssignment,
     IncidenceMatrix,
     MapGrid,
-    SomModel,
     assign_machines,
     assign_parts,
     build_view,
@@ -531,25 +536,6 @@ def test_settle_carries_the_settled_families_tally(problem):
     assert first.tolist() == [int(np.flatnonzero(part_family == f)[0]) for f in range(1, settled.k + 1)]
 
 
-@st.composite
-def clustered_maps(draw):
-    """(model, hits, k) on a small map whose codebook rows often coincide or tie."""
-    rows, cols, dim = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    units = rows * cols
-    grid_values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-    elements = grid_values | st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False)
-    codebook = draw(arrays(np.float64, (units, dim), elements=elements))
-    counts = draw(arrays(np.int64, units, elements=st.integers(0, 3)))
-    counts[draw(st.integers(0, units - 1))] += 1  # at least one busy unit
-    hits = HitHistogram(
-        grid=MapGrid(rows, cols),
-        bmus=np.repeat(np.arange(units), counts),
-    )
-    model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, seed=draw(st.integers(0, 2**32)))
-    k = draw(st.integers(1, int((counts > 0).sum())))
-    return model, hits, k
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_cluster_map_matches_loop_reference(case):
@@ -605,3 +591,43 @@ def test_kmeans_centers_are_member_means_bit_for_bit(case):
         assert centers[c].tobytes() == (total / members.shape[0]).tobytes()
         if members.shape[1] > 1:
             assert centers[c].tobytes() == members.mean(axis=0).tobytes()
+
+
+def _kmeans_labels_reference(points, centers, first_d2):
+    """``_kmeans_labels`` as it was before ``kernels.nearest_rows``: every
+    later round sums all (points, k, dim) squared differences."""
+    k, dim = centers.shape
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
+    flat_points = points.ravel()
+    columns = np.arange(dim)
+    diff = np.empty((points.shape[0], k, dim))
+    d2 = first_d2
+    for _ in range(100):
+        new_labels = np.argmin(d2, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        bins = (labels[:, None] * dim + columns).ravel()
+        sums = np.bincount(bins, weights=flat_points, minlength=k * dim).reshape(k, dim)
+        sizes = np.bincount(labels, minlength=k)
+        filled = sizes > 0
+        centers[filled] = sums[filled] / sizes[filled, None]
+        np.subtract(points[:, None, :], centers[None, :, :], out=diff)
+        d2 = np.square(diff, out=diff).sum(axis=2)
+    return labels
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(clustered_maps())
+def test_kmeans_labels_match_pairwise_sum_reference(case):
+    # labels and final centers, bit for bit, for every k the sweep may use
+    model, hits, _ = case
+    busy = int((hits.hits > 0).sum())
+    basis = cluster_basis(model, hits, busy)
+    for k in range(1, busy + 1):
+        got_centers = basis.points[basis.order[:k]]
+        want_centers = got_centers.copy()
+        got = _kmeans_labels(basis.points, got_centers, basis.seed_d2[:, :k])
+        want = _kmeans_labels_reference(basis.points, want_centers, basis.seed_d2[:, :k])
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert got_centers.tobytes() == want_centers.tobytes()

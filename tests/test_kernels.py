@@ -35,6 +35,105 @@ def test_batch_bmu_tie_goes_to_lowest_index():
     assert kernels.batch_bmu(codebook, query).tolist() == [0, 0]
 
 
+def _column_loop_bmu(codebook, samples):
+    """``batch_bmu`` as it was before ``nearest_rows``: every sample's
+    squared distances summed one column at a time."""
+    cb_t = np.ascontiguousarray(np.asarray(codebook, dtype=np.float64).T)
+    xs_t = np.ascontiguousarray(np.asarray(samples, dtype=np.float64).T)
+    d2 = np.zeros((xs_t.shape[1], cb_t.shape[1]))
+    for j in range(cb_t.shape[0]):
+        d2 += (xs_t[j, :, None] - cb_t[j]) ** 2
+    return np.argmin(d2, axis=1)
+
+
+def _nearest(codebook, samples):
+    return kernels.nearest_rows(samples, np.einsum("ij,ij->i", samples, samples), codebook)
+
+
+@st.composite
+def adversarial_bmu_problems(draw):
+    """(codebook, samples, ulp pairs): duplicate rows, rows one ulp apart,
+    samples that sit on codebook rows, one-unit codebooks, and a scale that
+    makes the squares overflow (entries near 1e154) or underflow."""
+    units, dim = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    values = st.sampled_from([0.0, 0.5, 1.0, -1.0]) | st.floats(-2.0, 2.0, allow_nan=False)
+    scale = draw(st.sampled_from([1.0, 1e150, 1e154, 1e-160]))
+    codebook = draw(arrays(np.float64, (units, dim), elements=values)) * scale
+    for u in draw(st.lists(st.integers(0, units - 1), max_size=units)):
+        codebook[u] = codebook[0]
+    pairs, used = [], set()
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, units - 1), st.integers(0, units - 1)), max_size=3)):
+        if src != dst and not {src, dst} & used:
+            codebook[dst] = np.nextafter(codebook[src], draw(st.sampled_from([np.inf, -np.inf])))
+            pairs.append((src, dst))
+            used |= {src, dst}
+    samples = draw(arrays(np.float64, (draw(st.integers(0, 10)), dim), elements=values)) * scale
+    on_rows = draw(st.lists(st.integers(0, units - 1), max_size=4))
+    samples = np.concatenate([samples, codebook[on_rows], codebook[[u for pair in pairs for u in pair]]])
+    return codebook, samples, pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(adversarial_bmu_problems())
+# every square underflows to 0, so the sums tie, while the product's |c|^2
+# keeps one subnormal and ranks the second unit first
+@example((np.array([[2e-162], [0.0]]), np.array([[1e-162]]), []))
+def test_batch_bmu_matches_naive_scan_on_adversarial_codebooks(problem):
+    codebook, samples, pairs = problem
+    with np.errstate(all="ignore"):
+        got = kernels.batch_bmu(codebook, samples)
+        best, unsure = _nearest(codebook, samples)
+    cb = codebook.tolist()
+    want = [naive_bmu(cb, x) for x in samples.tolist()]
+    assert got.dtype == np.int64 and got.tolist() == want
+    # a certified row has the same first minimum in any summation order
+    backward = [naive_bmu(codebook[:, ::-1].tolist(), x) for x in samples[:, ::-1].tolist()]
+    for row in np.flatnonzero(~unsure).tolist():
+        assert best[row] == want[row] == backward[row]
+    if codebook.shape[0] == 1:
+        assert not unsure.any()
+    # a sample on a row with a neighbour one ulp away cannot be certified
+    for src, dst in pairs:
+        for u in (src, dst):
+            on_row = (samples == codebook[u]).all(axis=1)
+            assert unsure[on_row].all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(adversarial_bmu_problems(), st.data())
+def test_batch_bmu_keeps_its_answer_on_inf_and_nan_samples(problem, data):
+    codebook, samples, _ = problem
+    if samples.shape[0] == 0:
+        return
+    bad = data.draw(st.lists(st.integers(0, samples.shape[0] - 1), min_size=1, max_size=3))
+    for row in bad:
+        col = data.draw(st.integers(0, samples.shape[1] - 1))
+        samples[row, col] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    with np.errstate(all="ignore"):
+        got = kernels.batch_bmu(codebook, samples)
+        want = _column_loop_bmu(codebook, samples)
+        _, unsure = _nearest(codebook, samples)
+    assert got.tolist() == want.tolist()
+    if codebook.shape[0] > 1:
+        assert unsure[bad].all()
+
+
+def test_nearest_rows_certifies_separated_rows():
+    # on ordinary data the product settles every row: the fast path is the one taken
+    rng = np.random.default_rng(5)
+    codebook, samples = rng.normal(size=(30, 10)), rng.normal(size=(200, 10))
+    best, unsure = _nearest(codebook, samples)
+    assert not unsure.any()
+    assert best.tolist() == [naive_bmu(codebook.tolist(), x) for x in samples.tolist()]
+
+
+def test_nearest_rows_leaves_exact_ties_unsure():
+    codebook = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    query = np.array([[0.6, 0.6], [1.0, 0.0], [0.0, 0.9]])
+    _, unsure = _nearest(codebook, query)
+    assert unsure.tolist() == [True, True, False]
+
+
 def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
     """Sequential online updates, one unit and one coordinate at a time."""
     cb = codebook.tolist()
