@@ -566,6 +566,15 @@ def test_seed_must_be_non_negative(tmp_path, blocks_file, capsys, value):
     assert main([*argvs[0], "--seed", "0"]) == 0
 
 
+@pytest.mark.parametrize("value", ["x", "1.5", ""])
+def test_integer_flags_reject_non_integers(tmp_path, capsys, value):
+    for flag, kind in (("--restarts", "positive"), ("--seed", "non-negative")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--corpus", str(tmp_path), flag, value, "--out-dir", str(tmp_path / "b")])
+        _assert_usage_error(capsys, exc, flag, value, kind=kind)
+    assert not (tmp_path / "b").exists()
+
+
 def test_model_errors_name_the_path_once(tmp_path, blocks_file, trained, capsys):
     _, model_path = trained
     good = json.loads(model_path.read_text())

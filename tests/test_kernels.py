@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import naive_bmu, train_run_reference
-from somcell import kernels
+from somcell import MapGrid, SomModel, kernels
+from somcell.cells import _kmeans_labels
+from somcell.viz import HitHistogram, nearest_hit_units
 
 
 def _random_problem(rng, units=12, dim=7, samples=9):
@@ -132,6 +134,30 @@ def test_nearest_rows_leaves_exact_ties_unsure():
     query = np.array([[0.6, 0.6], [1.0, 0.0], [0.0, 0.9]])
     _, unsure = _nearest(codebook, query)
     assert unsure.tolist() == [True, True, False]
+
+
+def test_each_nearest_search_settles_ties_with_its_own_sum():
+    # From zeros(8), summing these rows' squares in column order gives
+    # 29.01 and 29.009999999999998, while numpy's pairwise sum gives
+    # 29.009999999999998 for both. BMUs follow the column order
+    # (conftest.naive_bmu); k-means and the hitless fill follow the pairwise
+    # sum their references use. Dimensions 1-4 cannot tell the two apart.
+    rows = np.array([[1e-8, 3, 0, 3, 3, 0.1, 1, 1], [0, 0.1, 3, 1e-8, 1, 3, 3, 1]])
+    origin = np.zeros((1, 8))
+    assert naive_bmu(rows.tolist(), origin[0].tolist()) == 1
+    assert kernels.batch_bmu(rows, origin).tolist() == [1]
+    # units 0 and 1 hold the parts; unit 2 sits at the origin with none
+    grid = MapGrid(1, 3)
+    model = SomModel(grid=grid, codebook=np.vstack([rows, origin]), seed=0)
+    hits = HitHistogram(grid=grid, bmus=np.array([0, 1]))
+    assert nearest_hit_units(model, hits).tolist() == [0, 1, 0]
+    # the origin and 2 * rows[0] average to rows[0] exactly, so after one
+    # round the centers are the two rows and the origin ties between them
+    points = np.vstack([origin, 2 * rows[0], rows[1]])
+    centers = points[[1, 2]].copy()
+    first_d2 = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    assert _kmeans_labels(points, centers, first_d2).tolist() == [0, 0, 1]
+    assert centers.tobytes() == rows.tobytes()
 
 
 def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
