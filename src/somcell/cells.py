@@ -46,8 +46,8 @@ def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray
     """Lloyd iterations from ``centers`` (updated in place) until the labels
     stop changing, at most 100 rounds. ``first_d2`` holds the squared
     distances from each point to each starting center. Every later round
-    labels through ``kernels.nearest_rows`` and sums the rows it leaves
-    unsure term by term, as ``first_d2`` was summed."""
+    labels through ``kernels.nearest_rows``, whose answers are those of the
+    pairwise sum ``first_d2`` was summed with."""
     k, dim = centers.shape
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     flat_points = points.ravel()
@@ -65,10 +65,7 @@ def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray
         sizes = np.bincount(labels, minlength=k)
         filled = sizes > 0  # an emptied cluster keeps its previous center
         centers[filled] = sums[filled] / sizes[filled, None]
-        new_labels, unsure = kernels.nearest_rows(points, norms, centers)
-        if unsure.any():
-            d2 = ((points[unsure][:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels[unsure] = np.argmin(d2, axis=1)
+        new_labels = kernels.nearest_rows(points, norms, centers)
     return labels
 
 
@@ -249,12 +246,7 @@ def build_view(assignment: CellAssignment) -> BlockDiagonalView:
     machine_cell = np.asarray(assignment.machine_cell)
     row_order = np.argsort(part_family, kind="stable")
     col_order = np.argsort(machine_cell, kind="stable")
-    boundaries = []
-    p_cursor = m_cursor = 0
-    for cell in range(1, assignment.k + 1):
-        p_count = int((part_family == cell).sum())
-        m_count = int((machine_cell == cell).sum())
-        boundaries.append(((p_cursor, p_cursor + p_count), (m_cursor, m_cursor + m_count)))
-        p_cursor += p_count
-        m_cursor += m_count
+    # every id in 1..k is used on both sides, so each cell's run is its count
+    p_ends, m_ends = (np.cumsum(np.bincount(ids)[1:]).tolist() for ids in (part_family, machine_cell))
+    boundaries = zip(zip([0, *p_ends], p_ends), zip([0, *m_ends], m_ends))
     return BlockDiagonalView(tuple(row_order), tuple(col_order), tuple(boundaries))

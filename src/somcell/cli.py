@@ -65,24 +65,23 @@ def _parse_grid(text: str) -> MapGrid:
     return grid
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
-    return value
+def _int_at_least(low: int, kind: str):
+    """argparse type: an integer >= ``low``, else "must be a <kind> integer"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value < low:
+                raise ValueError
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}") from None
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _read_matrix(path, transpose: bool = False) -> IncidenceMatrix:

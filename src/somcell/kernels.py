@@ -5,14 +5,15 @@ for fixed inputs: nearest-unit ties go to the lowest unit index and exact
 efficacy ties to the lexicographically smallest machine assignment.
 
 Nearest-row searches (``batch_bmu``, k-means' labels in ``cells`` and the
-hitless-unit fill in ``viz``) go through ``nearest_rows``. One matrix
-product ranks every row, and a rounding-error bound certifies each row
-whose two nearest centers are far enough apart that every
-difference-then-square sum has the same first minimum. Each caller sums
-the rows left unsure (ties, near ties, inf, NaN, overflow) with its own
-difference-then-square formula. So every answer is the one that formula
-gives, whatever order BLAS adds the product in and however many threads
-it uses.
+hitless-unit fill in ``viz``) rank through one matrix product. A
+rounding-error bound certifies each row whose two nearest centers are far
+enough apart that every difference-then-square sum has the same first
+minimum. The rows left unsure (ties, near ties, inf, NaN, overflow) are
+summed here, in one of two orders: ``batch_bmu`` adds the squares column by
+column, ``nearest_rows`` with numpy's pairwise ``sum``. The two can differ
+in the last bit, so on a near tie a BMU and a k-means label may go to
+different rows. Every answer is the one its sum gives, whatever order BLAS
+adds the product in and however many threads it uses.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "batch_bmu",
+    "nearest_rows",
     "train_run",
     "best_machine_split",
 ]
@@ -36,11 +38,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1022
 
 
-def nearest_rows(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest row of ``centers`` per row of ``points``, through one matrix product.
-
-    ``norms`` holds each point's squared norm as a float sum of squares.
-    Returns ``(best, unsure)``: ``best`` is the first minimum of
+def _certified(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
+    """``(best, unsure)``: ``best`` is the first minimum of
     ``norms - 2 points @ centers.T + |centers|^2`` per row, and on every row
     that ``unsure`` does not mark it is also the first minimum of the
     squared distances summed term by term, in any order. A one-center call
@@ -50,8 +49,8 @@ def nearest_rows(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
     if centers.shape[0] == 1:
         return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
     nu = (dim + 4) * _UNIT_ROUNDOFF
-    # overflow and inf - inf here only mark rows unsure; the caller's own
-    # sums on those rows warn as they always did
+    # overflow and inf - inf here only mark rows unsure; the exact sums on
+    # those rows warn as they always did
     with np.errstate(over="ignore", invalid="ignore"):
         center_sq = np.einsum("ij,ij->i", centers, centers)
         approx = points @ centers.T
@@ -77,34 +76,36 @@ def nearest_rows(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
     return best, ~(gap > bound)
 
 
-def _bmu_by_columns(codebook, samples) -> np.ndarray:
-    """``batch_bmu`` summed one column at a time, in column order."""
-    # transposed once, so each column below is a contiguous row
-    cb_t = np.ascontiguousarray(codebook.T)
-    xs_t = np.ascontiguousarray(samples.T)
-    # one column at a time keeps the temporary at (samples, units), not
-    # (samples, units, dim)
-    d2 = np.zeros((xs_t.shape[1], cb_t.shape[1]), dtype=np.float64)
-    diff = np.empty_like(d2)
-    for j in range(cb_t.shape[0]):
-        np.subtract(xs_t[j, :, None], cb_t[j], out=diff)
-        diff *= diff
-        d2 += diff
-    # argmin returns the first minimum
-    return np.argmin(d2, axis=1)
+def nearest_rows(points, norms, centers) -> np.ndarray:
+    """Index of the nearest row of ``centers`` per row of ``points`` (ties go
+    to the lowest index), ranked through one matrix product.
+
+    ``norms`` holds each point's squared norm as a float sum of squares.
+    Every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``;
+    only rows the product leaves unsure are summed that way.
+    """
+    best, unsure = _certified(points, norms, centers)
+    if unsure.any():
+        d2 = ((points[unsure][:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        best[unsure] = np.argmin(d2, axis=1)
+    return best
 
 
 def batch_bmu(codebook, samples) -> np.ndarray:
     """Index of the nearest codebook row per sample (ties go to the lowest index).
 
-    ``nearest_rows`` settles most samples; the rest are summed column by
-    column.
+    The product settles most samples; the rest are summed column by column,
+    in column order.
     """
     cb = np.asarray(codebook, dtype=np.float64)
     xs = np.asarray(samples, dtype=np.float64)
-    best, unsure = nearest_rows(xs, np.einsum("ij,ij->i", xs, xs), cb)
+    best, unsure = _certified(xs, np.einsum("ij,ij->i", xs, xs), cb)
     if unsure.any():
-        best[unsure] = _bmu_by_columns(cb, xs[unsure])
+        u = np.flatnonzero(unsure)
+        d2 = np.zeros((u.size, cb.shape[0]))
+        for j in range(cb.shape[1]):
+            d2 += (xs[u, j, None] - cb[:, j]) ** 2
+        best[u] = np.argmin(d2, axis=1)
     return best.astype(np.int64, copy=False)
 
 
@@ -175,10 +176,7 @@ def _assignment_matrix(k: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _surjective_rows(k: int, m: int) -> np.ndarray:
     """Which rows of ``_assignment_matrix(k, m)`` use every label 0..k-1."""
-    assigns = _assignment_matrix(k, m)
-    cover = np.zeros(assigns.shape[0], dtype=np.int64)
-    for j in range(m):
-        cover |= np.int64(1) << assigns[:, j]
+    cover = np.bitwise_or.reduce(np.int64(1) << _assignment_matrix(k, m), axis=1)
     out = cover == (1 << k) - 1
     out.flags.writeable = False
     return out
@@ -203,10 +201,9 @@ def best_machine_split(block_ones, block_sizes, n_ones):
     if not valid.any():
         return -1, 1, np.zeros(m, dtype=np.int64)
     ratio = np.where(valid, nums / dens, -1.0)
-    top = float(ratio.max())
-    # Candidate window: distinct exact ratios here differ by at least
-    # 1/(den*den') >> 1e-9 for the small integers involved, so everything in
-    # the window shares the exact optimum and the first one is the
+    # Equal fractions divide to equal floats, and distinct ones differ by at
+    # least 1/(den*den'), far more than an ulp for the small integers
+    # involved, so the first float maximum is the first exact optimum: the
     # lexicographically smallest.
-    best = int(np.flatnonzero(ratio >= top - 1e-9)[0])
+    best = int(np.argmax(ratio))
     return int(nums[best]), int(dens[best]), assigns[best].copy()

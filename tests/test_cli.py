@@ -516,7 +516,7 @@ def test_cells_on_the_bundled_instance(tmp_path, capsys):
 
 
 def test_bench_rejects_nonpositive_restarts(tmp_path, capsys):
-    for value in ("0", "-1"):
+    for value in ("0", "-1", "x", "1.5", ""):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--corpus", str(tmp_path), "--restarts", value])
         assert exc.value.code == 2
@@ -551,7 +551,7 @@ def test_bench_kmax_and_jobs_must_be_positive(tmp_path, capsys, flag, value):
     assert not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("value", ["-1", "-3"])
+@pytest.mark.parametrize("value", ["-1", "-3", "x"])
 def test_seed_must_be_non_negative(tmp_path, blocks_file, capsys, value):
     argvs = [
         ["train", "--input", str(blocks_file), "--out", str(tmp_path / "model.json")],
@@ -564,15 +564,6 @@ def test_seed_must_be_non_negative(tmp_path, blocks_file, capsys, value):
     assert not (tmp_path / "model.json").exists()
     assert not (tmp_path / "b").exists()
     assert main([*argvs[0], "--seed", "0"]) == 0
-
-
-@pytest.mark.parametrize("value", ["x", "1.5", ""])
-def test_integer_flags_reject_non_integers(tmp_path, capsys, value):
-    for flag, kind in (("--restarts", "positive"), ("--seed", "non-negative")):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--corpus", str(tmp_path), flag, value, "--out-dir", str(tmp_path / "b")])
-        _assert_usage_error(capsys, exc, flag, value, kind=kind)
-    assert not (tmp_path / "b").exists()
 
 
 def test_model_errors_name_the_path_once(tmp_path, blocks_file, trained, capsys):

@@ -49,7 +49,7 @@ def _column_loop_bmu(codebook, samples):
 
 
 def _nearest(codebook, samples):
-    return kernels.nearest_rows(samples, np.einsum("ij,ij->i", samples, samples), codebook)
+    return kernels._certified(samples, np.einsum("ij,ij->i", samples, samples), codebook)
 
 
 @st.composite
@@ -385,6 +385,20 @@ def test_best_machine_split_first_optimum_wins():
     num, den, assign = kernels.best_machine_split(block_ones, sizes, 4)
     assert assign.tolist() == [0, 1]
     assert (num, den) == (2, 4)
+    # [0, 1, 0] scores 4/8 and [0, 1, 1] scores 5/10: one optimum written
+    # with different integers, so the lexicographically first one wins
+    block_ones = np.array([[1, 0, 1], [0, 2, 2]], dtype=np.int64)
+    sizes = np.array([1, 4], dtype=np.int64)
+    num, den, assign = kernels.best_machine_split(block_ones, sizes, 6)
+    assert (num, den, assign.tolist()) == (4, 8, [0, 1, 0])
+
+
+def test_best_machine_split_considers_exactly_the_covering_assignments():
+    for k in range(1, 4):
+        for m in range(1, 7):
+            rows = kernels._assignment_matrix(k, m).tolist()
+            want = [len(set(row)) == k for row in rows]
+            assert kernels._surjective_rows(k, m).tolist() == want
 
 
 def test_backend_flag_reports_active_backend():
