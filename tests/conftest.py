@@ -168,6 +168,19 @@ def planted_instance(rng, side=6, k_range=(2, 3), max_flips=2, min_run=2):
         return v[rp][:, cp]
 
 
+def planted_tall(seed, part_runs=(30, 25, 25, 20), machine_runs=(12, 10, 10, 8), noise=0.03):
+    """Shuffled block-diagonal matrix (100x40 by default) with every bit
+    flipped with probability ``noise``."""
+    rng = np.random.default_rng(seed)
+    pf = np.repeat(np.arange(len(part_runs)), part_runs)
+    mc = np.repeat(np.arange(len(machine_runs)), machine_runs)
+    values = (pf[:, None] == mc[None, :]).astype(np.uint8)
+    values ^= (rng.random(values.shape) < noise).astype(np.uint8)
+    values = values[rng.permutation(values.shape[0])][:, rng.permutation(values.shape[1])]
+    assert values.sum(axis=1).min() > 0 and values.sum(axis=0).min() > 0
+    return values
+
+
 def random_assignment(rng, parts, machines, k):
     """Random cell assignment using every id on both sides."""
     while True:

@@ -13,6 +13,7 @@ from conftest import (
     clustered_maps,
     fill_hitless_reference,
     planted_instance,
+    planted_tall,
 )
 from somcell import (
     CellAssignment,
@@ -32,6 +33,7 @@ from somcell import (
     train,
 )
 from somcell import cells, metrics
+from somcell.cli import default_kmax
 from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_assignment, cluster_basis
 from somcell.metrics import BlockCounts
 from somcell.viz import HitHistogram
@@ -238,6 +240,50 @@ def test_form_cells_scores_each_distinct_candidate_once(problem1, monkeypatch):
         assert asg == max(distinct, key=lambda c: grouping_efficacy(real(data, c)))
 
 
+def test_form_cells_keeps_the_traced_call_counts(monkeypatch):
+    # the benchmark's tracer counts k candidates as cluster_map calls,
+    # dissolves as assign_machines calls beyond one per candidate, and
+    # distinct candidates as count_blocks calls, so the sweep makes one
+    # cluster_map call per k, one assign_machines call per candidate per
+    # settle round, and one count_blocks and grouping_efficacy call per
+    # distinct settled candidate
+    values = planted_tall(1, (50, 42, 38, 35, 32, 28, 25), (9, 8, 7, 6, 6, 5, 4), noise=0.05)
+    data = IncidenceMatrix.from_array(values)
+    model = _trained(data)
+    hits = compute_hits(model, data)
+    k_max = default_kmax(data)
+    upper = min(k_max, int((hits.hits > 0).sum()), data.machines, data.parts)
+    basis = cluster_basis(model, hits, upper)
+    families = [assign_parts(cluster_map(basis, k), hits) for k in range(2, upper + 1)]
+    settled = [_settle_reference(data, family) for family in families]
+    # each round but a candidate's last dissolves one family
+    rounds = sum(np.unique(family).size - s.k + 1 for family, s in zip(families, settled, strict=True))
+    assert upper > 10 and rounds > 2 * len(families)
+    calls = dict.fromkeys(("cluster_map", "assign_machines", "count_blocks", "grouping_efficacy"), 0)
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((cells, "cluster_map"), (cells, "assign_machines"),
+                         (metrics, "count_blocks"), (metrics, "grouping_efficacy")):
+        counting(module, name)
+    asg = form_cells(model, data, k_max=k_max, hits=hits)
+    distinct = len(set(settled))
+    assert calls == {
+        "cluster_map": upper - 1,
+        "assign_machines": rounds,
+        "count_blocks": distinct,
+        "grouping_efficacy": distinct,
+    }
+    assert asg in settled
+
+
 def test_form_cells_on_demo_instance_matches_known_grouping(problem1):
     model = _trained(problem1, seed=42, grid=MapGrid(12, 10))
     asg = form_cells(model, problem1, k_max=5)
@@ -302,7 +348,7 @@ def _relabel_reference(part_family, values):
     return np.array([remap[int(f)] for f in part_family], dtype=np.int64)
 
 
-def _settle_reference(values, part_family):
+def _settle_loop_reference(values, part_family):
     part_family = np.asarray(part_family, dtype=np.int64).copy()
     while True:
         part_family = _relabel_reference(part_family, values)
@@ -319,6 +365,43 @@ def _settle_reference(values, part_family):
         part_family=tuple(part_family),
         machine_cell=tuple(machine_cell),
     )
+
+
+def _settle_reference(data, part_family):
+    """The settle as it ran one candidate at a time: one running tally per
+    candidate, reordered biggest first (then densest, then earliest part)
+    each round, with the first machine-less family dissolved into the
+    family whose machines its parts use most densely."""
+    values = data.values
+    ids, counts, sizes = metrics.family_tally(values, part_family)
+    row = np.searchsorted(ids, part_family)
+    first = np.full(ids.size, row.size)
+    np.minimum.at(first, row, np.arange(row.size))
+    k = ids.size
+    while True:
+        order = np.lexsort((first, -counts.sum(axis=1), -sizes))[:k]
+        rank = np.empty_like(sizes)
+        rank[order] = np.arange(k)
+        row = rank[row]
+        counts, sizes, first = counts[order], sizes[order], first[order]
+        machine_cell = assign_machines((np.arange(1, k + 1), counts, sizes))
+        has_machines = np.bincount(machine_cell, minlength=k + 1)[1:] > 0
+        if has_machines.all():
+            break
+        gone = int(np.argmin(has_machines))
+        orphans = np.flatnonzero(row == gone)
+        owners = np.flatnonzero(has_machines)
+        onehot = (machine_cell[:, None] == owners[None, :] + 1).astype(np.float64)
+        orphan_values = values[orphans].astype(np.float64)
+        density = (orphan_values @ onehot) / onehot.sum(axis=0)
+        to = owners[np.argmax(density, axis=1)]
+        row[orphans] = to
+        np.add.at(counts, to, orphan_values)
+        np.add.at(sizes, to, 1)
+        np.minimum.at(first, to, orphans)
+        sizes[gone] = 0
+        k -= 1
+    return CellAssignment(part_family=tuple((row + 1).tolist()), machine_cell=tuple(machine_cell.tolist()))
 
 
 def _count_blocks_reference(values, part_family, machine_cell):
@@ -448,7 +531,44 @@ def test_relabel_by_size_matches_sorted_remap(problem):
 @example(_BIG_FAMILY)
 def test_settle_matches_loop_reference(problem):
     values, family = problem
-    assert _settle_assignment(IncidenceMatrix.from_array(values), family) == _settle_reference(values, family)
+    assert _settle_assignment(IncidenceMatrix.from_array(values), family) == _settle_loop_reference(values, family)
+
+
+@st.composite
+def sweep_problems(draw):
+    """(0/1 matrix, 1-6 candidate family arrays over its parts).
+
+    Rows are copies of a few base rows, so densities often tie exactly;
+    each candidate draws its ids from its own gappy pool, so k varies
+    between candidates and a pool of one id gives a single-family one.
+    """
+    machines = draw(st.integers(1, 6))
+    base = draw(arrays(np.uint8, (draw(st.integers(1, 4)), machines), elements=st.integers(0, 1)))
+    base[base.sum(axis=1) == 0, 0] = 1
+    rows = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=1, max_size=16))
+    values = base[rows]
+    values[:, values.sum(axis=0) == 0] = 1  # whole columns, so duplicate rows stay duplicates
+    families = []
+    for _ in range(draw(st.integers(1, 6))):
+        pool = draw(st.lists(st.integers(0, 12), min_size=1, max_size=7, unique=True))
+        family = draw(st.lists(st.sampled_from(pool), min_size=len(rows), max_size=len(rows)))
+        families.append(np.array(family, dtype=np.int64))
+    return values, families
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sweep_problems())
+@example((_GAPPY[0], [_GAPPY[1], np.full(5, 4), np.arange(5), _GAPPY[1][::-1].copy()]))
+@example((_BIG_FAMILY[0], [_BIG_FAMILY[1], np.arange(302) % 3, np.full(302, 7)]))
+def test_settle_sweep_matches_reference_per_candidate(problem):
+    # every candidate settles as it would alone, and as the one-candidate
+    # reference settles it, so candidates of one sweep cannot cross-talk
+    values, families = problem
+    data = IncidenceMatrix.from_array(values)
+    settled = [_settle_assignment(data, family) for family in families]
+    assert settled == [_settle_reference(data, family) for family in families]
+    for family, got in zip(families, settled, strict=True):
+        assert _settle_assignment(data, family) == got
 
 
 @st.composite

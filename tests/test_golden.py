@@ -16,24 +16,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import planted_instance
+from conftest import planted_instance, planted_tall
 from somcell import IncidenceMatrix, load_problem1
 from somcell.cli import extract_cells, main, train_map
 from somcell.som import save_model
 from somcell.viz import compute_hits, export_scatter_data, export_svg
-
-
-def _planted_tall(seed, part_runs=(30, 25, 25, 20), machine_runs=(12, 10, 10, 8), noise=0.03):
-    """Shuffled block-diagonal matrix (100x40 by default) with every bit
-    flipped with probability ``noise``."""
-    rng = np.random.default_rng(seed)
-    pf = np.repeat(np.arange(len(part_runs)), part_runs)
-    mc = np.repeat(np.arange(len(machine_runs)), machine_runs)
-    values = (pf[:, None] == mc[None, :]).astype(np.uint8)
-    values ^= (rng.random(values.shape) < noise).astype(np.uint8)
-    values = values[rng.permutation(values.shape[0])][:, rng.permutation(values.shape[1])]
-    assert values.sum(axis=1).min() > 0 and values.sum(axis=0).min() > 0
-    return values
 
 
 def _case(name):
@@ -44,11 +31,11 @@ def _case(name):
     if kind == "planted6x6":
         return IncidenceMatrix.from_array(planted_instance(np.random.default_rng(int(arg)))), 42
     if kind == "planted100x40":
-        return IncidenceMatrix.from_array(_planted_tall(int(arg))), 42
+        return IncidenceMatrix.from_array(planted_tall(int(arg))), 42
     if kind == "planted250x45":
         # seven blocks at 5% noise: the default sweep (k = 2..23) settles
         # 22 candidates with 54 dissolves between them
-        values = _planted_tall(
+        values = planted_tall(
             int(arg), (50, 42, 38, 35, 32, 28, 25), (9, 8, 7, 6, 6, 5, 4), noise=0.05
         )
         return IncidenceMatrix.from_array(values), 42
