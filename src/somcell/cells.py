@@ -137,21 +137,55 @@ def assign_machines(tally) -> np.ndarray:
     return ids[np.argmax(counts / sizes[:, None], axis=0)]
 
 
-def _relabel_by_size(sizes: np.ndarray, ones: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The row order that renumbers the families 1..k: biggest first, then densest.
+def _relabel_by_size(
+    candidate: np.ndarray, sizes: np.ndarray, ones: np.ndarray, first: np.ndarray
+) -> np.ndarray:
+    """The row order that renumbers each candidate's families 1..k: biggest first, then densest.
 
     Machine assignment breaks density ties toward the smaller family id, so
     this ordering makes a machine that is equally dense everywhere side
     with the largest (then fullest) family instead of collapsing onto a
-    small or sparse one. The keys are each family's part count, its count
-    of ones and its earliest part, which is unique, so no two families tie.
-    Ordering: size desc, ones desc, earliest part asc.
+    small or sparse one. Rows are stacked over the candidates of a sweep,
+    so the candidate is the first key and each candidate's rows come out
+    together, in candidate order. The other keys are each family's part
+    count, its count of ones and its earliest part, which is unique within
+    a candidate, so no two of its families tie.
+    Ordering: candidate asc, size desc, ones desc, earliest part asc.
     """
-    return np.lexsort((first, -ones, -sizes))  # last key sorts first
+    return np.lexsort((first, -ones, -sizes, candidate))  # last key sorts first
 
 
-def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAssignment:
-    """Assign machines and dissolve machine-less families until stable.
+def _dissolve(values, row, gone, machine_cell, starts, counts, sizes, first) -> None:
+    """Dissolve family ``gone[i]`` of each live candidate i, in place.
+
+    ``row[i, p]`` is part p's tally row in candidate i, whose family f is
+    row ``starts[i] + f - 1``, and ``machine_cell[i]`` its machines' family
+    ids. Each orphan part moves to the family whose machines it uses most
+    densely: its ones in that family's machines over their count, with
+    families that own no machine set to -1, so argmax's first maximum is
+    the smallest-id densest owner. The moved parts' ones, part counts and
+    earliest parts are added into their new families' rows.
+    """
+    at, orphans = np.nonzero(row == gone[:, None])  # each orphan's candidate and part
+    live, slots = machine_cell.shape[0], int(machine_cell.max())
+    bins = machine_cell - 1 + slots * np.arange(live)[:, None]  # one per (candidate, family)
+    owned = np.bincount(bins.ravel(), minlength=live * slots).reshape(live, slots)[at]
+    hit, machine = np.nonzero(values[orphans])  # the orphans' ones
+    ones = np.bincount(slots * hit + machine_cell[at[hit], machine] - 1, minlength=at.size * slots)
+    density = np.full(owned.shape, -1.0)
+    np.divide(ones.reshape(owned.shape), owned, out=density, where=owned > 0)
+    to = starts[at] + np.argmax(density, axis=1)
+    row[at, orphans] = to
+    # counts is C-contiguous, so reshape(-1) is a view of it
+    np.add.at(counts.reshape(-1), to[hit] * counts.shape[1] + machine, 1.0)
+    np.add.at(sizes, to, 1)
+    np.minimum.at(first, to, orphans)
+    sizes[gone] = 0
+
+
+def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
+    """Settle every candidate of a sweep: assign machines and dissolve
+    machine-less families until each candidate is stable.
 
     Dissolving moves the orphan family's parts to whichever surviving
     family's machines they use most densely, then machines are
@@ -159,46 +193,73 @@ def _settle_assignment(data: IncidenceMatrix, part_family: np.ndarray) -> CellAs
     returned ids are the canonical size-ordered ones, which keeps
     assign_machines idempotent on the result.
 
-    The parts are tallied once. Each round permutes the tally's rows into
-    size order, and a dissolve adds the orphans' rows into their new
-    families' rows; float64 sums of 0/1 are exact in any order, so this
-    is the tally of the round's families, bit for bit.
+    The candidates settle in lockstep rounds over one stacked tally, one
+    row per (candidate, family), built from each candidate's
+    ``metrics.family_tally``. Each round puts every live row in rank
+    order at once, makes one ``assign_machines`` call per unsettled
+    candidate on its rows, and dissolves the first machine-less family of
+    every candidate that has one in one batched step. Tallies and
+    densities are exact integers divided by exact integers, and argmax
+    keeps the first maximum, so each candidate settles bit for bit as it
+    would alone.
     """
     values = data.values
-    ids, counts, sizes = metrics.family_tally(values, part_family)
-    row = np.searchsorted(ids, part_family)  # each part's tally row
-    first = np.full(ids.size, row.size)
-    np.minimum.at(first, row, np.arange(row.size))
-    k = ids.size
+    parts = values.shape[0]
+    tallies = [metrics.family_tally(values, family) for family in part_families]
+    ks = np.array([ids.size for ids, _, _ in tallies])  # each live candidate's family count
+    candidate = np.repeat(np.arange(ks.size), ks)
+    ids = np.concatenate([ids for ids, _, _ in tallies])
+    counts = np.concatenate([counts for _, counts, _ in tallies])
+    sizes = np.concatenate([sizes for _, _, sizes in tallies])
+    del tallies  # held twice until here; the stack is the running tally
+    # row[i, p] is part p's tally row in live candidate i, looked up in a
+    # (candidate, family id) table
+    width = int(ids.max()) + 1
+    table = np.empty(ks.size * width, dtype=np.int64)
+    table[candidate * width + ids] = np.arange(ids.size)
+    row = np.stack(part_families)
+    row += width * np.arange(ks.size)[:, None]
+    row = table[row]
+    first = np.full(sizes.size, parts)
+    np.minimum.at(first, row.ravel(), np.tile(np.arange(parts), ks.size))
+    family_ids = np.arange(1, ks.max() + 1)
+    live = np.arange(ks.size)
+    settled = [None] * ks.size
     while True:
-        # a family's ones are its tally row's sum; a dissolved family has no
-        # parts left, so it sorts last and is cut
-        order = _relabel_by_size(sizes, counts.sum(axis=1), first)[:k]
+        # a family's ones are its tally row's sum; dissolved families and
+        # settled candidates' families have no parts left, so they are cut
+        order = _relabel_by_size(candidate, sizes, counts.sum(axis=1), first)
+        order = order[sizes[order] > 0]
         rank = np.empty_like(sizes)
-        rank[order] = np.arange(k)
+        rank[order] = np.arange(order.size)
         row = rank[row]
-        counts, sizes, first = counts[order], sizes[order], first[order]
-        machine_cell = assign_machines((np.arange(1, k + 1), counts, sizes))  # row f is family f + 1
-        has_machines = np.bincount(machine_cell, minlength=k + 1)[1:] > 0
-        if has_machines.all():
-            break
-        gone = int(np.argmin(has_machines))
-        orphans = np.flatnonzero(row == gone)
-        # one column per family that owns machines, ascending, so argmax's
-        # first maximum keeps the smaller id on ties; float64 sums of 0/1
-        # are exact and cannot wrap like uint8
-        owners = np.flatnonzero(has_machines)
-        onehot = (machine_cell[:, None] == owners[None, :] + 1).astype(np.float64)
-        orphan_values = values[orphans].astype(np.float64)
-        density = (orphan_values @ onehot) / onehot.sum(axis=0)
-        to = owners[np.argmax(density, axis=1)]
-        row[orphans] = to
-        np.add.at(counts, to, orphan_values)
-        np.add.at(sizes, to, 1)
-        np.minimum.at(first, to, orphans)
-        sizes[gone] = 0
-        k -= 1
-    return CellAssignment(part_family=tuple((row + 1).tolist()), machine_cell=tuple(machine_cell.tolist()))
+        counts, sizes, first, candidate = counts[order], sizes[order], first[order], candidate[order]
+        # family f of live candidate i is row starts[i] + f - 1
+        starts = np.cumsum(ks) - ks
+        machine_cell = np.stack([
+            assign_machines((family_ids[:k], counts[s:s + k], sizes[s:s + k]))
+            for s, k in zip(starts.tolist(), ks.tolist())
+        ])
+        has_machines = np.zeros(order.size, dtype=bool)
+        has_machines[machine_cell + (starts - 1)[:, None]] = True
+        machineless = np.flatnonzero(~has_machines)
+        # each candidate's first machine-less family leads its run of them
+        lead = np.ones(machineless.size, dtype=bool)
+        lead[1:] = candidate[machineless[1:]] != candidate[machineless[:-1]]
+        gone = machineless[lead]
+        unsettled = np.searchsorted(starts, gone, side="right") - 1
+        done = np.ones(live.size, dtype=bool)
+        done[unsettled] = False
+        for i in np.flatnonzero(done).tolist():
+            settled[live[i]] = CellAssignment(
+                part_family=tuple((row[i] - (starts[i] - 1)).tolist()),
+                machine_cell=tuple(machine_cell[i].tolist()),
+            )
+        if not unsettled.size:
+            return settled
+        sizes[np.repeat(done, ks)] = 0
+        live, ks, row = live[unsettled], ks[unsettled] - 1, row[unsettled]
+        _dissolve(values, row, gone, machine_cell[unsettled], starts[unsettled], counts, sizes, first)
 
 
 def form_cells(
@@ -207,13 +268,13 @@ def form_cells(
     """Best assignment over a sweep of candidate cell counts.
 
     Tries every k from 2 up to min(k_max, units with hits, machines,
-    parts); each candidate is clustered, settled, and scored, and the
-    highest exact efficacy wins, ties going to the smaller k. A settled
-    assignment that repeats an earlier k's cannot win that rule, so it is
-    not scored again. If the sweep is empty (a single busy unit, say)
-    everything lands in one cell.
+    parts): each k is clustered on one shared ``cluster_basis``, then all
+    candidates are settled together (``_settle_sweep``) and scored in k
+    order. The highest exact efficacy wins, ties going to the smaller k. A
+    settled assignment that repeats an earlier k's cannot win that rule,
+    so it is not scored again. If the sweep is empty (a single busy unit,
+    say) everything lands in one cell.
     ``hits`` is ``compute_hits(model, data)``, computed here when not given.
-    All candidates share one ``cluster_basis``.
     """
     _check_machines(model, data.machines)
     if k_max < 2:
@@ -222,21 +283,19 @@ def form_cells(
         hits = compute_hits(model, data)
     busy_units = int((hits.hits > 0).sum())
     upper = min(k_max, busy_units, data.machines, data.parts)
+    if upper < 2:
+        return CellAssignment(part_family=(1,) * data.parts, machine_cell=(1,) * data.machines)
     basis = cluster_basis(model, hits, upper)
+    families = [assign_parts(cluster_map(basis, k), hits) for k in range(2, upper + 1)]
     best: tuple[Fraction, CellAssignment] | None = None
     scored = set()
-    for k in range(2, upper + 1):
-        clusters = cluster_map(basis, k)
-        candidate = _settle_assignment(data, assign_parts(clusters, hits))
-        key = (candidate.part_family, candidate.machine_cell)
-        if key in scored:
+    for candidate in _settle_sweep(data, families):
+        if candidate in scored:
             continue
-        scored.add(key)
+        scored.add(candidate)
         efficacy = metrics.grouping_efficacy(metrics.count_blocks(data, candidate))
         if best is None or efficacy > best[0]:
             best = (efficacy, candidate)
-    if best is None:
-        return CellAssignment(part_family=(1,) * data.parts, machine_cell=(1,) * data.machines)
     return best[1]
 
 

@@ -34,7 +34,7 @@ from somcell import (
 )
 from somcell import cells, metrics
 from somcell.cli import default_kmax
-from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_assignment, cluster_basis
+from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_sweep, cluster_basis
 from somcell.metrics import BlockCounts
 from somcell.viz import HitHistogram
 
@@ -152,7 +152,7 @@ def test_settle_dissolves_machineless_families():
         dtype=np.uint8,
     )
     data = IncidenceMatrix.from_array(values)
-    settled = _settle_assignment(data, np.array([1, 1, 2]))
+    settled = _settle_sweep(data, [np.array([1, 1, 2])])[0]
     assert settled.k == 1
     assert settled.part_family == (1, 1, 1)
     assert settled.machine_cell == (1, 1, 1)
@@ -168,7 +168,7 @@ def test_settle_rehomes_orphans_by_density_past_uint8_counts():
     values[2:4, 256:] = 1
     values[4, :257] = 1
     data = IncidenceMatrix.from_array(values)
-    settled = _settle_assignment(data, np.array([1, 1, 2, 2, 3]))
+    settled = _settle_sweep(data, [np.array([1, 1, 2, 2, 3])])[0]
     assert settled.part_family == (1, 1, 2, 2, 1)
     assert settled.machine_cell == (1,) * 256 + (2, 2)
 
@@ -200,7 +200,8 @@ def test_form_cells_beats_every_candidate_k(problem1):
     hits = compute_hits(model, problem1)
     busy = int((hits.hits > 0).sum())
     for k in range(2, min(5, busy, 10, 10) + 1):
-        candidate = _settle_assignment(problem1, assign_parts(cluster_map(cluster_basis(model, hits, k), k), hits))
+        family = assign_parts(cluster_map(cluster_basis(model, hits, k), k), hits)
+        candidate = _settle_sweep(problem1, [family])[0]
         assert best >= grouping_efficacy(count_blocks(problem1, candidate))
 
 
@@ -229,7 +230,7 @@ def test_form_cells_scores_each_distinct_candidate_once(problem1, monkeypatch):
         hits = compute_hits(model, data)
         upper = min(k_max, int((hits.hits > 0).sum()), data.machines, data.parts)
         settled = [
-            _settle_assignment(data, assign_parts(cluster_map(cluster_basis(model, hits, k), k), hits))
+            _settle_sweep(data, [assign_parts(cluster_map(cluster_basis(model, hits, k), k), hits)])[0]
             for k in range(2, upper + 1)
         ]
         distinct = list(dict.fromkeys(settled))
@@ -519,7 +520,7 @@ def test_relabel_by_size_matches_sorted_remap(problem):
     first = np.full(ids.size, family.size)
     np.minimum.at(first, row, np.arange(family.size))
     rank = np.empty(ids.size, dtype=np.int64)
-    rank[_relabel_by_size(sizes, counts.sum(axis=1), first)] = np.arange(1, ids.size + 1)
+    rank[_relabel_by_size(np.zeros_like(sizes), sizes, counts.sum(axis=1), first)] = np.arange(1, ids.size + 1)
     got = rank[row]
     want = _relabel_reference(family, values)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
@@ -531,7 +532,7 @@ def test_relabel_by_size_matches_sorted_remap(problem):
 @example(_BIG_FAMILY)
 def test_settle_matches_loop_reference(problem):
     values, family = problem
-    assert _settle_assignment(IncidenceMatrix.from_array(values), family) == _settle_loop_reference(values, family)
+    assert _settle_sweep(IncidenceMatrix.from_array(values), [family])[0] == _settle_loop_reference(values, family)
 
 
 @st.composite
@@ -565,10 +566,10 @@ def test_settle_sweep_matches_reference_per_candidate(problem):
     # reference settles it, so candidates of one sweep cannot cross-talk
     values, families = problem
     data = IncidenceMatrix.from_array(values)
-    settled = [_settle_assignment(data, family) for family in families]
+    settled = _settle_sweep(data, families)
     assert settled == [_settle_reference(data, family) for family in families]
     for family, got in zip(families, settled, strict=True):
-        assert _settle_assignment(data, family) == got
+        assert _settle_sweep(data, [family])[0] == got
 
 
 @st.composite
@@ -615,7 +616,7 @@ def test_settle_looks_up_assign_machines_once_per_round(problem):
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(cells, name, counting(name))
-        settled = _settle_assignment(IncidenceMatrix.from_array(values), family)
+        settled = _settle_sweep(IncidenceMatrix.from_array(values), [family])[0]
     rounds = np.unique(family).size - settled.k + 1
     assert calls == {"assign_machines": rounds, "_relabel_by_size": rounds}
 
@@ -644,12 +645,12 @@ def test_settle_carries_the_settled_families_tally(problem):
     with pytest.MonkeyPatch.context() as mp:
         for name in ("assign_machines", "_relabel_by_size"):
             mp.setattr(cells, name, recording(name))
-        settled = _settle_assignment(IncidenceMatrix.from_array(values), family)
+        settled = _settle_sweep(IncidenceMatrix.from_array(values), [family])[0]
     part_family = np.array(settled.part_family)
     (tally,), _ = last["assign_machines"]
     for got, want in zip(tally, metrics.family_tally(values, part_family), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-    keys, order = last["_relabel_by_size"]
+    (_, *keys), order = last["_relabel_by_size"]
     sizes, ones, first = (key[order[: settled.k]] for key in keys)
     assert sizes.tolist() == np.bincount(part_family)[1:].tolist()
     assert ones.tolist() == np.bincount(part_family, weights=values.sum(axis=1))[1:].tolist()
