@@ -4,7 +4,9 @@ Pipeline: cluster the codebook vectors of units that actually caught parts,
 let every part inherit its BMU's cluster as a family, pull each machine
 into the family that uses it most densely, dissolve families that end up
 without machines, and sweep the cluster count, keeping the assignment with
-the best grouping efficacy.
+the best grouping efficacy. The sweep clusters every cluster count first,
+then settles all the candidates together in lockstep rounds over one
+stacked family tally (``_settle_sweep``), then scores them in order.
 """
 
 from __future__ import annotations
@@ -155,29 +157,46 @@ def _relabel_by_size(
     return np.lexsort((first, -ones, -sizes, candidate))  # last key sorts first
 
 
+def _densest_owners(
+    at: np.ndarray, hit: np.ndarray, machine: np.ndarray, machine_cell: np.ndarray
+) -> np.ndarray:
+    """For each orphan part, the family (0-based) whose machines it uses most densely.
+
+    Orphan i belongs to candidate ``at[i]``, whose machines' family ids
+    (1-based) are ``machine_cell[at[i]]``; ``(hit, machine)`` lists the
+    orphans' ones as (orphan, machine) pairs. Density is an orphan's ones in
+    a family's machines over their count, and families that own no machine
+    get -1, so argmax's first maximum is the smallest-id densest owner.
+    """
+    live, slots = machine_cell.shape[0], int(machine_cell.max())
+    bins = machine_cell - 1 + slots * np.arange(live)[:, None]  # one per (candidate, family)
+    owned = np.bincount(bins.ravel(), minlength=live * slots).reshape(live, slots).astype(np.float64)[at]
+    bins = machine_cell[at[hit], machine] - 1  # one per (orphan, family), built in place
+    bins += slots * hit
+    density = np.bincount(bins, weights=np.ones(bins.size), minlength=owned.size).reshape(owned.shape)
+    np.divide(density, owned, out=density, where=owned > 0)
+    density[owned == 0] = -1
+    return np.argmax(density, axis=1)
+
+
 def _dissolve(values, row, gone, machine_cell, starts, counts, sizes, first) -> None:
     """Dissolve family ``gone[i]`` of each live candidate i, in place.
 
     ``row[i, p]`` is part p's tally row in candidate i, whose family f is
     row ``starts[i] + f - 1``, and ``machine_cell[i]`` its machines' family
-    ids. Each orphan part moves to the family whose machines it uses most
-    densely: its ones in that family's machines over their count, with
-    families that own no machine set to -1, so argmax's first maximum is
-    the smallest-id densest owner. The moved parts' ones, part counts and
-    earliest parts are added into their new families' rows.
+    ids. Each orphan part moves to its densest owner, and its ones, its
+    count and its index are added into that family's counts, size and
+    earliest part.
     """
     at, orphans = np.nonzero(row == gone[:, None])  # each orphan's candidate and part
-    live, slots = machine_cell.shape[0], int(machine_cell.max())
-    bins = machine_cell - 1 + slots * np.arange(live)[:, None]  # one per (candidate, family)
-    owned = np.bincount(bins.ravel(), minlength=live * slots).reshape(live, slots)[at]
     hit, machine = np.nonzero(values[orphans])  # the orphans' ones
-    ones = np.bincount(slots * hit + machine_cell[at[hit], machine] - 1, minlength=at.size * slots)
-    density = np.full(owned.shape, -1.0)
-    np.divide(ones.reshape(owned.shape), owned, out=density, where=owned > 0)
-    to = starts[at] + np.argmax(density, axis=1)
+    to = starts[at] + _densest_owners(at, hit, machine, machine_cell)
     row[at, orphans] = to
     # counts is C-contiguous, so reshape(-1) is a view of it
-    np.add.at(counts.reshape(-1), to[hit] * counts.shape[1] + machine, 1.0)
+    flat = to[hit]
+    flat *= counts.shape[1]
+    flat += machine
+    np.add.at(counts.reshape(-1), flat, 1.0)
     np.add.at(sizes, to, 1)
     np.minimum.at(first, to, orphans)
     sizes[gone] = 0
