@@ -171,7 +171,7 @@ def _densest_owners(
     live, slots = machine_cell.shape[0], int(machine_cell.max())
     bins = machine_cell - 1 + slots * np.arange(live)[:, None]  # one per (candidate, family)
     owned = np.bincount(bins.ravel(), minlength=live * slots).reshape(live, slots).astype(np.float64)[at]
-    bins = machine_cell[at[hit], machine] - 1  # one per (orphan, family), built in place
+    bins = machine_cell[at[hit], machine] - 1  # each one's (orphan, family) bin, built in place
     bins += slots * hit
     density = np.bincount(bins, weights=np.ones(bins.size), minlength=owned.size).reshape(owned.shape)
     np.divide(density, owned, out=density, where=owned > 0)
@@ -220,7 +220,8 @@ def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
     every candidate that has one in one batched step. Tallies and
     densities are exact integers divided by exact integers, and argmax
     keeps the first maximum, so each candidate settles bit for bit as it
-    would alone.
+    would alone. ``part_families`` holds at least one candidate: a
+    non-negative family id per part.
     """
     values = data.values
     parts = values.shape[0]
