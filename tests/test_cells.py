@@ -241,6 +241,32 @@ def test_form_cells_scores_each_distinct_candidate_once(problem1, monkeypatch):
         assert asg == max(distinct, key=lambda c: grouping_efficacy(real(data, c)))
 
 
+def test_form_cells_breaks_efficacy_ties_toward_the_earlier_candidate(problem1, monkeypatch):
+    # B is A with its two cell ids swapped, so both score 25/26; C (one
+    # cell) scores less. The repeat of A is not scored again, and the tie
+    # goes to A, the smaller k's candidate.
+    a = CellAssignment(part_family=(2, 2, 1, 1, 1, 1, 1, 1, 1, 2), machine_cell=(1, 2, 1, 2, 1, 2, 2, 2, 1, 1))
+    b = CellAssignment(
+        part_family=tuple(3 - f for f in a.part_family), machine_cell=tuple(3 - c for c in a.machine_cell)
+    )
+    c = CellAssignment(part_family=(1,) * 10, machine_cell=(1,) * 10)
+    assert a != b
+    assert grouping_efficacy(count_blocks(problem1, a)) == grouping_efficacy(count_blocks(problem1, b))
+    assert grouping_efficacy(count_blocks(problem1, c)) < grouping_efficacy(count_blocks(problem1, a))
+    real = metrics.count_blocks
+    scored = []
+
+    def counting(data, assignment):
+        scored.append(assignment)
+        return real(data, assignment)
+
+    monkeypatch.setattr(cells, "_settle_sweep", lambda data, families: [a, b, a, c])
+    monkeypatch.setattr(metrics, "count_blocks", counting)
+    got = form_cells(_trained(problem1, seed=42, grid=MapGrid(12, 10)), problem1, k_max=5)
+    assert got is a
+    assert scored == [a, b, c]
+
+
 def test_form_cells_keeps_the_traced_call_counts(monkeypatch):
     # the benchmark's tracer counts k candidates as cluster_map calls,
     # dissolves as assign_machines calls beyond one per candidate, and
