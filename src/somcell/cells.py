@@ -12,7 +12,6 @@ stacked family tally (``_settle_sweep``), then scores them in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,8 +128,10 @@ def assign_parts(clusters, hits: HitHistogram) -> np.ndarray:
 def assign_machines(tally) -> np.ndarray:
     """Pull each machine into the family that uses it most densely.
 
-    ``tally`` is ``metrics.family_tally(values, part_family)``. Density of
-    machine j in family f is the mean of column j over f's parts. Exact
+    ``tally`` is ``(ids, counts, sizes)``: the family ids, ascending;
+    ``counts[f, j]``, the ones in machine column j over family ``ids[f]``'s
+    parts, as float64; and ``sizes[f]``, that family's part count. Density
+    of machine j in family f is the mean of column j over f's parts. Exact
     ties go to the smaller family id. Idempotent by construction: it
     depends only on (values, part_family).
     """
@@ -155,6 +156,23 @@ def _relabel_by_size(
     Ordering: candidate asc, size desc, ones desc, earliest part asc.
     """
     return np.lexsort((first, -ones, -sizes, candidate))  # last key sorts first
+
+
+def _stacked_tally(values, part_families, starts, widths) -> np.ndarray:
+    """Each candidate's ones per (family, machine), stacked as float64:
+    row ``starts[i] + f`` is family f of candidate i, for f below
+    ``widths[i]``, and ids a candidate does not use get rows of zeros.
+    Each candidate is one bincount over the matrix's ones, found once.
+    """
+    machines = values.shape[1]
+    hit, machine = np.nonzero(values)
+    tally = np.empty((int(widths.sum()), machines))
+    for family, start, width in zip(part_families, starts.tolist(), widths.tolist()):
+        bins = family[hit]  # each one's (family, machine) bin, built in place
+        bins *= machines
+        bins += machine
+        tally[start:start + width] = np.bincount(bins, minlength=width * machines).reshape(width, machines)
+    return tally
 
 
 def _densest_owners(
@@ -213,8 +231,8 @@ def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
     assign_machines idempotent on the result.
 
     The candidates settle in lockstep rounds over one stacked tally, one
-    row per (candidate, family), built from each candidate's
-    ``metrics.family_tally``. Each round puts every live row in rank
+    row per (candidate, family id), counted from the matrix's ones
+    (``_stacked_tally``). Each round puts every live row in rank
     order at once, makes one ``assign_machines`` call per unsettled
     candidate on its rows, and dissolves the first machine-less family of
     every candidate that has one in one batched step. Tallies and
@@ -225,22 +243,19 @@ def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
     """
     values = data.values
     parts = values.shape[0]
-    tallies = [metrics.family_tally(values, family) for family in part_families]
-    ks = np.array([ids.size for ids, _, _ in tallies])  # each live candidate's family count
-    candidate = np.repeat(np.arange(ks.size), ks)
-    ids = np.concatenate([ids for ids, _, _ in tallies])
-    counts = np.concatenate([counts for _, counts, _ in tallies])
-    sizes = np.concatenate([sizes for _, _, sizes in tallies])
-    del tallies  # held twice until here; the stack is the running tally
-    # row[i, p] is part p's tally row in live candidate i, looked up in a
-    # (candidate, family id) table
-    width = int(ids.max()) + 1
-    table = np.empty(ks.size * width, dtype=np.int64)
-    table[candidate * width + ids] = np.arange(ids.size)
+    # row[i, p] is part p's tally row in live candidate i, at first
+    # starts[i] + its family id; the first round cuts unused ids' empty rows
+    widths = np.array([int(family.max()) + 1 for family in part_families])
+    starts = np.cumsum(widths) - widths
     row = np.stack(part_families)
-    row += width * np.arange(ks.size)[:, None]
-    row = table[row]
+    row += starts[:, None]
+    counts = _stacked_tally(values, part_families, starts, widths)
+    sizes = np.bincount(row.ravel(), minlength=counts.shape[0])
+    ks = np.add.reduceat(sizes > 0, starts)  # each live candidate's family count
+    candidate = np.repeat(np.arange(ks.size), widths)
     first = np.full(sizes.size, parts)
+    # a flat index with a tiled b: numpy 2.4's ufunc.at reads past the end
+    # of a 1-D b broadcast over a 2-D index
     np.minimum.at(first, row.ravel(), np.tile(np.arange(parts), ks.size))
     family_ids = np.arange(1, ks.max() + 1)
     live = np.arange(ks.size)
@@ -307,16 +322,9 @@ def form_cells(
         return CellAssignment(part_family=(1,) * data.parts, machine_cell=(1,) * data.machines)
     basis = cluster_basis(model, hits, upper)
     families = [assign_parts(cluster_map(basis, k), hits) for k in range(2, upper + 1)]
-    best: tuple[Fraction, CellAssignment] | None = None
-    scored = set()
-    for candidate in _settle_sweep(data, families):
-        if candidate in scored:
-            continue
-        scored.add(candidate)
-        efficacy = metrics.grouping_efficacy(metrics.count_blocks(data, candidate))
-        if best is None or efficacy > best[0]:
-            best = (efficacy, candidate)
-    return best[1]
+    # dict keys keep first occurrences in order, and max keeps the first maximum
+    distinct = dict.fromkeys(_settle_sweep(data, families))
+    return max(distinct, key=lambda c: metrics.grouping_efficacy(metrics.count_blocks(data, c)))
 
 
 def build_view(assignment: CellAssignment) -> BlockDiagonalView:

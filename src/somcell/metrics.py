@@ -78,21 +78,6 @@ class BlockCounts:
         return self.n1 - self.n1_out + self.n0_in
 
 
-def family_tally(values, part_family):
-    """``(ids, counts, sizes)``: each family's ones per machine.
-
-    Family ids are non-negative integers; a negative one raises
-    ``ValueError``. ``ids`` are the distinct family ids, ascending;
-    ``counts[f, j]`` is the number of ones in machine column j over family
-    ``ids[f]``'s parts, as float64 (sums of 0/1 are exact far beyond any
-    matrix here); ``sizes[f]`` is that family's part count.
-    """
-    sizes = np.bincount(part_family)
-    ids = np.flatnonzero(sizes)
-    onehot = (part_family[None, :] == ids[:, None]).astype(np.float64)
-    return ids, onehot @ values, sizes[ids]
-
-
 def count_blocks(data, assignment) -> BlockCounts:
     part_family = np.asarray(assignment.part_family, dtype=np.int64)
     machine_cell = np.asarray(assignment.machine_cell, dtype=np.int64)

@@ -375,8 +375,8 @@ def _projection_svg(proj: Projection, part_cells=None) -> str:
     # positional part labels (p1, p2, ...) hold nothing to escape
     body += [
         f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{fill}" stroke="black" stroke-width="0.6"/>\n'
-        f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-family="sans-serif" font-size="11">p{i}</text>'
-        for i, x, y, fill in zip(range(1, parts + 1), xs[units:], ys[units:], fills)
+        f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-family="sans-serif" font-size="11">{label}</text>'
+        for label, x, y, fill in zip(positional_labels("p", parts), xs[units:], ys[units:], fills)
     ]
     title = (
         "principal projection of parts (dots) and prototypes (gray net); "
@@ -428,12 +428,15 @@ def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistog
     entries = buf.tobytes().decode("ascii")
     lines = [f"source,label,{','.join(positional_labels('m', model.input_dim))},cell"]
     lines += [
-        f"data,p{i + 1},{entries[i * width:(i + 1) * width]}{cell}" for i, cell in enumerate(part_cells.tolist())
+        f"data,{label},{entries[i * width:(i + 1) * width]}{cell}"
+        for i, (label, cell) in enumerate(zip(positional_labels("p", part_cells.size), part_cells.tolist()))
     ]
     # a Python float's repr is what csv.writer writes for it (the shortest
     # round-trip form), and no field here ever needs quoting
     lines += [
-        f"prototype,u{u + 1},{','.join(map(repr, row))},{cell}"
-        for u, (row, cell) in enumerate(zip(model.codebook.tolist(), unit_cells.tolist()))
+        f"prototype,{label},{','.join(map(repr, row))},{cell}"
+        for label, row, cell in zip(
+            positional_labels("u", unit_cells.size), model.codebook.tolist(), unit_cells.tolist()
+        )
     ]
     atomic_write_text(path, "\n".join(lines) + "\n")

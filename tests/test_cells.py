@@ -34,7 +34,7 @@ from somcell import (
 )
 from somcell import cells, metrics
 from somcell.cli import default_kmax
-from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_sweep, cluster_basis
+from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_sweep, _stacked_tally, cluster_basis
 from somcell.metrics import BlockCounts
 from somcell.viz import HitHistogram
 
@@ -125,7 +125,7 @@ def test_assign_machines_prefers_denser_family_and_smaller_id_on_ties():
     )
     data = IncidenceMatrix.from_array(values)
     families = np.array([1, 1, 2, 2])
-    got = assign_machines(metrics.family_tally(data.values, families))
+    got = assign_machines(_family_tally_reference(data.values, families))
     # m1 denser in family 1, m2 denser in family 2, m3 exactly tied
     assert got.tolist() == [1, 2, 1]
 
@@ -136,7 +136,7 @@ def test_assign_machines_idempotent_on_settled_assignments():
         data = IncidenceMatrix.from_array(planted_instance(rng))
         model = _trained(data, seed=11)
         asg = form_cells(model, data, k_max=3)
-        again = assign_machines(metrics.family_tally(data.values, np.array(asg.part_family)))
+        again = assign_machines(_family_tally_reference(data.values, np.array(asg.part_family)))
         assert again.tolist() == list(asg.machine_cell)
 
 
@@ -400,7 +400,7 @@ def _settle_reference(data, part_family):
     each round, with the first machine-less family dissolved into the
     family whose machines its parts use most densely."""
     values = data.values
-    ids, counts, sizes = metrics.family_tally(values, part_family)
+    ids, counts, sizes = _family_tally_reference(values, part_family)
     row = np.searchsorted(ids, part_family)
     first = np.full(ids.size, row.size)
     np.minimum.at(first, row, np.arange(row.size))
@@ -516,12 +516,20 @@ _BIG_FAMILY = (
 @given(family_problems())
 @example(_GAPPY)
 @example(_BIG_FAMILY)
-def test_family_tally_matches_unique_reference(problem):
+def test_stacked_tally_matches_unique_reference(problem):
+    # two candidates of different widths stacked: each one's id rows hold
+    # its tally byte for byte, and the rows of ids it does not use are zero
     values, family = problem
-    got = metrics.family_tally(values, family)
-    want = _family_tally_reference(values, family)
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    families = [family, family[::-1] * 2]
+    widths = np.array([f.max() + 1 for f in families])
+    starts = np.cumsum(widths) - widths
+    got = _stacked_tally(values, families, starts, widths)
+    assert got.dtype == np.float64 and got.shape == (widths.sum(), values.shape[1])
+    for f, start, width in zip(families, starts, widths, strict=True):
+        ids, counts, _ = _family_tally_reference(values, f)
+        block = got[start:start + width]
+        assert block[ids].tobytes() == counts.tobytes()
+        assert not block[np.setdiff1d(np.arange(width), ids)].any()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -530,7 +538,7 @@ def test_family_tally_matches_unique_reference(problem):
 @example(_BIG_FAMILY)
 def test_assign_machines_matches_per_family_loop(problem):
     values, family = problem
-    got = assign_machines(metrics.family_tally(values, family))
+    got = assign_machines(_family_tally_reference(values, family))
     want = _assign_machines_reference(values, family)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -541,7 +549,7 @@ def test_assign_machines_matches_per_family_loop(problem):
 @example(_BIG_FAMILY)
 def test_relabel_by_size_matches_sorted_remap(problem):
     values, family = problem
-    ids, counts, sizes = metrics.family_tally(values, family)
+    ids, counts, sizes = _family_tally_reference(values, family)
     row = np.searchsorted(ids, family)
     first = np.full(ids.size, family.size)
     np.minimum.at(first, row, np.arange(family.size))
@@ -674,7 +682,7 @@ def test_settle_carries_the_settled_families_tally(problem):
         settled = _settle_sweep(IncidenceMatrix.from_array(values), [family])[0]
     part_family = np.array(settled.part_family)
     (tally,), _ = last["assign_machines"]
-    for got, want in zip(tally, metrics.family_tally(values, part_family), strict=True):
+    for got, want in zip(tally, _family_tally_reference(values, part_family), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     (_, *keys), order = last["_relabel_by_size"]
     sizes, ones, first = (key[order[: settled.k]] for key in keys)

@@ -60,12 +60,6 @@ def test_count_blocks_rejects_size_mismatch():
         count_blocks(data, CellAssignment(part_family=(1, 1), machine_cell=(1, 1, 1)))
 
 
-def test_family_tally_rejects_negative_ids():
-    values = np.eye(3, dtype=np.uint8)
-    with pytest.raises(ValueError):
-        somcell.metrics.family_tally(values, np.array([1, -1, 2], dtype=np.int64))
-
-
 def test_efficacy_is_exact_and_reduces():
     counts = BlockCounts(n1=52, n1_out=2, n0_in=0, total_elements=100)
     mu = grouping_efficacy(counts)
