@@ -1,5 +1,6 @@
 """Command-line front end: train maps, extract cells, score, visualize,
-brute-force small instances, and benchmark a corpus of instances.
+find exact optima on instances with few parts, and benchmark a corpus of
+instances.
 
 Every command is deterministic given its flags, and all file outputs are
 written atomically (temp file plus rename).

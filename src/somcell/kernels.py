@@ -18,8 +18,6 @@ adds the product in and however many threads it uses.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = [
@@ -164,24 +162,6 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     return cb
 
 
-@lru_cache(maxsize=8)
-def _assignment_matrix(k: int, m: int) -> np.ndarray:
-    """All k^m machine assignments, ascending lexicographic, last column fastest."""
-    axes = np.meshgrid(*([np.arange(k, dtype=np.int64)] * m), indexing="ij")
-    out = np.stack(axes, axis=-1).reshape(-1, m)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=8)
-def _surjective_rows(k: int, m: int) -> np.ndarray:
-    """Which rows of ``_assignment_matrix(k, m)`` use every label 0..k-1."""
-    cover = np.bitwise_or.reduce(np.int64(1) << _assignment_matrix(k, m), axis=1)
-    out = cover == (1 << k) - 1
-    out.flags.writeable = False
-    return out
-
-
 def best_machine_split(block_ones, block_sizes, n_ones):
     """Best surjective machine-to-family assignment for fixed part families.
 
@@ -190,20 +170,39 @@ def best_machine_split(block_ones, block_sizes, n_ones):
     ratio; among optima the lexicographically smallest assignment wins.
     Returns ``(numerator, denominator, assignment)``; the numerator is -1
     when no assignment gives every family a machine.
+
+    Dinkelbach's method in exact integers: at ratio num/den, machine j in
+    family f gains ``(num + den) * ones[f, j] - num * size[f]``, and an
+    assignment's total gain exceeds ``num * n_ones`` iff its efficacy
+    exceeds the ratio. The ratio rises to the efficacy of the first
+    assignment of most gain until that is the ratio itself; the assignments
+    of most gain are then exactly the optima.
     """
-    bo = np.ascontiguousarray(block_ones, dtype=np.int64)
-    bs = np.ascontiguousarray(block_sizes, dtype=np.int64)
-    k, m = bo.shape
-    assigns = _assignment_matrix(k, m)
-    nums = bo[assigns, np.arange(m)].sum(axis=1)
-    dens = int(n_ones) + bs[assigns].sum(axis=1) - nums
-    valid = _surjective_rows(k, m)
-    if not valid.any():
+    ones = np.asarray(block_ones, dtype=np.int64)
+    sizes = np.asarray(block_sizes, dtype=np.int64)
+    k, m = ones.shape
+    if k > m:
         return -1, 1, np.zeros(m, dtype=np.int64)
-    ratio = np.where(valid, nums / dens, -1.0)
-    # Equal fractions divide to equal floats, and distinct ones differ by at
-    # least 1/(den*den'), far more than an ulp for the small integers
-    # involved, so the first float maximum is the first exact optimum: the
-    # lexicographically smallest.
-    best = int(np.argmax(ratio))
-    return int(nums[best]), int(dens[best]), assigns[best].copy()
+    # joined[f, s]: the set s of families that have a machine, plus f; a
+    # walk that ends with some family left out scores -2^62
+    joined = np.arange(1 << k) | (1 << np.arange(k))[:, None]
+    end = np.where(np.arange(1 << k) == (1 << k) - 1, 0, -(1 << 62))
+    num, den = 0, 1
+    while True:
+        gain = (num + den) * ones - num * sizes[:, None]
+        # each machine's first best family, unless that leaves a family out
+        assignment = gain.argmax(axis=0)
+        if np.bincount(assignment, minlength=k).min() == 0:
+            rest = [end]  # rest[i][s]: the most gain machines m-i.. add from state s
+            for j in range(m - 1, 0, -1):
+                rest.append((gain[:, j, None] + rest[-1][joined]).max(axis=0))
+            state = 0
+            for j in range(m):
+                # the smallest family that still reaches the most gain
+                f = int(np.argmax(gain[:, j] + rest[m - 1 - j][joined[:, state]]))
+                assignment[j], state = f, state | 1 << f
+        n = int(ones[assignment, np.arange(m)].sum())
+        d = int(n_ones) + int(sizes[assignment].sum()) - n
+        if n * den == num * d:
+            return n, d, assignment
+        num, den = n, d

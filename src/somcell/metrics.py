@@ -3,8 +3,8 @@
 Two scores over the diagonal blocks an assignment induces: grouping
 efficiency (weighted mix of in-block density and off-block sparsity) and
 grouping efficacy, kept as an exact rational so assignments can be ranked
-without float noise. A brute-force oracle finds the true optimum on small
-instances for calibration.
+without float noise. An exact oracle finds the true optimum on instances
+with few parts for calibration.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 
 ORACLE_MAX_PARTS = 10
-ORACLE_MAX_MACHINES = 10
+ORACLE_MAX_MACHINES = 400
 ORACLE_MAX_CELLS = 3
 
 
@@ -176,24 +176,26 @@ def _part_partitions(n_parts: int, max_blocks: int) -> np.ndarray:
 
     One row per restricted growth string, ascending lexicographic: the first
     part is family 0 and each id is at most one past the largest id before
-    it. The rows are those of the cached labeling table
-    ``kernels._assignment_matrix`` that meet that rule.
+    it. Each part repeats every row once per id it may take there.
     """
-    labels = kernels._assignment_matrix(max_blocks, n_parts)
-    seen = np.maximum.accumulate(labels, axis=1)
-    canonical = (labels[:, 0] == 0) & (labels[:, 1:] <= seen[:, :-1] + 1).all(axis=1)
-    return labels[canonical]
+    rows = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(n_parts - 1):
+        counts = np.minimum(rows.max(axis=1) + 2, max_blocks)
+        firsts = np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), np.arange(firsts.size) - firsts])
+    return rows
 
 
 def oracle_best_assignment(data, k: int):
-    """Exhaustive best-efficacy assignment for small instances.
+    """Exact best-efficacy assignment for instances with few parts.
 
     Enumerates every partition of the parts into at most ``k`` nonempty
-    families and, for each, every machine assignment that uses all those
-    families; exact rational comparison throughout. Among ties the first
-    optimum in enumeration order wins, which is the lexicographically
+    families (and no more families than machines) and, for each, finds the
+    best machine assignment that uses all those families with
+    ``kernels.best_machine_split``; exact rational comparison throughout.
+    Among ties the first optimum wins, which is the lexicographically
     smallest (part families first, then machine cells). Bounds: at most
-    10 parts, 10 machines, k <= 3; larger instances raise OracleSizeError.
+    10 parts, 400 machines, k <= 3; larger instances raise OracleSizeError.
 
     Returns ``(assignment, efficacy)``.
     """
@@ -208,22 +210,16 @@ def oracle_best_assignment(data, k: int):
         )
     values = data.values.astype(np.int64)
     n1 = int(values.sum())
-    partitions = _part_partitions(n_parts, min(k, n_parts))
-    k_effs = partitions.max(axis=1) + 1
     # a partition with more families than machines has no surjective split
-    feasible = k_effs <= n_machines
-    partitions, k_effs = partitions[feasible], k_effs[feasible]
+    partitions = _part_partitions(n_parts, min(k, n_parts, n_machines))
+    k_effs = partitions.max(axis=1) + 1
     # onehot[i, f, p]: part p is in family f under partition i
     onehot = (partitions[:, None, :] == np.arange(k_effs.max())[:, None]).astype(np.int64)
     block_ones, sizes = onehot @ values, onehot.sum(axis=2)
-    best: tuple[int, int, np.ndarray, np.ndarray] | None = None
+    best = (-1, 1, None, None)  # every split found here beats -1/1
     for part_family, k_eff, ones, size in zip(partitions, k_effs.tolist(), block_ones, sizes):
         num, den, machine_cell = kernels.best_machine_split(ones[:k_eff], size[:k_eff], n1)
-        if best is None or num * best[1] > best[0] * den:
-            best = (int(num), int(den), part_family, np.asarray(machine_cell))
-    assert best is not None  # the single-family partition is always feasible
-    assignment = CellAssignment(
-        part_family=tuple(int(f) + 1 for f in best[2]),
-        machine_cell=tuple(int(c) + 1 for c in best[3]),
-    )
+        if num * best[1] > best[0] * den:
+            best = (num, den, part_family, machine_cell)
+    assignment = CellAssignment(part_family=tuple(best[2] + 1), machine_cell=tuple(best[3] + 1))
     return assignment, Fraction(best[0], best[1])

@@ -220,6 +220,12 @@ def test_oracle_bounds():
     big = IncidenceMatrix.from_array(np.eye(11, dtype=np.uint8))
     with pytest.raises(OracleSizeError):
         oracle_best_assignment(big, 2)
+    machines = somcell.metrics.ORACLE_MAX_MACHINES
+    widest = IncidenceMatrix.from_array(np.ones((10, machines), dtype=np.uint8))
+    assert oracle_best_assignment(widest, 1)[1] == 1
+    wider = IncidenceMatrix.from_array(np.ones((10, machines + 1), dtype=np.uint8))
+    with pytest.raises(OracleSizeError):
+        oracle_best_assignment(wider, 1)
     small = IncidenceMatrix.from_array(np.eye(3, dtype=np.uint8))
     with pytest.raises(OracleSizeError):
         oracle_best_assignment(small, 4)
@@ -240,6 +246,19 @@ def test_oracle_never_loses_to_any_sampled_assignment():
                 count_blocks(data, CellAssignment(part_family=pf, machine_cell=mc))
             )
             assert mu <= mu_star
+
+
+def test_oracle_optimum_is_symmetric_under_transposition():
+    # efficacy counts the same blocks whichever side is called the parts,
+    # so the optimum over the transposed matrix is the same fraction
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        parts, machines = (int(side) for side in rng.integers(4, 8, size=2))
+        data = IncidenceMatrix.from_array(random_incidence(rng, parts, machines))
+        for k in range(1, 4):
+            _, mu = oracle_best_assignment(data, k)
+            _, mu_transposed = oracle_best_assignment(data.transposed(), k)
+            assert mu == mu_transposed, (data.values.tolist(), k)
 
 
 def test_cell_assignment_lives_in_metrics_without_a_cells_import():
