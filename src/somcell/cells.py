@@ -125,19 +125,18 @@ def assign_parts(clusters, hits: HitHistogram) -> np.ndarray:
     return clusters[hits.bmus].copy()
 
 
-def assign_machines(tally) -> np.ndarray:
+def assign_machines(counts, sizes) -> np.ndarray:
     """Pull each machine into the family that uses it most densely.
 
-    ``tally`` is ``(ids, counts, sizes)``: the family ids, ascending;
-    ``counts[f, j]``, the ones in machine column j over family ``ids[f]``'s
-    parts, as float64; and ``sizes[f]``, that family's part count. Density
-    of machine j in family f is the mean of column j over f's parts. Exact
-    ties go to the smaller family id. Idempotent by construction: it
-    depends only on (values, part_family).
+    Row f stands for family id f + 1: ``counts[f, j]`` holds the ones in
+    machine column j over that family's parts, as float64, and
+    ``sizes[f]`` its part count. Density of machine j in family f is the
+    mean of column j over f's parts. Exact ties go to the smaller family
+    id. Idempotent by construction: it depends only on (values,
+    part_family).
     """
-    ids, counts, sizes = tally
-    # rows ascend by id, so argmax's first maximum keeps the smaller id on ties
-    return ids[np.argmax(counts / sizes[:, None], axis=0)]
+    # argmax's first maximum keeps the smaller id on ties
+    return np.argmax(counts / sizes[:, None], axis=0) + 1
 
 
 def _relabel_by_size(
@@ -257,7 +256,6 @@ def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
     # a flat index with a tiled b: numpy 2.4's ufunc.at reads past the end
     # of a 1-D b broadcast over a 2-D index
     np.minimum.at(first, row.ravel(), np.tile(np.arange(parts), ks.size))
-    family_ids = np.arange(1, ks.max() + 1)
     live = np.arange(ks.size)
     settled = [None] * ks.size
     while True:
@@ -272,7 +270,7 @@ def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
         # family f of live candidate i is row starts[i] + f - 1
         starts = np.cumsum(ks) - ks
         machine_cell = np.stack([
-            assign_machines((family_ids[:k], counts[s:s + k], sizes[s:s + k]))
+            assign_machines(counts[s:s + k], sizes[s:s + k])
             for s, k in zip(starts.tolist(), ks.tolist())
         ])
         has_machines = np.zeros(order.size, dtype=bool)

@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exhaustive best assignment for small instances")
     add_matrix_flags(sp)
-    sp.add_argument("--k", type=int, default=2, help="largest number of cells to consider (at most 3)")
+    sp.add_argument("--k", type=_positive_int, default=2, help="largest number of cells to consider (at most 3)")
     sp.add_argument("--out", default=None, help="optional assignment JSON output path")
 
     sp = sub.add_parser("bench", help="run the pipeline over a corpus and compare to targets")

@@ -210,15 +210,12 @@ def oracle_best_assignment(data, k: int):
         )
     values = data.values.astype(np.int64)
     n1 = int(values.sum())
-    # a partition with more families than machines has no surjective split
-    partitions = _part_partitions(n_parts, min(k, n_parts, n_machines))
-    k_effs = partitions.max(axis=1) + 1
-    # onehot[i, f, p]: part p is in family f under partition i
-    onehot = (partitions[:, None, :] == np.arange(k_effs.max())[:, None]).astype(np.int64)
-    block_ones, sizes = onehot @ values, onehot.sum(axis=2)
     best = (-1, 1, None, None)  # every split found here beats -1/1
-    for part_family, k_eff, ones, size in zip(partitions, k_effs.tolist(), block_ones, sizes):
-        num, den, machine_cell = kernels.best_machine_split(ones[:k_eff], size[:k_eff], n1)
+    # a partition with more families than machines has no surjective split
+    for part_family in _part_partitions(n_parts, min(k, n_parts, n_machines)):
+        # family[f, p]: part p is in family f; tallied one partition at a time
+        family = part_family == np.arange(part_family.max() + 1)[:, None]
+        num, den, machine_cell = kernels.best_machine_split(family @ values, family.sum(axis=1), n1)
         if num * best[1] > best[0] * den:
             best = (num, den, part_family, machine_cell)
     assignment = CellAssignment(part_family=tuple(best[2] + 1), machine_cell=tuple(best[3] + 1))

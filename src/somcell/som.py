@@ -22,6 +22,7 @@ import numpy as np
 
 from . import kernels, pca
 from ._util import JSON_NUMBERS, atomic_write_text, is_json_int
+from .incidence import IncidenceMatrix
 
 _ROW_PITCH = math.sqrt(3.0) / 2.0
 _RANK_TOL = 1e-9
@@ -172,15 +173,6 @@ class SomModel:
         return self.codebook.shape[1]
 
 
-def _as_rows(data) -> np.ndarray:
-    """Accept an IncidenceMatrix or a plain 2-D array of sample rows."""
-    values = getattr(data, "values", data)
-    rows = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    if rows.ndim != 2:
-        raise ValueError("training data must be 2-D (samples by features)")
-    return rows
-
-
 def _check_machines(model: SomModel, machines: int) -> None:
     """Reject data whose machine count is not the model's input width."""
     if machines != model.input_dim:
@@ -190,7 +182,7 @@ def _check_machines(model: SomModel, machines: int) -> None:
         )
 
 
-def init_codebook(grid: MapGrid, data, seed: int) -> SomModel:
+def init_codebook(grid: MapGrid, data: IncidenceMatrix, seed: int) -> SomModel:
     """Deterministic codebook spanning the top two principal directions.
 
     Units are laid out linearly along the principal plane of the data, the
@@ -200,9 +192,9 @@ def init_codebook(grid: MapGrid, data, seed: int) -> SomModel:
     informative directions the codebook falls back to a small seeded box
     around the data mean (every unit within 0.2 of it).
     """
-    rows = _as_rows(data)
-    dim = rows.shape[1]
-    mean, _, lam, vecs = pca.principal_plane(rows)
+    values = data.values
+    dim = data.machines
+    mean, _, lam, vecs = pca.principal_plane(values)
     if lam is None or lam[0] <= _RANK_TOL or lam[1] <= _RANK_TOL * max(lam[0], 1.0):
         rng = np.random.default_rng(seed)
         offsets = rng.uniform(-0.1, 0.1, size=(grid.units, dim)) / math.sqrt(dim)
@@ -221,8 +213,8 @@ def init_codebook(grid: MapGrid, data, seed: int) -> SomModel:
             minor, math.sqrt(lam[1]) * vecs[1]
         )
         # shrink uniformly so no component leaves the data's hull
-        lo = rows.min(axis=0)
-        hi = rows.max(axis=0)
+        lo = values.min(axis=0)
+        hi = values.max(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             room_up = np.where(offsets > 1e-9, (hi - mean) / offsets, np.inf)
             room_dn = np.where(offsets < -1e-9, (lo - mean) / offsets, np.inf)
@@ -238,7 +230,7 @@ def find_bmu(model: SomModel, x) -> int:
     return int(kernels.batch_bmu(model.codebook, xv[None, :])[0])
 
 
-def train(model: SomModel, data, schedule: TrainingSchedule) -> SomModel:
+def train(model: SomModel, data: IncidenceMatrix, schedule: TrainingSchedule) -> SomModel:
     """Run the schedule over the data and return the trained model.
 
     The input model is untouched. Sample order is a fresh seeded shuffle per
@@ -246,17 +238,16 @@ def train(model: SomModel, data, schedule: TrainingSchedule) -> SomModel:
     calls are deterministic and continued training does not replay the same
     shuffles.
     """
-    rows = _as_rows(data)
-    _check_machines(model, rows.shape[1])
+    _check_machines(model, data.machines)
     if not schedule.phases:
         raise ValueError("empty schedule")
-    n_samples = rows.shape[0]
+    n_samples = data.parts
     alphas, sigmas = schedule.step_values(n_samples)
     epochs = schedule.total_epochs
     rng = np.random.default_rng([model.seed, model.trained_epochs])
     orders = np.stack([rng.permutation(n_samples) for _ in range(epochs)]).astype(np.int64)
     codebook = kernels.train_run(
-        model.codebook, rows, orders, alphas, sigmas, model.grid.distance_sq
+        model.codebook, data.values, orders, alphas, sigmas, model.grid.distance_sq
     )
     return replace(
         model,
@@ -266,12 +257,11 @@ def train(model: SomModel, data, schedule: TrainingSchedule) -> SomModel:
     )
 
 
-def quantization_error(model: SomModel, data) -> float:
+def quantization_error(model: SomModel, data: IncidenceMatrix) -> float:
     """Mean Euclidean distance from each sample to its BMU's codebook vector."""
-    rows = _as_rows(data)
-    _check_machines(model, rows.shape[1])
-    bmus = kernels.batch_bmu(model.codebook, rows)
-    return float(np.linalg.norm(rows - model.codebook[bmus], axis=1).mean())
+    _check_machines(model, data.machines)
+    bmus = kernels.batch_bmu(model.codebook, data.values)
+    return float(np.linalg.norm(data.values - model.codebook[bmus], axis=1).mean())
 
 
 def save_model(model: SomModel, path) -> None:

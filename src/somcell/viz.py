@@ -5,8 +5,8 @@ one component plane per machine, a hit histogram of where parts land, and
 a two-component principal projection of parts and unit prototypes.
 
 Heatmap SVGs share one grayscale ramp per figure (low = white, high =
-black) with a numeric min/max legend. Hit and projection views accept an
-optional per-part cell id sequence and then color by cell.
+black) with a numeric min/max legend. Hit and projection views take a
+per-part cell id sequence and color by cell.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from . import kernels, pca
 from ._util import atomic_write_text
-from .incidence import positional_labels
-from .som import MapGrid, SomModel, _as_rows, _check_machines
+from .incidence import IncidenceMatrix, positional_labels
+from .som import MapGrid, SomModel, _check_machines
 
 _PALETTE = (
     "#1f77b4",
@@ -115,32 +115,30 @@ def component_planes(model: SomModel) -> list[ComponentPlane]:
     ]
 
 
-def compute_hits(model: SomModel, data) -> HitHistogram:
+def compute_hits(model: SomModel, data: IncidenceMatrix) -> HitHistogram:
     """Map every part to its BMU and count arrivals per unit."""
-    rows = _as_rows(data)
-    _check_machines(model, rows.shape[1])
-    return HitHistogram(grid=model.grid, bmus=kernels.batch_bmu(model.codebook, rows))
+    _check_machines(model, data.machines)
+    return HitHistogram(grid=model.grid, bmus=kernels.batch_bmu(model.codebook, data.values))
 
 
-def pca_project(model: SomModel, data) -> Projection:
+def pca_project(model: SomModel, data: IncidenceMatrix) -> Projection:
     """Project parts and unit prototypes onto the data's top two principal components.
 
     Axis signs are fixed by making each axis's leading loading positive:
     the first one whose magnitude is within 1e-9 of the largest, so loadings
     tied up to float noise cannot flip an axis. The data mean maps to the
     origin.
+
+    Parts that are not all identical span a plane: a one-machine matrix is
+    all ones, and parts that differ give the first component a variance of
+    at least 1/(parts * machines).
     """
-    rows = _as_rows(data)
-    if rows.shape[0] < 2:
+    if data.parts < 2:
         raise ValueError("need at least two parts to project")
-    _check_machines(model, rows.shape[1])
-    mean, centered, lam, vecs = pca.principal_plane(rows)
+    _check_machines(model, data.machines)
+    mean, centered, lam, vecs = pca.principal_plane(data.values)
     if np.abs(centered).max() <= 1e-12:
         raise ValueError("parts are all identical; nothing to project")
-    if lam is None:
-        raise ValueError("need at least two machines to project")
-    if lam[0] <= 1e-12:
-        raise ValueError("parts have zero variance; nothing to project")
     axes = vecs.copy()
     for i in range(2):
         mags = np.abs(axes[i])
@@ -307,14 +305,12 @@ def nearest_hit_units(model: SomModel, hits: HitHistogram) -> np.ndarray:
     return nearest
 
 
-def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
+def _hits_svg(hits: HitHistogram, part_cells) -> str:
     xs, ys, width, height = _lattice_canvas(hits.grid)
     counts = hits.hits
-    lo, hi = 0.0, float(max(counts.max(), 1))
-    unit_cells = unit_cells_from_hits(hits, part_cells) if part_cells is not None else None
+    unit_cells = unit_cells_from_hits(hits, part_cells)
     labels = hits.unit_labels()
     hexagons = _unit_hexagons(hits.grid)
-    ramp = _ramp_fills(counts, lo, hi)
     body = []
     for u in range(hits.grid.units):
         points = hexagons[u]
@@ -325,42 +321,33 @@ def _hits_svg(hits: HitHistogram, part_cells=None) -> str:
                 f'stroke-width="0.8" stroke-dasharray="3,2"/>'
             )
             continue
-        if unit_cells is not None and unit_cells[u] > 0:
-            fill = _cell_color(unit_cells[u])
-            text_color = "white"
-        else:
-            fill = ramp[u]
-            text_color = "black" if counts[u] < 0.6 * hi else "white"
+        # a unit with hits has a majority cell
+        fill = _cell_color(unit_cells[u])
         body.append(f'<polygon points="{points}" fill="{fill}" stroke="#666" stroke-width="0.6"/>')
         body.append(
             f'<text x="{xs[u]:.1f}" y="{ys[u] - 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="{text_color}">{int(counts[u])}</text>'
+            f'font-family="sans-serif" font-size="11" fill="white">{int(counts[u])}</text>'
         )
         if labels[u]:
             shown = ",".join(labels[u])
             body.append(
                 f'<text x="{xs[u]:.1f}" y="{ys[u] + 10:.1f}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="6.5" fill="{text_color}">{_escape(shown)}</text>'
+                f'font-family="sans-serif" font-size="6.5" fill="white">{_escape(shown)}</text>'
             )
-    if unit_cells is None:
-        body += _legend(_MARGIN, height - _FOOTER + 34, lo, hi)
     return _svg_document(width, height, body, "hit histogram (parts per unit; hollow = no hits)")
 
 
-def _projection_svg(proj: Projection, part_cells=None) -> str:
+def _projection_svg(proj: Projection, part_cells) -> str:
     pts = np.vstack([proj.unit_points, proj.part_points])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
     scale = 480.0 / span.max()
     parts = proj.part_points.shape[0]
-    if part_cells is None:
-        fills = ["#222"] * parts
-    else:
-        cells = np.asarray(part_cells, dtype=np.int64)
-        if cells.shape[0] != parts:
-            raise ValueError("need one cell id per part")
-        fills = [_cell_color(c) for c in cells.tolist()]
+    cells = np.asarray(part_cells, dtype=np.int64)
+    if cells.shape[0] != parts:
+        raise ValueError("need one cell id per part")
+    fills = [_cell_color(c) for c in cells.tolist()]
     # x grows with the first component, y is flipped so the second points up
     xs = (_MARGIN + (pts[:, 0] - lo[0]) * scale).tolist()
     ys = (_MARGIN + (hi[1] - pts[:, 1]) * scale).tolist()
@@ -388,8 +375,8 @@ def _projection_svg(proj: Projection, part_cells=None) -> str:
 def export_svg(surface, path, part_cells=None) -> None:
     """Write any surface as a standalone SVG file (written atomically).
 
-    ``part_cells`` (one cell id per part) switches hit and projection views
-    to the categorical cell palette; heatmap surfaces ignore it.
+    Hit and projection views need ``part_cells`` (one cell id per part) and
+    color by cell; heatmap surfaces ignore it.
     """
     if isinstance(surface, UMatrix):
         text = _heatmap_svg(
@@ -406,7 +393,7 @@ def export_svg(surface, path, part_cells=None) -> None:
     atomic_write_text(path, text)
 
 
-def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistogram) -> None:
+def export_scatter_data(model: SomModel, data: IncidenceMatrix, assignment, path, hits: HitHistogram) -> None:
     """CSV of part rows and codebook prototypes tagged with cell ids.
 
     Columns: source (data/prototype), label, one column per machine, cell.
@@ -415,16 +402,13 @@ def export_scatter_data(model: SomModel, data, assignment, path, hits: HitHistog
     inherit from the nearest hit unit in codebook space. ``hits`` is
     ``compute_hits(model, data)``.
     """
-    rows = _as_rows(data)
-    if not ((rows == 0) | (rows == 1)).all():
-        raise ValueError("scatter data entries must be 0 or 1")
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
     unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
 
     # every data row's entries as "d," pairs, rendered from one buffer of ASCII bytes
-    parts, width = rows.shape[0], 2 * rows.shape[1]
-    buf = np.full((parts, width), ord(","), dtype=np.uint8)
-    buf[:, 0::2] = rows.astype(np.uint8) + ord("0")
+    width = 2 * data.machines
+    buf = np.full((data.parts, width), ord(","), dtype=np.uint8)
+    buf[:, 0::2] = data.values + ord("0")
     entries = buf.tobytes().decode("ascii")
     lines = [f"source,label,{','.join(positional_labels('m', model.input_dim))},cell"]
     lines += [

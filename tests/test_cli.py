@@ -355,9 +355,12 @@ def test_oracle_refuses_oversized_instances(tmp_path, capsys):
 
 def test_oracle_rejects_nonpositive_k(tmp_path, capsys):
     path = write_matrix(tmp_path / "tiny.txt", ["1 0", "0 1"])
-    rc = main(["oracle", "--input", str(path), "--k", "0"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--input", str(path), "--k", "0"])
+    _assert_usage_error(capsys, exc, "--k", "0")
+    # a positive k above the oracle's bound is the oracle's error, not the parser's
+    assert main(["oracle", "--input", str(path), "--k", "4"]) == 2
+    assert "exceeds the oracle bounds" in capsys.readouterr().err
 
 
 def test_bench_runs_corpus_and_tolerates_case_errors(tmp_path, capsys):

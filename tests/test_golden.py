@@ -20,7 +20,7 @@ from conftest import planted_instance, planted_tall
 from somcell import IncidenceMatrix, load_problem1
 from somcell.cli import extract_cells, main, train_map
 from somcell.som import save_model
-from somcell.viz import compute_hits, export_scatter_data, export_svg
+from somcell.viz import compute_hits, export_scatter_data
 
 
 def _case(name):
@@ -211,8 +211,7 @@ def test_saved_model_is_pinned(tmp_path):
     )
 
 
-# sha256 of every file `somcell viz` writes (default flags), plus the hit
-# histogram drawn without cell colors under the key "hits-ramp.svg"
+# sha256 of every file `somcell viz` writes (default flags)
 VIZ_GOLDEN = {
     "problem1-42": {
         "umatrix.svg": "9618990d77c89adbb26605b34b2e3cb681808a2d113ec3b64b1895d3b86f3427",
@@ -229,7 +228,6 @@ VIZ_GOLDEN = {
         "hits.svg": "5fe42329667266c0465cf463e2c1e65f9ee5b86f5ff6762f6198edb6e3aa8364",
         "projection.svg": "9c40e0f2efe70581e919a55bc41f896773bd8aed7d2963b55a0d0330300d4e17",
         "scatter.csv": "9d7f0c59f568dc32edd3be17eef3a9e0b255d6904d4fc2f81684abe6c3a6a7a8",
-        "hits-ramp.svg": "7694247d4e0bd3ca24b2a04d16496123efc008551bc627917b42fb3d922fba3e",
     },
     "planted250x45-3": {
         "umatrix.svg": "4f426c59cb53c01a5dd568f30e62b6e569b916b357d07bc9dbadca998924a3e8",
@@ -281,30 +279,27 @@ VIZ_GOLDEN = {
         "hits.svg": "2f10be920409dfaa634e98da9feed8bc9775f225079d2c75ab03a95378f20f3f",
         "projection.svg": "0a7a27bd1b5e4de21d0636bb19f47764540aad191955024bd283ee20b9a4f20f",
         "scatter.csv": "8760f7c3381a8051f09c612f193279643856b30778b78c5d11b30a40b82099f6",
-        "hits-ramp.svg": "2fc8d8f84cd6668883faf5d9598cac7ec8cffdc837e8b3d8200f072edfa73ee4",
     },
 }
 
 
 def _write_case(name, tmp_path):
-    """(matrix, model, matrix file, model file) of a case, both files in ``tmp_path``."""
+    """(matrix file, model file) of a case, both in ``tmp_path``."""
     matrix, seed = _case(name)
     matrix_path = tmp_path / "matrix.txt"
     rows = "\n".join(" ".join(map(str, row)) for row in matrix.values.tolist())
     matrix_path.write_text(f"{matrix.parts} {matrix.machines}\n{rows}\n")
-    model = train_map(matrix, seed)
-    save_model(model, tmp_path / "model.json")
-    return matrix, model, matrix_path, tmp_path / "model.json"
+    save_model(train_map(matrix, seed), tmp_path / "model.json")
+    return matrix_path, tmp_path / "model.json"
 
 
 @pytest.mark.parametrize("name", sorted(VIZ_GOLDEN))
 def test_viz_files_are_pinned(name, tmp_path, capsys):
-    matrix, model, matrix_path, model_path = _write_case(name, tmp_path)
+    matrix_path, model_path = _write_case(name, tmp_path)
     out_dir = tmp_path / "viz"
     rc = main(["viz", "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(out_dir)])
     assert rc == 0
     capsys.readouterr()
-    export_svg(compute_hits(model, matrix), out_dir / "hits-ramp.svg")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == VIZ_GOLDEN[name]
 
@@ -327,7 +322,7 @@ SCORE_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(SCORE_GOLDEN))
 def test_cells_and_metrics_json_are_pinned(name, tmp_path, capsys):
-    _, _, matrix_path, model_path = _write_case(name, tmp_path)
+    matrix_path, model_path = _write_case(name, tmp_path)
     out_dir = tmp_path / "cells"
     assert main(["cells", "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(out_dir)]) == 0
     assert main(["metrics", "--input", str(matrix_path), "--assignment", str(out_dir / "assignment.json"),

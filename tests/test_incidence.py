@@ -119,6 +119,10 @@ def test_empty_row_and_column_rejected():
 def test_from_array_rejects_non_binary_and_wrong_shape():
     with pytest.raises(ValueError):
         IncidenceMatrix.from_array(np.array([[1, 2], [1, 1]]))
+    # a cast to uint8 would turn 0.5 into 0 and -1.0 into 255
+    for bad in (0.5, 2.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="0 or 1"):
+            IncidenceMatrix.from_array(np.array([[1.0, 0.0], [0.0, bad]]))
     with pytest.raises(ValueError):
         IncidenceMatrix.from_array(np.ones(4, dtype=np.uint8))
 

@@ -1,6 +1,7 @@
 """Grouping measures and the exhaustive oracle."""
 import ast
 import inspect
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +232,21 @@ def test_oracle_bounds():
         oracle_best_assignment(small, 4)
     with pytest.raises(ValueError):
         oracle_best_assignment(small, 0)
+
+
+def test_oracle_memory_does_not_grow_with_the_partition_count():
+    # the peak holds one partition's (families x machines) counts; the
+    # counts of all 512 partitions at once would take about 3.3 MB here
+    # (512 x 2 families x 400 machines x 8 bytes)
+    rng = np.random.default_rng(8)
+    data = IncidenceMatrix.from_array(random_incidence(rng, 10, 400))
+    tracemalloc.start()
+    try:
+        oracle_best_assignment(data, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oracle_never_loses_to_any_sampled_assignment():

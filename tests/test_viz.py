@@ -6,13 +6,14 @@ from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import clustered_maps, fill_hitless_reference
 from somcell import (
     CellAssignment,
+    IncidenceMatrix,
     MapGrid,
     SomModel,
     component_planes,
@@ -80,10 +81,9 @@ def test_compute_hits_counts_and_labels(problem1):
 
 
 def test_pca_project_separates_two_obvious_groups():
-    data = np.array(
+    data = IncidenceMatrix.from_array(
         [[1, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0],
-         [0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1]],
-        dtype=np.uint8,
+         [0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1]]
     )
     model = init_codebook(MapGrid(3, 3), data, seed=1)
     proj = pca_project(model, data)
@@ -114,20 +114,17 @@ def test_pca_project_sign_ignores_float_noise_in_tied_loadings(problem1, monkeyp
 
 
 def test_pca_project_rejects_identical_parts():
-    data = np.ones((4, 3))
+    data = IncidenceMatrix.from_array(np.ones((4, 3)))
     model = _model_with(np.ones((2, 3)))
     with pytest.raises(ValueError):
         pca_project(model, data)
 
 
 def test_pca_project_needs_two_machines():
-    # a one-machine matrix is all ones, so `somcell viz` reports identical
-    # parts; one varying column has no plane to project onto
+    # a one-machine matrix is all ones, so its parts are identical
     model = _model_with([[0.0], [1.0]])
     with pytest.raises(ValueError, match="parts are all identical"):
-        pca_project(model, np.ones((3, 1)))
-    with pytest.raises(ValueError, match="need at least two machines"):
-        pca_project(model, np.array([[0.0], [1.0], [2.0]]))
+        pca_project(model, IncidenceMatrix.from_array(np.ones((3, 1))))
 
 
 def test_unit_cells_majority_tie_and_empty_rules():
@@ -291,7 +288,7 @@ def test_export_svg_writes_all_surface_kinds(tmp_path, problem1):
     }
     for name, surface in surfaces.items():
         path = tmp_path / name
-        export_svg(surface, path)
+        export_svg(surface, path, part_cells=[1] * 5 + [2] * 5)
         text = path.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert 'xmlns="http://www.w3.org/2000/svg"' in text
@@ -414,7 +411,7 @@ def heatmap_svg_reference(grid, unit_values, title, pair_values=None):
     return _svg_document_reference(width, height, body, title)
 
 
-def projection_svg_reference(proj, part_cells=None):
+def projection_svg_reference(proj, part_cells):
     """One ``to_px`` call per net end, prototype and part."""
     pts = np.vstack([proj.unit_points, proj.part_points])
     lo = pts.min(axis=0)
@@ -440,7 +437,7 @@ def projection_svg_reference(proj, part_cells=None):
         body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.6" fill="#aaa"/>')
     for i, point in enumerate(proj.part_points):
         x, y = to_px(point)
-        fill = viz._PALETTE[(int(part_cells[i]) - 1) % len(viz._PALETTE)] if part_cells is not None else "#222"
+        fill = viz._PALETTE[(int(part_cells[i]) - 1) % len(viz._PALETTE)]
         body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{fill}" stroke="black" stroke-width="0.6"/>')
         body.append(
             f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-family="sans-serif" '
@@ -513,7 +510,7 @@ def projection_cases(draw):
         part_points = draw(arrays(np.float64, (parts, 2), elements=elements))
     eigenvalues = draw(arrays(np.float64, 2, elements=st.floats(0, 100, allow_nan=False)))
     proj = viz.Projection(grid=grid, part_points=part_points, unit_points=unit_points, eigenvalues=eigenvalues)
-    cells = draw(st.none() | arrays(np.int64, parts, elements=st.integers(-3, 14)))
+    cells = draw(arrays(np.int64, parts, elements=st.integers(-3, 14)))
     return proj, cells
 
 
@@ -525,12 +522,26 @@ def test_projection_svg_matches_per_point_reference(case):
 
 
 @st.composite
+def incidence_matrices(draw, max_parts, max_machines, min_parts=1, min_machines=1):
+    """0/1 matrices with a one in every row and column: a drawn array whose
+    empty rows and columns each get a one on a wrapped diagonal."""
+    parts = draw(st.integers(min_parts, max_parts))
+    machines = draw(st.integers(min_machines, max_machines))
+    values = draw(arrays(np.uint8, (parts, machines), elements=st.integers(0, 1)))
+    for i in np.flatnonzero(~values.any(axis=1)):
+        values[i, i % machines] = 1
+    for j in np.flatnonzero(~values.any(axis=0)):
+        values[j % parts, j] = 1
+    return IncidenceMatrix.from_array(values)
+
+
+@st.composite
 def scatter_cases(draw):
     grid = draw(grids)
-    machines, parts = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    data = draw(incidence_matrices(12, 6))
+    parts, machines = data.parts, data.machines
     elements = st.sampled_from([0.0, 0.5, 1.0, -0.0, 1e-7, 123456.789]) | st.floats(-1e6, 1e6, allow_nan=False)
     codebook = draw(arrays(np.float64, (grid.units, machines), elements=elements))
-    data = draw(arrays(np.uint8, (parts, machines), elements=st.integers(0, 1)))
     k = draw(st.integers(1, min(parts, machines)))
     part_family = list(range(1, k + 1)) + draw(st.lists(st.integers(1, k), min_size=parts - k, max_size=parts - k))
     machine_cell = list(range(1, k + 1)) + draw(st.lists(st.integers(1, k), min_size=machines - k, max_size=machines - k))
@@ -547,17 +558,28 @@ def test_scatter_csv_matches_csv_writer_reference(case, tmp_path_factory):
     export_scatter_data(model, data, assignment, path, hits)
     part_cells = np.asarray(assignment.part_family, dtype=np.int64)
     unit_cells = unit_cells_from_hits(hits, part_cells)[nearest_hit_units(model, hits)]
-    want = scatter_csv_reference(model, data.astype(np.float64), part_cells, unit_cells)
+    want = scatter_csv_reference(model, data.values, part_cells, unit_cells)
     assert path.read_bytes() == want.encode("utf-8")
 
 
-@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
-def test_export_scatter_data_rejects_non_binary_entries(tmp_path, bad):
-    # casting would have written 0.5 as 0 and 2.0 as 2
-    model = _model_with([[0.0, 1.0], [1.0, 0.0]])
-    data = np.array([[1.0, 0.0], [0.0, bad]])
-    assignment = CellAssignment(part_family=(1, 1), machine_cell=(1, 1))
-    with pytest.raises(ValueError, match="0 or 1"):
-        hits = HitHistogram(model.grid, np.array([0, 1]))
-        export_scatter_data(model, data, assignment, tmp_path / "scatter.csv", hits)
-    assert not (tmp_path / "scatter.csv").exists()
+@st.composite
+def distinct_part_projections(draw):
+    """(model, matrix) where the matrix has at least two distinct parts."""
+    data = draw(incidence_matrices(12, 8, min_parts=2, min_machines=2))
+    assume(np.unique(data.values, axis=0).shape[0] >= 2)
+    grid = draw(grids)
+    codebook = draw(arrays(np.float64, (grid.units, data.machines), elements=coarse))
+    return _model_with(codebook, grid), data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(distinct_part_projections())
+def test_pca_project_of_distinct_parts_spans_a_plane(case):
+    # parts that differ always span a plane: they vary in some machine
+    # column, whose variance is then at least 1/parts, so the first
+    # component's is at least 1/(parts * machines)
+    model, data = case
+    proj = pca_project(model, data)
+    assert np.isfinite(proj.part_points).all() and np.isfinite(proj.unit_points).all()
+    assert proj.eigenvalues[0] > 1e-12
+    assert proj.eigenvalues[0] >= (1 - 1e-9) / (data.parts * data.machines)
