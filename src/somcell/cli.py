@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics
 from ._util import JSON_NUMBERS, atomic_write_text, is_json_int
-from .cells import CellAssignment, build_view, form_cells
+from .cells import CellAssignment, build_view, form_cells, polish
 from .incidence import (
     IncidenceMatrix,
     MatrixFormatError,
@@ -113,17 +113,19 @@ def train_map(matrix: IncidenceMatrix, seed: int, grid: MapGrid | None = None) -
     if grid is None:
         grid = default_grid(matrix.parts)
     model = init_codebook(grid, matrix, seed)
-    return train(model, matrix, default_schedule(grid))
+    return train(model, matrix, default_schedule(grid, matrix.parts))
 
 
 def extract_cells(
     model: SomModel, matrix: IncidenceMatrix, k_max: int | None = None, hits: HitHistogram | None = None
 ):
-    """Cells plus score for a trained model; the shared pipeline back half.
+    """Cells plus score for a trained model; the shared pipeline back half:
+    ``form_cells``, then ``polish`` at the winning cell count.
 
     ``hits`` is ``compute_hits(model, matrix)``, computed here when not given.
     """
     assignment = form_cells(model, matrix, default_kmax(matrix) if k_max is None else k_max, hits=hits)
+    assignment = polish(matrix, assignment)
     return assignment, metrics.score(matrix, assignment)
 
 

@@ -1,8 +1,9 @@
 """Hot numeric kernels, vectorized with numpy.
 
-``batch_bmu``, ``train_run`` and ``best_machine_split`` are bit-deterministic
-for fixed inputs: nearest-unit ties go to the lowest unit index and exact
-efficacy ties to the lexicographically smallest machine assignment.
+``batch_bmu``, ``train_run``, ``best_machine_split`` and ``ascend_split``
+are bit-deterministic for fixed inputs: nearest-unit ties go to the lowest
+unit index, exact efficacy ties to the lexicographically smallest machine
+assignment, and gain ties in an ascent step to the smallest family.
 
 Nearest-row searches (``batch_bmu``, k-means' labels in ``cells`` and the
 hitless-unit fill in ``viz``) rank through one matrix product. A
@@ -26,6 +27,7 @@ __all__ = [
     "nearest_rows",
     "train_run",
     "best_machine_split",
+    "ascend_split",
 ]
 
 BACKEND = "numpy"
@@ -162,6 +164,19 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     return cb
 
 
+def _gain(ones, sizes, num, den):
+    """Each (family, column) pair's Dinkelbach gain at ratio num/den:
+    ``(num + den) * ones[f, j] - num * sizes[f]``. An assignment's total
+    gain exceeds ``num * n_ones`` iff its efficacy exceeds the ratio."""
+    return (num + den) * ones - num * sizes[:, None]
+
+
+def _ratio(ones, sizes, n_ones, assignment):
+    """``(ones in blocks, all ones + zeros in blocks)`` of a column assignment."""
+    n = int(ones[assignment, np.arange(assignment.size)].sum())
+    return n, int(n_ones) + int(sizes[assignment].sum()) - n
+
+
 def best_machine_split(block_ones, block_sizes, n_ones):
     """Best surjective machine-to-family assignment for fixed part families.
 
@@ -171,29 +186,26 @@ def best_machine_split(block_ones, block_sizes, n_ones):
     Returns ``(numerator, denominator, assignment)``; the numerator is -1
     when no assignment gives every family a machine.
 
-    Dinkelbach's method in exact integers: at ratio num/den, machine j in
-    family f gains ``(num + den) * ones[f, j] - num * size[f]``, and an
-    assignment's total gain exceeds ``num * n_ones`` iff its efficacy
-    exceeds the ratio. The ratio rises to the efficacy of the first
-    assignment of most gain until that is the ratio itself; the assignments
-    of most gain are then exactly the optima.
+    Dinkelbach's method in exact integers (``_gain``): the ratio rises to
+    the efficacy of the first assignment of most gain until that is the
+    ratio itself; the assignments of most gain are then exactly the optima.
     """
     ones = np.asarray(block_ones, dtype=np.int64)
     sizes = np.asarray(block_sizes, dtype=np.int64)
     k, m = ones.shape
     if k > m:
         return -1, 1, np.zeros(m, dtype=np.int64)
-    # joined[f, s]: the set s of families that have a machine, plus f; a
-    # walk that ends with some family left out scores -2^62
-    joined = np.arange(1 << k) | (1 << np.arange(k))[:, None]
-    end = np.where(np.arange(1 << k) == (1 << k) - 1, 0, -(1 << 62))
     num, den = 0, 1
     while True:
-        gain = (num + den) * ones - num * sizes[:, None]
+        gain = _gain(ones, sizes, num, den)
         # each machine's first best family, unless that leaves a family out
         assignment = gain.argmax(axis=0)
         if np.bincount(assignment, minlength=k).min() == 0:
-            rest = [end]  # rest[i][s]: the most gain machines m-i.. add from state s
+            # joined[f, s]: the set s of families that have a machine, plus
+            # f; a walk that ends with some family left out scores -2^62
+            joined = np.arange(1 << k) | (1 << np.arange(k))[:, None]
+            rest = [np.where(np.arange(1 << k) == (1 << k) - 1, 0, -(1 << 62))]
+            # rest[i][s]: the most gain machines m-i.. add from state s
             for j in range(m - 1, 0, -1):
                 rest.append((gain[:, j, None] + rest[-1][joined]).max(axis=0))
             state = 0
@@ -201,8 +213,33 @@ def best_machine_split(block_ones, block_sizes, n_ones):
                 # the smallest family that still reaches the most gain
                 f = int(np.argmax(gain[:, j] + rest[m - 1 - j][joined[:, state]]))
                 assignment[j], state = f, state | 1 << f
-        n = int(ones[assignment, np.arange(m)].sum())
-        d = int(n_ones) + int(sizes[assignment].sum()) - n
+        n, d = _ratio(ones, sizes, n_ones, assignment)
         if n * den == num * d:
             return n, d, assignment
         num, den = n, d
+
+
+def ascend_split(block_ones, block_sizes, n_ones, assignment):
+    """Raise the efficacy of a surjective column-to-family assignment, exactly.
+
+    ``block_ones``, ``block_sizes`` and ``n_ones`` are as for
+    ``best_machine_split``, and ``assignment`` gives each column's family
+    (0-based), every family used. Dinkelbach steps from the assignment's own
+    efficacy: each takes every column's first family of most gain (``_gain``),
+    and is kept only when that uses every family and its efficacy is
+    strictly higher. Returns the last step kept, or the input array itself
+    when none is. It never searches the assignments that leave a family
+    out, so it costs a few argmaxes whatever the family count, and it stops
+    short of the optimum only when the argmax leaves a family empty.
+    """
+    ones = np.asarray(block_ones, dtype=np.int64)
+    sizes = np.asarray(block_sizes, dtype=np.int64)
+    num, den = _ratio(ones, sizes, n_ones, assignment)
+    while True:
+        step = _gain(ones, sizes, num, den).argmax(axis=0)
+        if np.bincount(step, minlength=ones.shape[0]).min() == 0:
+            return assignment
+        n, d = _ratio(ones, sizes, n_ones, step)
+        if n * den <= num * d:
+            return assignment
+        num, den, assignment = n, d, step

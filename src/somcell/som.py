@@ -120,13 +120,27 @@ class TrainingSchedule:
         return np.concatenate(alphas), np.concatenate(sigmas)
 
 
-def default_schedule(grid: MapGrid) -> TrainingSchedule:
-    """A rough ordering pass followed by a longer low-rate finetune pass."""
+# training steps (epochs x parts) above which the schedule runs fewer epochs
+STEP_BUDGET = 4000
+
+
+def default_schedule(grid: MapGrid, parts: int) -> TrainingSchedule:
+    """A rough ordering pass followed by a longer low-rate finetune pass.
+
+    30 epochs, a third of them ordering, while that fits ``STEP_BUDGET``
+    steps over ``parts`` samples (up to 133 parts); above that
+    ``ceil(STEP_BUDGET / parts)`` epochs, at least 3, with the same split and
+    the same alpha and sigma endpoints.
+    """
+    if parts < 1:
+        raise ValueError("parts must be positive")
+    epochs = min(30, max(3, math.ceil(STEP_BUDGET / parts)))
+    ordering = round(epochs / 3)
     sigma0 = max(1.0, max(grid.rows, grid.cols) / 2.0)
     return TrainingSchedule(
         (
-            Phase(epochs=10, alpha_start=0.5, alpha_end=0.05, sigma_start=sigma0, sigma_end=1.0),
-            Phase(epochs=20, alpha_start=0.05, alpha_end=0.01, sigma_start=1.0, sigma_end=0.1),
+            Phase(epochs=ordering, alpha_start=0.5, alpha_end=0.05, sigma_start=sigma0, sigma_end=1.0),
+            Phase(epochs=epochs - ordering, alpha_start=0.05, alpha_end=0.01, sigma_start=1.0, sigma_end=0.1),
         )
     )
 

@@ -384,12 +384,14 @@ def export_svg(surface, path, part_cells=None) -> None:
         )
     elif isinstance(surface, ComponentPlane):
         text = _heatmap_svg(surface.grid, surface.values, f"component plane {surface.label}")
+    elif not isinstance(surface, (HitHistogram, Projection)):
+        raise TypeError(f"cannot render {type(surface).__name__} as SVG")
+    elif part_cells is None:
+        raise ValueError(f"a {type(surface).__name__} view needs part_cells, one cell id per part")
     elif isinstance(surface, HitHistogram):
         text = _hits_svg(surface, part_cells)
-    elif isinstance(surface, Projection):
-        text = _projection_svg(surface, part_cells)
     else:
-        raise TypeError(f"cannot render {type(surface).__name__} as SVG")
+        text = _projection_svg(surface, part_cells)
     atomic_write_text(path, text)
 
 

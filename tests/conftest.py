@@ -1,4 +1,6 @@
 """Shared fixtures and independent reference helpers for the test suite."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -179,6 +181,40 @@ def planted_tall(seed, part_runs=(30, 25, 25, 20), machine_runs=(12, 10, 10, 8),
     values = values[rng.permutation(values.shape[0])][:, rng.permutation(values.shape[1])]
     assert values.sum(axis=1).min() > 0 and values.sum(axis=0).min() > 0
     return values
+
+
+# The family on which a budgeted, polished pipeline is held to the full
+# 30-epoch one: every (size, k, noise), one fixed instance seed each, solved
+# at each run seed. Fixed before any measurement; never changed to pass.
+QUALITY_SIZES = ((150, 30), (200, 40), (250, 45), (400, 60), (800, 80))
+QUALITY_KS = (5, 7)
+QUALITY_NOISES = (0.05, 0.10, 0.15)
+QUALITY_RUN_SEEDS = (1, 2, 3)
+
+
+def quality_family():
+    """``(name, values)`` of each instance of the quality family, in a fixed order.
+
+    Each is ``k`` diagonal blocks (every side at least 2 wide, the rest
+    split by a seeded multinomial) with every bit flipped with probability
+    ``noise``, rows and columns shuffled; a draw with an empty row or column
+    is redrawn, not repaired.
+    """
+    out = []
+    for seed, ((parts, machines), k, noise) in enumerate(
+        itertools.product(QUALITY_SIZES, QUALITY_KS, QUALITY_NOISES), start=2004
+    ):
+        rng = np.random.default_rng(seed)
+        while True:
+            pf, mc = (np.repeat(np.arange(k), 2 + rng.multinomial(n - 2 * k, np.full(k, 1.0 / k)))
+                      for n in (parts, machines))
+            values = (pf[:, None] == mc[None, :]).astype(np.uint8)
+            values ^= (rng.random(values.shape) < noise).astype(np.uint8)
+            if values.sum(axis=1).min() > 0 and values.sum(axis=0).min() > 0:
+                break
+        values = values[rng.permutation(parts)][:, rng.permutation(machines)]
+        out.append((f"{parts}x{machines}-k{k}-noise{round(noise * 100)}", values))
+    return out
 
 
 def random_assignment(rng, parts, machines, k):

@@ -1,4 +1,6 @@
-"""Cell extraction: clustering, inheritance, machine pull, k sweep."""
+"""Cell extraction: clustering, inheritance, machine pull, k sweep, polish."""
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +12,12 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     P1_MACHINE_CELLS,
     P1_PART_FAMILIES,
+    QUALITY_RUN_SEEDS,
     clustered_maps,
     fill_hitless_reference,
     planted_instance,
     planted_tall,
+    quality_family,
 )
 from somcell import (
     CellAssignment,
@@ -30,18 +34,21 @@ from somcell import (
     form_cells,
     grouping_efficacy,
     init_codebook,
+    oracle_best_assignment,
+    polish,
     train,
 )
-from somcell import cells, metrics
-from somcell.cli import default_kmax
+from somcell import cells, kernels, metrics
+from somcell.cli import default_kmax, extract_cells, train_map
 from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_sweep, _stacked_tally, cluster_basis
 from somcell.metrics import BlockCounts
+from somcell.som import Phase, TrainingSchedule
 from somcell.viz import HitHistogram
 
 
 def _trained(data, seed=42, grid=None):
     grid = grid or default_grid(data.parts)
-    return train(init_codebook(grid, data, seed=seed), data, default_schedule(grid))
+    return train(init_codebook(grid, data, seed=seed), data, default_schedule(grid, data.parts))
 
 
 def test_assignment_requires_every_cell_on_both_sides():
@@ -787,3 +794,115 @@ def test_kmeans_labels_match_pairwise_sum_reference(case):
         want = _kmeans_labels_reference(basis.points, want_centers, basis.seed_d2[:, :k])
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         assert got_centers.tobytes() == want_centers.tobytes()
+
+
+def _efficacy(data, assignment):
+    return grouping_efficacy(count_blocks(data, assignment))
+
+
+@st.composite
+def polish_problems(draw, max_parts=12, max_k=None):
+    """(matrix, assignment): a 0/1 matrix with a one in every row and column,
+    often with repeated rows (so efficacy ties are common), and an
+    assignment that uses every id 1..k on both sides."""
+    parts, machines = draw(st.integers(1, max_parts)), draw(st.integers(1, 8))
+    base = draw(arrays(np.uint8, (draw(st.integers(1, parts)), machines), elements=st.integers(0, 1)))
+    values = base[draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=parts, max_size=parts))]
+    values[values.sum(axis=1) == 0, 0] = 1
+    values[0, values.sum(axis=0) == 0] = 1
+    k = draw(st.integers(1, min(parts, machines, max_k or parts)))
+
+    def ids(n):
+        extra = draw(st.lists(st.integers(1, k), min_size=n - k, max_size=n - k))
+        return draw(st.permutations(list(range(1, k + 1)) + extra))
+
+    return IncidenceMatrix.from_array(values), CellAssignment(part_family=ids(parts), machine_cell=ids(machines))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polish_problems())
+def test_polish_never_lowers_efficacy_and_is_a_fixed_point(problem):
+    data, assignment = problem
+    polished = polish(data, assignment)
+    # CellAssignment itself rejects ids that are not exactly 1..k on both sides
+    assert polished.k == assignment.k
+    assert _efficacy(data, polished) >= _efficacy(data, assignment)
+    assert polish(data, polished) == polished
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(polish_problems(max_parts=10, max_k=3))
+def test_polish_stays_within_the_exact_optimum(problem):
+    # the oracle's bound is at most k cells, and the polish keeps exactly k;
+    # an optimum is itself a fixed point, as no step can rise above it
+    data, assignment = problem
+    best, optimum = oracle_best_assignment(data, assignment.k)
+    assert _efficacy(data, polish(data, assignment)) <= optimum
+    assert polish(data, best) == best
+
+
+def test_polish_holds_many_cells_in_bounded_time_and_memory():
+    # a sparse unstructured matrix whose winner has k = 28 cells: an exact
+    # split over all 2^28 family subsets would need tens of gigabytes, so the
+    # ascent stops at the first argmax that leaves a family empty instead
+    rng = np.random.default_rng(1)
+    values = (rng.random((120, 60)) < 0.03).astype(np.uint8)
+    values[np.arange(120), rng.integers(60, size=120)] = 1
+    values[rng.integers(120, size=60), np.arange(60)] = 1
+    data = IncidenceMatrix.from_array(values)
+    winner = form_cells(train_map(data, 1), data, default_kmax(data))
+    assert winner.k >= 20
+    tracemalloc.start()
+    start = time.perf_counter()
+    polished = polish(data, winner)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert polished.k == winner.k and _efficacy(data, polished) > _efficacy(data, winner)
+    assert elapsed < 2.0 and peak < 2 * 2**20
+
+
+def test_polish_calls_no_traced_scorer_or_split(monkeypatch):
+    # the benchmark's tracer counts these by name and books k ** machines
+    # assignments per best_machine_split call, which overflows float for a
+    # (k x parts) tally, so the polish must reach none of them
+    values = planted_tall(5, noise=0.15)
+    data = IncidenceMatrix.from_array(values)
+    rng = np.random.default_rng(0)
+    start = CellAssignment(
+        part_family=tuple(rng.permutation(np.arange(100) % 4 + 1).tolist()),
+        machine_cell=tuple(rng.permutation(np.arange(40) % 4 + 1).tolist()),
+    )
+    before = _efficacy(data, start)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polish called a traced function")
+
+    for module, name in ((metrics, "count_blocks"), (metrics, "grouping_efficacy"),
+                         (cells, "assign_machines"), (kernels, "best_machine_split")):
+        monkeypatch.setattr(module, name, forbidden)
+    polished = polish(data, start)
+    monkeypatch.undo()
+    assert _efficacy(data, polished) > before
+
+
+def _full_schedule(grid):
+    """The 10 + 20 epoch schedule every instance trained with before the step budget."""
+    sigma0 = max(1.0, max(grid.rows, grid.cols) / 2.0)
+    return TrainingSchedule((Phase(10, 0.5, 0.05, sigma0, 1.0), Phase(20, 0.05, 0.01, 1.0, 0.1)))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [pytest.param(values, id=name) for name, values in quality_family()
+     if name.endswith("-noise15") and values.shape[0] <= 400],
+)
+def test_budget_and_polish_hold_the_full_schedule_efficacy(values):
+    # the budgeted, polished pipeline against the 30-epoch, unpolished one,
+    # on the noisiest slice of the quality family up to 400 parts
+    data = IncidenceMatrix.from_array(values)
+    seed = QUALITY_RUN_SEEDS[0]
+    grid = default_grid(data.parts)
+    full = form_cells(train(init_codebook(grid, data, seed), data, _full_schedule(grid)), data, default_kmax(data))
+    _, grouping = extract_cells(train_map(data, seed), data)
+    assert grouping.efficacy >= _efficacy(data, full)

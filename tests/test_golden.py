@@ -152,7 +152,7 @@ GOLDEN = {
         "efficacy": Fraction(9, 10),
     },
     "planted250x45-3": {
-        "codebook_sha256": "88959eb9cb4287587f912e76de45d438a1214525b243ed495b870ebe5319236c",
+        "codebook_sha256": "acae19742325cfdebdc514cd817a6450452b19f8aebc387cf489379a25365a54",
         "part_family": (
             3, 6, 1, 5, 2, 7, 3, 7, 2, 1, 6, 4, 4, 5, 5, 3, 3, 3, 2, 2, 7, 6, 1, 2, 5,
             2, 2, 2, 6, 1, 4, 4, 3, 5, 1, 1, 1, 3, 3, 5, 7, 7, 4, 2, 1, 4, 6, 1, 4, 6,
@@ -176,7 +176,7 @@ GOLDEN = {
 SCATTER_GOLDEN = {
     "problem1-42": "9d7f0c59f568dc32edd3be17eef3a9e0b255d6904d4fc2f81684abe6c3a6a7a8",
     "planted100x40-7": "b3a9adffafb75dde512e7096e881a790a465a90aa6e30b72213d828445a4a2b5",
-    "planted250x45-3": "8760f7c3381a8051f09c612f193279643856b30778b78c5d11b30a40b82099f6",
+    "planted250x45-3": "9b81fc86117b869702b679e7f5cbceeafd8f026be27eae2925c991ba1543e065",
 }
 
 
@@ -230,55 +230,55 @@ VIZ_GOLDEN = {
         "scatter.csv": "9d7f0c59f568dc32edd3be17eef3a9e0b255d6904d4fc2f81684abe6c3a6a7a8",
     },
     "planted250x45-3": {
-        "umatrix.svg": "4f426c59cb53c01a5dd568f30e62b6e569b916b357d07bc9dbadca998924a3e8",
-        "plane_m1.svg": "0db97667524b1a78761facc2d057416aa23c6be4d35c3621233674378aaa8de6",
-        "plane_m2.svg": "9405789b9231eeaa4e150dca32467c12a6cac4a2ea589fc12703261e70cb21e7",
-        "plane_m3.svg": "ef39e27f5e1e2de001c8feee917bef462c8f04f732ac0ebe276e86f8e9b91927",
-        "plane_m4.svg": "54fee638bd803773d6d6e4f7365384898b99768ff6bd9ac4d08e6b266f202a9c",
-        "plane_m5.svg": "c3e2ea69cdc72ed8247a2c2d719464e403830c91051b35d739b7552f125103ba",
-        "plane_m6.svg": "70381acbb89b5e6eaf14838549d568482367a529621db4dda8063eb1efe46132",
-        "plane_m7.svg": "fc5f4efd14143ad8cbb6dc167a9d6e45b3a69a22bb8f31aacfd9d32413f92519",
-        "plane_m8.svg": "447a3a41e6d2de5098383236a17d521ec2fe78285e34b6c41c6261d835f609af",
-        "plane_m9.svg": "deeb962b8334f6566eb0a1dc37da56475cec633c5d69d6653b4bbea9fb222987",
-        "plane_m10.svg": "0a931c7973796ce7e0d2242d58132c19f6e72a766273c4b87468b3abadd4e1ad",
-        "plane_m11.svg": "5dd1981749ae196bf71a02bd71f576e48b84e788c918bccbda1dd98b485a7bcf",
-        "plane_m12.svg": "21e4d6c152e65465d183dbd1779859f872e67b95b32a73d513041b274e7dce8b",
-        "plane_m13.svg": "34be59c8e35a7fef6d766e2d5e88c47a7e0861cfa84d70757dc548a3e85ea2f4",
-        "plane_m14.svg": "5d746f4d80248b5c0e8963df4decbdd0b1bccc67379c1fc52e36e2156db41ff7",
-        "plane_m15.svg": "9ec1c7d8d135dcd693b84d32186f3b21d95f4dbfddad05d5b22ae01a3e832aeb",
-        "plane_m16.svg": "5cd6da1c2dddff8ae03cbe694f061789c9b4f15a6c4f98aaee7d2f36d8d0c3a7",
-        "plane_m17.svg": "d81db98c0cc1c16d75a124f712b7db8994c064b2803f9ab5df4ad12ad7c13f88",
-        "plane_m18.svg": "60ad12bd28bd95646b565dbc539971885af647a5d10c0b0cf3457cda10553f5d",
-        "plane_m19.svg": "0a21b304fbb43788b4fc0fad92e4d0141c60ebbe3eed7bf9f7526a0cef6a4d27",
-        "plane_m20.svg": "368ec066b2dd01d5321ae42c2b80d29a0d24971aa68ef21c1d007f11a7fa78d8",
-        "plane_m21.svg": "74fdedd557021d2eb5e9efaff4e9f47385e875b6064032c8d16c6f7dc4365210",
-        "plane_m22.svg": "0f4ca32c3eaafb6cdf10956ac2fc3a93b410ef0e340d4fc1c14616c2d8cd22a5",
-        "plane_m23.svg": "d3290213e70c6b729f54e36c1d48392d2106ef75f0d914c28295ed8049889187",
-        "plane_m24.svg": "8d5e1912b22f0d154d89794cbf19cabf6271d1fc1cff052dc7b5760c7c40e552",
-        "plane_m25.svg": "bd0b362ae1cd1ef9f28fd757832d9674bc7bddacb940eaac1b1aa3069da22e0d",
-        "plane_m26.svg": "662da08e86937be7cc5717795dfb075f3730a9c13b369e5bda55c31cee3de9bc",
-        "plane_m27.svg": "8c969037a975952f4601d8bb361228655a4b9c8c9ba9fd7c1fde3beb1b7ec86f",
-        "plane_m28.svg": "8d2dc5cef096731b3ab80fa103379806287fb9108bb8b41bd541f60f98957d25",
-        "plane_m29.svg": "2c283e1bdc0e58a25f636817569f9d28874f0c9d7e5441f29f61fbc7dfe56b72",
-        "plane_m30.svg": "90095930c338aba6dd095752171eebaffa9fda3a11f0d62f63a3ef95263f728d",
-        "plane_m31.svg": "63429816edcdcbe2388a017eb0dd3be9d89e414e6e0d750849205a04397d9aa0",
-        "plane_m32.svg": "c522e5cd709f45994e03584081b29dd99f52e6315332e13efe893eecf1ad5217",
-        "plane_m33.svg": "44b99437fe439bf4e67765017560aed2b0fa1d60669bdc993a473d7cd22c55e5",
-        "plane_m34.svg": "14b98111ff835bfdcae037cfc07518681263618e66364699fcdc6e42ad55bbeb",
-        "plane_m35.svg": "bbe31dbb3c810c4bf4f30eef259eb7a9e78f5e0e3e34d694d66953f52c4c58a8",
-        "plane_m36.svg": "15ed7c129d5bf0f4e59fa34d7b621f17835b7a3d69b1b9734935f9cb816d542c",
-        "plane_m37.svg": "3e9fb064f4e81b63423726bb80eab2fd339894a5a2bce43c56d36575b3583cb0",
-        "plane_m38.svg": "0096a9cefa5c67fa0538e9875e56697776d7f7437dd4f5b4403a782c70e38185",
-        "plane_m39.svg": "3bf8fd59062b125faac7c0c932bd3ae35d6fe29dc03713cc040166c5025ddc51",
-        "plane_m40.svg": "aa93795f2003b2b19f6c459fb18eacbf2d245dc1b4c615be02d0cdc4911e2461",
-        "plane_m41.svg": "acdc237712f5954cdd22ad2c83b725f1bad1b7c1af3d48a255025cd459dba7cd",
-        "plane_m42.svg": "02409f47d48f321521de8e5c14c55fe6b3990397beec651faa722ca85d720d6d",
-        "plane_m43.svg": "9307dae0227546085c764a8afb9b30cdd0954f0f10b78bee58091fff3a8e8c27",
-        "plane_m44.svg": "b5127021e2e8c75779ee24bf050d936a82e00692ebb01bd496f42835d8e22f8f",
-        "plane_m45.svg": "e9d4c84cc3493c9011032e2ecefb3a49b6a4279b8fdce83738f58d884085a401",
-        "hits.svg": "2f10be920409dfaa634e98da9feed8bc9775f225079d2c75ab03a95378f20f3f",
-        "projection.svg": "0a7a27bd1b5e4de21d0636bb19f47764540aad191955024bd283ee20b9a4f20f",
-        "scatter.csv": "8760f7c3381a8051f09c612f193279643856b30778b78c5d11b30a40b82099f6",
+        "umatrix.svg": "a974ca76cc1e0ef5223b042a1cb253c6436afd8bc3b5b3194abb0c48b25f760c",
+        "plane_m1.svg": "2dc1a7c4b41fe6e9dd339bd794dbcdcdc8689b8da569bb1ef54bed14a5c6235b",
+        "plane_m2.svg": "cc90d9494c6464fe8ad806ff215e4a45dfec650dad7151e5e81c7618c2d548ca",
+        "plane_m3.svg": "6078176330ad7fa3279945e7e6a0ab1a888c708f59afde55d252a5389c25baef",
+        "plane_m4.svg": "dfeaf5f026e0c0394ee745391694971cf72adf9d393a0afbb075f000743306a4",
+        "plane_m5.svg": "7346db8f8b08759299ff204d25506b62d20ac1f8fae729f2be0e80f169ca8fab",
+        "plane_m6.svg": "23bc65cc8548eb665cf0a1ac26737caaf2f2fb39eaeb76f5147a03e6f2214308",
+        "plane_m7.svg": "a967276c9c84d679a131c4513f6e5d196badf19d3a4341bc090847b92dad52d8",
+        "plane_m8.svg": "ddc1fc79e34abc8de0a611e56f2d0f0ab8a564b94bea1dd1e546f8199d7a29cc",
+        "plane_m9.svg": "9afc565a537086e09bcf1f08d7e0926c7accd7647f2f3768bdf67e2036615e9a",
+        "plane_m10.svg": "0e0ac5a77b48401f9f620b63368983bd723f59f6ba7a13236f322eb5fb9a7977",
+        "plane_m11.svg": "b9e8a15c08b8f98f365106ec29285ad23bfb32da3c155b32cece4ddbb39370c5",
+        "plane_m12.svg": "8a8c5c8a0f3be8ebfba99cfbbe765ffd325071cf3aaa5e6b8731974ee728dbb3",
+        "plane_m13.svg": "26f7a1d790a8b06a85d436b1ecd2415fc9af86350a0e04d821a5cc39faa35428",
+        "plane_m14.svg": "c87226c60189a2ffc35835c074a9a0e23ee7e8eca49ccee3544e5f272aa398b7",
+        "plane_m15.svg": "76f6040eaf059e5d6d47b21eac989cdaaac58262a200ace014e71f99214f2346",
+        "plane_m16.svg": "708144f6712b9b942df6aaec34b8f487ee2b023e676b33303ff6c086ead806e0",
+        "plane_m17.svg": "369f68f4716d96ee9df562a555abe22d3bf90bdd65475a6236ffa0f85567e20f",
+        "plane_m18.svg": "306462c15c52476bd84b02c1f0689db984e33715de426588df6d3b5afe90cef0",
+        "plane_m19.svg": "a9d7ebeba1aa91408f3e392a7a9bdc633c0ca2eb6acef6ae918e9a82992212f1",
+        "plane_m20.svg": "1ea2b532ce6f6db31f84f3f8b8e90560d68bc1e7b0ca0f50c6e14d45f20e6e9f",
+        "plane_m21.svg": "299a6b891a7e331d4ca93bd35e4b690f6d3e30b8d5b5dcfb24081fc26a72eab8",
+        "plane_m22.svg": "eab178ec190e3f2c5078234e3acbbb21b6378a02dcda58be70e0e47ce3fd0db0",
+        "plane_m23.svg": "4a76cf5357890eebe4d828899debceac229487ea5945fcea275720ed9888f7e1",
+        "plane_m24.svg": "35ff88173cfaedaf881d228a3bf240a4e4b5be15d6e0a18e3504953c2d4a61ee",
+        "plane_m25.svg": "6696d38840649e8429a4e563c1a18deb3ffa6e8d836cbf5bce72e5c066dc3244",
+        "plane_m26.svg": "db6c351abf23c2171489edcb6134962b4bb79b1d41a596718ce5a40cc07b318e",
+        "plane_m27.svg": "e01761372dd2b19d3dbfbf49c36d424a4bbc0ad3cef734c4a14e491fa1d445ae",
+        "plane_m28.svg": "39517bbb64214ca36772a84fc48a1de328f432c6a4e84f2d3f5e026a468138bb",
+        "plane_m29.svg": "67b0353c893b4eb47eca2d96a647e7e3da0692cb9178d3807636773f80ef6d31",
+        "plane_m30.svg": "39f1848cbc961ca0f95329079077f47609b1f5deac722546d18cf83aa9e51b4a",
+        "plane_m31.svg": "c81211f5c84c497a8fe2df75875b30497cb2e6e07ed7eaed7ae101a190886907",
+        "plane_m32.svg": "187d71837d9803f55e08df59b3dd12c40261f8e80abb96424c88d22ab227a59d",
+        "plane_m33.svg": "41656adedb4d801a2d15248d31e9c29bd71174ec453e897f7259bc34777bc637",
+        "plane_m34.svg": "c5b7371c8d417666359a4105179d630bf0abefd6d6103484c2c4d95dac44e2cc",
+        "plane_m35.svg": "1b4a6b87e0b2f068487abcb3b51e0111312933e4fac979a6b8d1b2551b3c7c79",
+        "plane_m36.svg": "a8a740351de153a5c8b6d1c41ecb86feffb8b72a756de34c1d88b1b662214112",
+        "plane_m37.svg": "a1739d137249773cbc5e79fd15e2a78808ee5133f216a574d31fcf4ee65a3480",
+        "plane_m38.svg": "30e05d1237b7726e478e15109ad00b2dccba917935c879b3ad7c710223d25f19",
+        "plane_m39.svg": "8acb9a74a65ec978378cfb19d95f9ecc8d63807c347f43c9ef31b4ca0c19b8bb",
+        "plane_m40.svg": "250c86051bdc90a091cee5cd4f1d6c4c964d53363f8b2efd1371719b4f287567",
+        "plane_m41.svg": "50fbb9a2b63de5eb56c33fa6c2ce0e1b46122b3a87d56d48715e64b7d5ef3f8d",
+        "plane_m42.svg": "57298d7d4e21047592f4db6c9ca7dca0c15add0d0e3360344efbe5d240a35b6f",
+        "plane_m43.svg": "15e815cd4a0d046f3e8394b663df527e81acc3f3cdca45ea2283f57b6a21383d",
+        "plane_m44.svg": "ef09d1e302c55395db0c445ca123125e30e3d655619b2a800fc552f16cf5e832",
+        "plane_m45.svg": "04b0fde89a8a6dc63d74705125e3e6b9a309b47f0ee043e3784196f695e559ce",
+        "hits.svg": "0b12fae750a0438eb196ebe78fec7c48f7bf997e15c510479eaf788f25cf0fec",
+        "projection.svg": "538a788f60090d4c05d0c4d4e197d259a595aac7dcdc9e63d117abbdc26bf17b",
+        "scatter.csv": "9b81fc86117b869702b679e7f5cbceeafd8f026be27eae2925c991ba1543e065",
     },
 }
 

@@ -24,6 +24,7 @@ from somcell import (
     train,
 )
 from somcell import pca
+from somcell.som import STEP_BUDGET
 
 SQ3_2 = math.sqrt(3.0) / 2.0
 
@@ -88,11 +89,32 @@ def test_schedule_step_values_hit_phase_endpoints():
 
 
 def test_default_schedule_shape():
-    sched = default_schedule(MapGrid(12, 10))
+    sched = default_schedule(MapGrid(12, 10), 10)
     assert sched.total_epochs == 30
     first, second = sched.phases
     assert first.alpha_start == 0.5 and first.sigma_start == 6.0
     assert second.alpha_end == 0.01 and second.sigma_end == 0.1
+
+
+@pytest.mark.parametrize(
+    "parts, epochs",
+    [(1, (10, 20)), (133, (10, 20)), (134, (10, 20)), (135, (10, 20)), (200, (7, 13)),
+     (250, (5, 11)), (400, (3, 7)), (800, (2, 3)), (1334, (1, 2)), (10**6, (1, 2))],
+)
+def test_default_schedule_caps_steps_on_large_instances(parts, epochs):
+    # 30 epochs while they fit the step budget, then ceil(budget / parts),
+    # at least 3, a third of them ordering; the endpoints never move
+    sched = default_schedule(MapGrid(12, 10), parts)
+    assert tuple(ph.epochs for ph in sched.phases) == epochs
+    assert sched.total_epochs * parts < STEP_BUDGET + parts or sched.total_epochs == 3
+    first, second = sched.phases
+    assert (first.alpha_start, first.alpha_end, first.sigma_start, first.sigma_end) == (0.5, 0.05, 6.0, 1.0)
+    assert (second.alpha_start, second.alpha_end, second.sigma_start, second.sigma_end) == (0.05, 0.01, 1.0, 0.1)
+
+
+def test_default_schedule_needs_parts():
+    with pytest.raises(ValueError, match="parts must be positive"):
+        default_schedule(MapGrid(2, 2), 0)
 
 
 @pytest.mark.parametrize("parts, expect", [(10, (4, 4)), (6, (4, 4)), (100, (8, 7)), (1, (3, 2))])
@@ -154,7 +176,7 @@ def test_find_bmu_checks_dimension(problem1):
 
 def test_train_is_deterministic_and_counts_epochs(problem1):
     grid = MapGrid(6, 5)
-    sched = default_schedule(grid)
+    sched = default_schedule(grid, problem1.parts)
     m0 = init_codebook(grid, problem1, seed=7)
     a = train(m0, problem1, sched)
     b = train(m0, problem1, sched)
@@ -187,13 +209,13 @@ def test_training_reduces_quantization_error(problem1):
     grid = MapGrid(12, 10)
     model = init_codebook(grid, problem1, seed=42)
     before = quantization_error(model, problem1)
-    after = quantization_error(train(model, problem1, default_schedule(grid)), problem1)
+    after = quantization_error(train(model, problem1, default_schedule(grid, problem1.parts)), problem1)
     assert after < before
 
 
 def test_model_round_trip_is_exact(tmp_path, problem1):
     grid = MapGrid(5, 4)
-    model = train(init_codebook(grid, problem1, seed=9), problem1, default_schedule(grid))
+    model = train(init_codebook(grid, problem1, seed=9), problem1, default_schedule(grid, problem1.parts))
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -260,7 +282,7 @@ def test_model_validates_codebook_shape():
 
 
 MISMATCH_CALLS = {
-    "train": lambda model, data: train(model, data, default_schedule(model.grid)),
+    "train": lambda model, data: train(model, data, default_schedule(model.grid, data.parts)),
     "quantization_error": quantization_error,
     "find_bmu": lambda model, data: find_bmu(model, data.values[0]),
     "compute_hits": compute_hits,

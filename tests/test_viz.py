@@ -319,6 +319,15 @@ def test_export_svg_rejects_unknown_surface(tmp_path):
         export_svg(42, tmp_path / "x.svg")
 
 
+def test_export_svg_hit_and_projection_views_need_part_cells(tmp_path, problem1):
+    model = init_codebook(MapGrid(4, 4), problem1, seed=0)
+    for surface in (compute_hits(model, problem1), pca_project(model, problem1)):
+        path = tmp_path / "view.svg"
+        with pytest.raises(ValueError, match=f"{type(surface).__name__} view needs part_cells"):
+            export_svg(surface, path)
+        assert not path.exists()
+
+
 def test_export_scatter_data_layout(tmp_path, problem1):
     grid = MapGrid(4, 4)
     model = init_codebook(grid, problem1, seed=0)
