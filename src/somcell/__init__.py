@@ -29,9 +29,7 @@ from .metrics import (
     GroupingScore,
     OracleSizeError,
     count_blocks,
-    efficiency_components,
     grouping_efficacy,
-    grouping_efficiency,
     oracle_best_assignment,
     score,
 )
@@ -92,13 +90,11 @@ __all__ = [
     "count_blocks",
     "default_grid",
     "default_schedule",
-    "efficiency_components",
     "export_scatter_data",
     "export_svg",
     "find_bmu",
     "form_cells",
     "grouping_efficacy",
-    "grouping_efficiency",
     "init_codebook",
     "load_matrix",
     "load_model",

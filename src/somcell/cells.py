@@ -55,7 +55,6 @@ def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     flat_points = points.ravel()
     columns = np.arange(dim)
-    norms = np.einsum("ij,ij->i", points, points)
     new_labels = np.argmin(first_d2, axis=1)  # ties to the lowest center index
     for _ in range(100):
         if np.array_equal(new_labels, labels):
@@ -68,7 +67,7 @@ def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray
         sizes = np.bincount(labels, minlength=k)
         filled = sizes > 0  # an emptied cluster keeps its previous center
         centers[filled] = sums[filled] / sizes[filled, None]
-        new_labels = kernels.nearest_rows(points, norms, centers)
+        new_labels = kernels.nearest_rows(points, centers)
     return labels
 
 
@@ -346,9 +345,9 @@ def polish(data: IncidenceMatrix, assignment: CellAssignment) -> CellAssignment:
     while True:
         start = family, cell
         tally = np.bincount(family[hit] * machines + machine, minlength=k * machines).reshape(k, machines)
-        cell = kernels.ascend_split(tally, np.bincount(family, minlength=k), hit.size, cell)
+        cell = kernels.ascend_split(tally, np.bincount(family, minlength=k), cell)
         tally = np.bincount(cell[machine] * parts + hit, minlength=k * parts).reshape(k, parts)
-        family = kernels.ascend_split(tally, np.bincount(cell, minlength=k), hit.size, family)
+        family = kernels.ascend_split(tally, np.bincount(cell, minlength=k), family)
         # ascend_split hands back the very array it was given when no step rose
         if family is start[0] and cell is start[1]:
             return CellAssignment(part_family=tuple((family + 1).tolist()), machine_cell=tuple((cell + 1).tolist()))

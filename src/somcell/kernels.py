@@ -38,12 +38,12 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1022
 
 
-def _certified(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
+def _certified(points, centers) -> tuple[np.ndarray, np.ndarray]:
     """``(best, unsure)``: ``best`` is the first minimum of
-    ``norms - 2 points @ centers.T + |centers|^2`` per row, and on every row
-    that ``unsure`` does not mark it is also the first minimum of the
-    squared distances summed term by term, in any order. A one-center call
-    is certain.
+    ``|points|^2 - 2 points @ centers.T + |centers|^2`` per row, and on
+    every row that ``unsure`` does not mark it is also the first minimum of
+    the squared distances summed term by term, in any order. A one-center
+    call is certain.
     """
     n, dim = points.shape
     if centers.shape[0] == 1:
@@ -52,6 +52,7 @@ def _certified(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
     # overflow and inf - inf here only mark rows unsure; the exact sums on
     # those rows warn as they always did
     with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", points, points)
         center_sq = np.einsum("ij,ij->i", centers, centers)
         approx = points @ centers.T
         approx *= -2.0
@@ -76,15 +77,14 @@ def _certified(points, norms, centers) -> tuple[np.ndarray, np.ndarray]:
     return best, ~(gap > bound)
 
 
-def nearest_rows(points, norms, centers) -> np.ndarray:
+def nearest_rows(points, centers) -> np.ndarray:
     """Index of the nearest row of ``centers`` per row of ``points`` (ties go
     to the lowest index), ranked through one matrix product.
 
-    ``norms`` holds each point's squared norm as a float sum of squares.
     Every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``;
     only rows the product leaves unsure are summed that way.
     """
-    best, unsure = _certified(points, norms, centers)
+    best, unsure = _certified(points, centers)
     if unsure.any():
         d2 = ((points[unsure][:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
         best[unsure] = np.argmin(d2, axis=1)
@@ -99,7 +99,7 @@ def batch_bmu(codebook, samples) -> np.ndarray:
     """
     cb = np.asarray(codebook, dtype=np.float64)
     xs = np.asarray(samples, dtype=np.float64)
-    best, unsure = _certified(xs, np.einsum("ij,ij->i", xs, xs), cb)
+    best, unsure = _certified(xs, cb)
     if unsure.any():
         u = np.flatnonzero(unsure)
         d2 = np.zeros((u.size, cb.shape[0]))
@@ -167,22 +167,23 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
 def _gain(ones, sizes, num, den):
     """Each (family, column) pair's Dinkelbach gain at ratio num/den:
     ``(num + den) * ones[f, j] - num * sizes[f]``. An assignment's total
-    gain exceeds ``num * n_ones`` iff its efficacy exceeds the ratio."""
+    gain exceeds ``num * n1`` (all ones) iff its efficacy exceeds the ratio."""
     return (num + den) * ones - num * sizes[:, None]
 
 
-def _ratio(ones, sizes, n_ones, assignment):
-    """``(ones in blocks, all ones + zeros in blocks)`` of a column assignment."""
+def _ratio(ones, sizes, n1, assignment):
+    """``(ones in blocks, n1 + zeros in blocks)`` of a column assignment."""
     n = int(ones[assignment, np.arange(assignment.size)].sum())
-    return n, int(n_ones) + int(sizes[assignment].sum()) - n
+    return n, n1 + int(sizes[assignment].sum()) - n
 
 
-def best_machine_split(block_ones, block_sizes, n_ones):
+def best_machine_split(block_ones, block_sizes):
     """Best surjective machine-to-family assignment for fixed part families.
 
-    ``block_ones[f, j]`` counts ones of machine j among family f's parts and
-    ``block_sizes[f]`` is the family size. Maximizes the exact efficacy
-    ratio; among optima the lexicographically smallest assignment wins.
+    ``block_ones[f, j]`` counts ones of machine j among family f's parts
+    (the families partition the parts) and ``block_sizes[f]`` is the
+    family size. Maximizes the exact efficacy ratio; among optima the
+    lexicographically smallest assignment wins.
     Returns ``(numerator, denominator, assignment)``; the numerator is -1
     when no assignment gives every family a machine.
 
@@ -195,6 +196,7 @@ def best_machine_split(block_ones, block_sizes, n_ones):
     k, m = ones.shape
     if k > m:
         return -1, 1, np.zeros(m, dtype=np.int64)
+    n1 = int(ones.sum())
     num, den = 0, 1
     while True:
         gain = _gain(ones, sizes, num, den)
@@ -213,33 +215,34 @@ def best_machine_split(block_ones, block_sizes, n_ones):
                 # the smallest family that still reaches the most gain
                 f = int(np.argmax(gain[:, j] + rest[m - 1 - j][joined[:, state]]))
                 assignment[j], state = f, state | 1 << f
-        n, d = _ratio(ones, sizes, n_ones, assignment)
+        n, d = _ratio(ones, sizes, n1, assignment)
         if n * den == num * d:
             return n, d, assignment
         num, den = n, d
 
 
-def ascend_split(block_ones, block_sizes, n_ones, assignment):
+def ascend_split(block_ones, block_sizes, assignment):
     """Raise the efficacy of a surjective column-to-family assignment, exactly.
 
-    ``block_ones``, ``block_sizes`` and ``n_ones`` are as for
-    ``best_machine_split``, and ``assignment`` gives each column's family
-    (0-based), every family used. Dinkelbach steps from the assignment's own
-    efficacy: each takes every column's first family of most gain (``_gain``),
-    and is kept only when that uses every family and its efficacy is
-    strictly higher. Returns the last step kept, or the input array itself
-    when none is. It never searches the assignments that leave a family
-    out, so it costs a few argmaxes whatever the family count, and it stops
-    short of the optimum only when the argmax leaves a family empty.
+    ``block_ones`` and ``block_sizes`` are as for ``best_machine_split``,
+    and ``assignment`` gives each column's family (0-based), every family
+    used. Dinkelbach steps from the assignment's own efficacy: each takes
+    every column's first family of most gain (``_gain``), and is kept only
+    when that uses every family and its efficacy is strictly higher.
+    Returns the last step kept, or the input array itself when none is. It
+    never searches the assignments that leave a family out, so it costs a
+    few argmaxes whatever the family count, and it stops short of the
+    optimum only when the argmax leaves a family empty.
     """
     ones = np.asarray(block_ones, dtype=np.int64)
     sizes = np.asarray(block_sizes, dtype=np.int64)
-    num, den = _ratio(ones, sizes, n_ones, assignment)
+    n1 = int(ones.sum())
+    num, den = _ratio(ones, sizes, n1, assignment)
     while True:
         step = _gain(ones, sizes, num, den).argmax(axis=0)
         if np.bincount(step, minlength=ones.shape[0]).min() == 0:
             return assignment
-        n, d = _ratio(ones, sizes, n_ones, step)
+        n, d = _ratio(ones, sizes, n1, step)
         if n * den <= num * d:
             return assignment
         num, den, assignment = n, d, step

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -107,34 +108,40 @@ def grouping_efficacy(counts: BlockCounts) -> Fraction:
     return Fraction(counts.n1 - counts.n1_out, counts.n1 + counts.n0_in)
 
 
-def efficiency_components(counts: BlockCounts, r: float = 0.5):
-    """(eta1, eta2, eta): in-block density, off-block sparsity, and their r-mix.
-
-    A side with no elements at all (no in-block area, or blocks covering
-    everything) contributes 1, the vacuous optimum.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly between 0 and 1")
-    in_elements = counts.in_block_elements
-    off_elements = counts.total_elements - in_elements
-    eta1 = (counts.n1 - counts.n1_out) / in_elements if in_elements else 1.0
-    eta2 = (off_elements - counts.n1_out) / off_elements if off_elements else 1.0
-    return eta1, eta2, r * eta1 + (1.0 - r) * eta2
-
-
-def grouping_efficiency(counts: BlockCounts, r: float = 0.5) -> float:
-    return efficiency_components(counts, r)[2]
-
-
 @dataclass(frozen=True)
 class GroupingScore(BlockCounts):
-    """Everything the two measures need, bundled for reports."""
+    """The block counts and the weight ``r``; both measures derive from them.
 
-    efficacy: Fraction
+    ``eta1`` is the in-block density, ``eta2`` the off-block sparsity (a
+    side with no elements counts 1, the vacuous optimum) and ``efficiency``
+    their r-mix. Rejects ``r`` outside (0, 1) and a matrix with no ones.
+    """
+
     r: float
-    eta1: float
-    eta2: float
-    efficiency: float
+
+    def __post_init__(self):
+        if not 0.0 < self.r < 1.0:
+            raise ValueError("r must lie strictly between 0 and 1")
+        if self.n1 < 1:
+            raise ValueError("efficacy is undefined for a matrix with no ones")
+
+    @cached_property
+    def efficacy(self) -> Fraction:
+        return grouping_efficacy(self)
+
+    @property
+    def eta1(self) -> float:
+        in_elements = self.in_block_elements
+        return (self.n1 - self.n1_out) / in_elements if in_elements else 1.0
+
+    @property
+    def eta2(self) -> float:
+        off_elements = self.total_elements - self.in_block_elements
+        return (off_elements - self.n1_out) / off_elements if off_elements else 1.0
+
+    @property
+    def efficiency(self) -> float:
+        return self.r * self.eta1 + (1.0 - self.r) * self.eta2
 
     @property
     def efficacy_text(self) -> str:
@@ -159,16 +166,7 @@ class GroupingScore(BlockCounts):
 
 
 def score(data, assignment, r: float = 0.5) -> GroupingScore:
-    counts = count_blocks(data, assignment)
-    eta1, eta2, eta = efficiency_components(counts, r)
-    return GroupingScore(
-        **vars(counts),
-        efficacy=grouping_efficacy(counts),
-        r=r,
-        eta1=eta1,
-        eta2=eta2,
-        efficiency=eta,
-    )
+    return GroupingScore(**vars(count_blocks(data, assignment)), r=r)
 
 
 def _part_partitions(n_parts: int, max_blocks: int) -> np.ndarray:
@@ -209,13 +207,12 @@ def oracle_best_assignment(data, k: int):
             f"k <= {ORACLE_MAX_CELLS})"
         )
     values = data.values.astype(np.int64)
-    n1 = int(values.sum())
     best = (-1, 1, None, None)  # every split found here beats -1/1
     # a partition with more families than machines has no surjective split
     for part_family in _part_partitions(n_parts, min(k, n_parts, n_machines)):
         # family[f, p]: part p is in family f; tallied one partition at a time
         family = part_family == np.arange(part_family.max() + 1)[:, None]
-        num, den, machine_cell = kernels.best_machine_split(family @ values, family.sum(axis=1), n1)
+        num, den, machine_cell = kernels.best_machine_split(family @ values, family.sum(axis=1))
         if num * best[1] > best[0] * den:
             best = (num, den, part_family, machine_cell)
     assignment = CellAssignment(part_family=tuple(best[2] + 1), machine_cell=tuple(best[3] + 1))

@@ -132,11 +132,17 @@ def clustered_maps(draw):
 
 
 def random_incidence(rng, parts, machines, density=0.4):
-    """Random binary matrix with no empty rows or columns."""
-    while True:
-        v = (rng.random((parts, machines)) < density).astype(np.uint8)
-        if v.sum(axis=1).min() > 0 and v.sum(axis=0).min() > 0:
-            return v
+    """Random binary matrix with no empty rows or columns: one draw, then
+    one random one set in each row the draw left empty, then in each
+    column still empty, so sparse densities cost no redraws."""
+    v = (rng.random((parts, machines)) < density).astype(np.uint8)
+    empty = np.flatnonzero(v.sum(axis=1) == 0)
+    if empty.size:
+        v[empty, rng.integers(machines, size=empty.size)] = 1
+    empty = np.flatnonzero(v.sum(axis=0) == 0)
+    if empty.size:
+        v[rng.integers(parts, size=empty.size), empty] = 1
+    return v
 
 
 def planted_instance(rng, side=6, k_range=(2, 3), max_flips=2, min_run=2):

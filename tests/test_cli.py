@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from somcell import cli, kernels, load_model
+from somcell import cli, form_cells, kernels, load_matrix, load_model, metrics
 from somcell.cli import default_kmax, main
 from somcell.incidence import load_problem1
 
@@ -289,6 +289,30 @@ def test_one_bmu_pass_per_op(tmp_path, trained, capsys, monkeypatch, command):
     capsys.readouterr()
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_only_cells_scores_the_formed_cells(tmp_path, trained, capsys, monkeypatch):
+    # viz throws the score away, so it never evaluates its efficacy; cells
+    # prints and writes it, so it evaluates it exactly once
+    matrix_path, model_path = trained
+    matrix, model = load_matrix(matrix_path), load_model(model_path)
+    calls = []
+    real = metrics.grouping_efficacy
+
+    def counted(counts):
+        calls.append(counts)
+        return real(counts)
+
+    monkeypatch.setattr(metrics, "grouping_efficacy", counted)
+    form_cells(model, matrix, default_kmax(matrix))
+    sweep = len(calls)
+    assert sweep > 0
+    for command, extra in (("viz", 0), ("cells", 1)):
+        calls.clear()
+        rc = main([command, "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(tmp_path / command)])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(calls) == sweep + extra, command
 
 
 def test_viz_only_flag_filters_outputs(tmp_path, trained, capsys):

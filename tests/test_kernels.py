@@ -48,10 +48,6 @@ def _column_loop_bmu(codebook, samples):
     return np.argmin(d2, axis=1)
 
 
-def _nearest(codebook, samples):
-    return kernels._certified(samples, np.einsum("ij,ij->i", samples, samples), codebook)
-
-
 @st.composite
 def adversarial_bmu_problems(draw):
     """(codebook, samples, ulp pairs): duplicate rows, rows one ulp apart,
@@ -84,7 +80,7 @@ def test_batch_bmu_matches_naive_scan_on_adversarial_codebooks(problem):
     codebook, samples, pairs = problem
     with np.errstate(all="ignore"):
         got = kernels.batch_bmu(codebook, samples)
-        best, unsure = _nearest(codebook, samples)
+        best, unsure = kernels._certified(samples, codebook)
     cb = codebook.tolist()
     want = [naive_bmu(cb, x) for x in samples.tolist()]
     assert got.dtype == np.int64 and got.tolist() == want
@@ -114,7 +110,7 @@ def test_batch_bmu_keeps_its_answer_on_inf_and_nan_samples(problem, data):
     with np.errstate(all="ignore"):
         got = kernels.batch_bmu(codebook, samples)
         want = _column_loop_bmu(codebook, samples)
-        _, unsure = _nearest(codebook, samples)
+        _, unsure = kernels._certified(samples, codebook)
     assert got.tolist() == want.tolist()
     if codebook.shape[0] > 1:
         assert unsure[bad].all()
@@ -124,7 +120,7 @@ def test_nearest_rows_certifies_separated_rows():
     # on ordinary data the product settles every row: the fast path is the one taken
     rng = np.random.default_rng(5)
     codebook, samples = rng.normal(size=(30, 10)), rng.normal(size=(200, 10))
-    best, unsure = _nearest(codebook, samples)
+    best, unsure = kernels._certified(samples, codebook)
     assert not unsure.any()
     assert best.tolist() == [naive_bmu(codebook.tolist(), x) for x in samples.tolist()]
 
@@ -132,7 +128,7 @@ def test_nearest_rows_certifies_separated_rows():
 def test_nearest_rows_leaves_exact_ties_unsure():
     codebook = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     query = np.array([[0.6, 0.6], [1.0, 0.0], [0.0, 0.9]])
-    _, unsure = _nearest(codebook, query)
+    _, unsure = kernels._certified(query, codebook)
     assert unsure.tolist() == [True, True, False]
 
 
@@ -359,7 +355,7 @@ def test_best_machine_split_matches_brute_force():
         for c in range(k):
             block_ones[c] = values[pf == c].sum(axis=0)
         sizes = np.bincount(pf, minlength=k).astype(np.int64)
-        num, den, assign = kernels.best_machine_split(block_ones, sizes, int(values.sum()))
+        num, den, assign = kernels.best_machine_split(block_ones, sizes)
         want = _brute_force_split(values, pf, k)
         if want is None:
             assert num < 0
@@ -371,7 +367,7 @@ def test_best_machine_split_requires_every_cell_used():
     # two cells, one machine: no covering machine assignment exists
     block_ones = np.array([[1], [1]], dtype=np.int64)
     sizes = np.array([1, 1], dtype=np.int64)
-    num, den, _ = kernels.best_machine_split(block_ones, sizes, 2)
+    num, den, _ = kernels.best_machine_split(block_ones, sizes)
     assert num < 0 and den > 0
 
 
@@ -380,7 +376,7 @@ def test_best_machine_split_hand_case():
     values = np.array([[1, 0], [0, 1]], dtype=np.int64)
     block_ones = np.stack([values[0], values[1]]).astype(np.int64)
     sizes = np.array([1, 1], dtype=np.int64)
-    num, den, assign = kernels.best_machine_split(block_ones, sizes, 2)
+    num, den, assign = kernels.best_machine_split(block_ones, sizes)
     assert (num, den) == (2, 2)
     assert assign.tolist() == [0, 1]
 
@@ -390,15 +386,50 @@ def test_best_machine_split_first_optimum_wins():
     # the same, so the lexicographically smaller one must be returned
     block_ones = np.array([[1, 1], [1, 1]], dtype=np.int64)
     sizes = np.array([1, 1], dtype=np.int64)
-    num, den, assign = kernels.best_machine_split(block_ones, sizes, 4)
+    num, den, assign = kernels.best_machine_split(block_ones, sizes)
     assert assign.tolist() == [0, 1]
     assert (num, den) == (2, 4)
     # [0, 1, 0] scores 4/8 and [0, 1, 1] scores 5/10: one optimum written
     # with different integers, so the lexicographically first one wins
     block_ones = np.array([[1, 0, 1], [0, 2, 2]], dtype=np.int64)
     sizes = np.array([1, 4], dtype=np.int64)
-    num, den, assign = kernels.best_machine_split(block_ones, sizes, 6)
+    num, den, assign = kernels.best_machine_split(block_ones, sizes)
     assert (num, den, assign.tolist()) == (4, 8, [0, 1, 0])
+
+
+def _efficacy(values, row_family, col_family):
+    """Efficacy of a block assignment counted entry by entry from the matrix."""
+    n1 = inside = ones_inside = 0
+    for i, row in enumerate(values.tolist()):
+        for j, one in enumerate(row):
+            n1 += one
+            if row_family[i] == col_family[j]:
+                inside += 1
+                ones_inside += one
+    return Fraction(ones_inside, n1 + inside - ones_inside)
+
+
+def test_ascend_split_never_lowers_efficacy_and_keeps_every_family():
+    rng = np.random.default_rng(11)
+    for values, pf, k in _split_cases(rng, 300):
+        # a random surjective machine assignment: k machines take one family
+        # each, the rest any
+        mc = np.concatenate([rng.permutation(k), rng.integers(0, k, size=values.shape[1] - k)])
+        mc = rng.permutation(mc)
+        # both sides, as the polish takes them: machines given the part
+        # families, then parts given the machine cells
+        for matrix, rows, columns in ((values, pf, mc), (values.T, mc, pf)):
+            tally = np.stack([matrix[rows == f].sum(axis=0) for f in range(k)])
+            # the rows partition the matrix, so the tally holds all its ones
+            assert tally.sum() == matrix.sum()
+            given = columns.copy()
+            got = kernels.ascend_split(tally, np.bincount(rows, minlength=k), given)
+            assert np.array_equal(given, columns)
+            assert np.bincount(got, minlength=k).min() > 0
+            before, after = _efficacy(matrix, rows, columns), _efficacy(matrix, rows, got)
+            assert after > before if got is not given else after == before
+            # from its own result no step rises, so it hands back the very array
+            assert kernels.ascend_split(tally, np.bincount(rows, minlength=k), got) is got
 
 
 def test_backend_flag_reports_active_backend():

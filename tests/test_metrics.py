@@ -1,26 +1,29 @@
 """Grouping measures and the exhaustive oracle."""
 import ast
+import dataclasses
 import inspect
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import planted_instance, random_assignment, random_incidence
 from somcell import (
     CellAssignment,
+    GroupingScore,
     IncidenceMatrix,
     OracleSizeError,
     count_blocks,
     grouping_efficacy,
-    grouping_efficiency,
     oracle_best_assignment,
     score,
 )
 import somcell.cells
 import somcell.metrics
-from somcell.metrics import BlockCounts, _part_partitions, efficiency_components
+from somcell.metrics import BlockCounts, _part_partitions
 
 
 def naive_counts(values, pf, mc):
@@ -90,24 +93,58 @@ def test_efficacy_requires_some_ones():
 
 
 def test_efficiency_components_and_vacuous_sides():
-    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, total_elements=100)
-    eta1, eta2, eta = efficiency_components(counts)
-    assert eta1 == pytest.approx(1.0)
-    assert eta2 == pytest.approx(0.96)
-    assert eta == pytest.approx(0.98)
+    sc = GroupingScore(n1=52, n1_out=2, n0_in=0, total_elements=100, r=0.5)
+    assert sc.eta1 == pytest.approx(1.0)
+    assert sc.eta2 == pytest.approx(0.96)
+    assert sc.efficiency == pytest.approx(0.98)
     # blocks covering the whole matrix leave no off-block side
-    full = BlockCounts(n1=3, n1_out=0, n0_in=1, total_elements=4)
-    _, eta2_full, _ = efficiency_components(full)
-    assert eta2_full == 1.0
+    full = GroupingScore(n1=3, n1_out=0, n0_in=1, total_elements=4, r=0.5)
+    assert full.eta2 == 1.0
     with pytest.raises(ValueError):
-        efficiency_components(counts, r=0.0)
+        GroupingScore(n1=52, n1_out=2, n0_in=0, total_elements=100, r=0.0)
     with pytest.raises(ValueError):
-        efficiency_components(counts, r=1.0)
+        GroupingScore(n1=52, n1_out=2, n0_in=0, total_elements=100, r=1.0)
+    with pytest.raises(ValueError):
+        GroupingScore(n1=0, n1_out=0, n0_in=0, total_elements=4, r=0.5)
 
 
 def test_efficiency_weighting_moves_with_r():
-    counts = BlockCounts(n1=52, n1_out=2, n0_in=0, total_elements=100)
-    assert grouping_efficiency(counts, r=0.9) > grouping_efficiency(counts, r=0.1)
+    def efficiency(r):
+        return GroupingScore(n1=52, n1_out=2, n0_in=0, total_elements=100, r=r).efficiency
+
+    assert efficiency(0.9) > efficiency(0.1)
+
+
+@st.composite
+def consistent_counts(draw):
+    """(n1, n1_out, n0_in, total_elements): n1 >= 1 ones, n1_out of them
+    off the blocks, n0_in voids, and room off the blocks for the n1_out."""
+    n1 = draw(st.integers(1, 60))
+    n1_out = draw(st.integers(0, n1))
+    n0_in = draw(st.integers(0, 60))
+    off_zeros = draw(st.integers(0, 60))
+    return n1, n1_out, n0_in, n1 + n0_in + off_zeros
+
+
+@given(consistent_counts(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example((3, 3, 0, 3), 0.5)  # no in-block area
+@example((3, 0, 1, 4), 0.5)  # blocks cover the whole matrix
+def test_score_measures_match_their_definitions(counts, r):
+    n1, n1_out, n0_in, total = counts
+    sc = GroupingScore(n1=n1, n1_out=n1_out, n0_in=n0_in, total_elements=total, r=r)
+    inside = n1 - n1_out + n0_in
+    off = total - inside
+    eta1 = (n1 - n1_out) / inside if inside else 1.0
+    eta2 = (off - n1_out) / off if off else 1.0
+    assert sc.efficacy == Fraction(n1 - n1_out, n1 + n0_in)
+    assert (sc.eta1, sc.eta2) == (eta1, eta2)
+    assert sc.efficiency == r * eta1 + (1.0 - r) * eta2
+    assert 0.0 <= sc.eta1 <= 1.0 and 0.0 <= sc.eta2 <= 1.0
+
+
+def test_score_stores_only_the_counts_and_the_weight():
+    names = [f.name for f in dataclasses.fields(GroupingScore)]
+    assert names == ["n1", "n1_out", "n0_in", "total_elements", "r"]
 
 
 def test_score_bundles_everything(problem1):
