@@ -40,7 +40,6 @@ from .som import (
     TrainingSchedule,
     default_grid,
     default_schedule,
-    find_bmu,
     init_codebook,
     load_model,
     quantization_error,
@@ -92,7 +91,6 @@ __all__ = [
     "default_schedule",
     "export_scatter_data",
     "export_svg",
-    "find_bmu",
     "form_cells",
     "grouping_efficacy",
     "init_codebook",

@@ -6,15 +6,13 @@ unit index, exact efficacy ties to the lexicographically smallest machine
 assignment, and gain ties in an ascent step to the smallest family.
 
 Nearest-row searches (``batch_bmu``, k-means' labels in ``cells`` and the
-hitless-unit fill in ``viz``) rank through one matrix product. A
-rounding-error bound certifies each row whose two nearest centers are far
-enough apart that every difference-then-square sum has the same first
-minimum. The rows left unsure (ties, near ties, inf, NaN, overflow) are
-summed here, in one of two orders: ``batch_bmu`` adds the squares column by
-column, ``nearest_rows`` with numpy's pairwise ``sum``. The two can differ
-in the last bit, so on a near tie a BMU and a k-means label may go to
-different rows. Every answer is the one its sum gives, whatever order BLAS
-adds the product in and however many threads it uses.
+hitless-unit fill in ``viz``) all go through ``nearest_rows``, which ranks
+through one matrix product. A rounding-error bound certifies each row whose
+two nearest centers are far enough apart that every difference-then-square
+sum has the same first minimum. ``nearest_rows`` sums the rows left unsure
+(ties, near ties, inf, NaN, overflow) with numpy's pairwise ``sum``, so
+every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``,
+whatever order BLAS adds the product in and however many threads it uses.
 """
 
 from __future__ import annotations
@@ -82,31 +80,23 @@ def nearest_rows(points, centers) -> np.ndarray:
     to the lowest index), ranked through one matrix product.
 
     Every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``;
-    only rows the product leaves unsure are summed that way.
+    only rows the product leaves unsure are summed that way, one at a time,
+    so a map whose rows all tie needs no (rows x centers x dim) temporary.
     """
     best, unsure = _certified(points, centers)
-    if unsure.any():
-        d2 = ((points[unsure][:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        best[unsure] = np.argmin(d2, axis=1)
+    for row in np.flatnonzero(unsure).tolist():
+        best[row] = np.argmin(((centers - points[row]) ** 2).sum(axis=-1))
     return best
 
 
 def batch_bmu(codebook, samples) -> np.ndarray:
-    """Index of the nearest codebook row per sample (ties go to the lowest index).
-
-    The product settles most samples; the rest are summed column by column,
-    in column order.
+    """Index of the nearest codebook row per sample (ties go to the lowest
+    index): ``nearest_rows`` on float64 copies, since a product or norm in
+    a narrower dtype, such as a 0/1 matrix's uint8, would wrap.
     """
-    cb = np.asarray(codebook, dtype=np.float64)
-    xs = np.asarray(samples, dtype=np.float64)
-    best, unsure = _certified(xs, cb)
-    if unsure.any():
-        u = np.flatnonzero(unsure)
-        d2 = np.zeros((u.size, cb.shape[0]))
-        for j in range(cb.shape[1]):
-            d2 += (xs[u, j, None] - cb[:, j]) ** 2
-        best[u] = np.argmin(d2, axis=1)
-    return best.astype(np.int64, copy=False)
+    return nearest_rows(
+        np.asarray(samples, dtype=np.float64), np.asarray(codebook, dtype=np.float64)
+    )
 
 
 def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:

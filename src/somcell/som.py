@@ -237,13 +237,6 @@ def init_codebook(grid: MapGrid, data: IncidenceMatrix, seed: int) -> SomModel:
     return SomModel(grid=grid, codebook=codebook, seed=int(seed))
 
 
-def find_bmu(model: SomModel, x) -> int:
-    """Flat index of the codebook row nearest to ``x``; ties go to the lowest index."""
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    _check_machines(model, xv.shape[0])
-    return int(kernels.batch_bmu(model.codebook, xv[None, :])[0])
-
-
 def train(model: SomModel, data: IncidenceMatrix, schedule: TrainingSchedule) -> SomModel:
     """Run the schedule over the data and return the trained model.
 

@@ -20,16 +20,10 @@ def problem1() -> IncidenceMatrix:
 
 
 def naive_bmu(codebook, x):
-    """Reference best-matching-unit scan, written independently of the package."""
-    best, best_d = 0, None
-    for i in range(len(codebook)):
-        d = 0.0
-        for j in range(len(x)):
-            diff = codebook[i][j] - x[j]
-            d += diff * diff
-        if best_d is None or d < best_d:
-            best, best_d = i, d
-    return best
+    """Reference best-matching-unit scan, written independently of the package:
+    the first minimum of numpy's pairwise sum of squared differences."""
+    d2 = ((np.asarray(codebook, dtype=np.float64) - np.asarray(x, dtype=np.float64)) ** 2).sum(axis=-1)
+    return int(np.argmin(d2))
 
 
 def train_run_reference(codebook, samples, orders, alphas, sigmas, dist_sq):
@@ -107,8 +101,7 @@ def fill_hitless_reference(codebook, hit_counts, unit_ids):
     out = np.array(unit_ids, dtype=np.int64)
     hit_units = np.flatnonzero(hit_counts > 0)
     for u in np.flatnonzero(hit_counts == 0):
-        d2 = ((codebook[hit_units] - codebook[u]) ** 2).sum(axis=1)
-        out[u] = out[hit_units[int(np.argmin(d2))]]
+        out[u] = out[hit_units[naive_bmu(codebook[hit_units], codebook[u])]]
     return out
 
 

@@ -1,6 +1,7 @@
 """Kernels against independent plain-Python references, plus behavior cases."""
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import naive_bmu, train_run_reference
+from conftest import clustered_maps, naive_bmu, train_run_reference
 from somcell import MapGrid, SomModel, kernels
 from somcell.cells import _kmeans_labels
 from somcell.viz import HitHistogram, nearest_hit_units
@@ -37,15 +38,17 @@ def test_batch_bmu_tie_goes_to_lowest_index():
     assert kernels.batch_bmu(codebook, query).tolist() == [0, 0]
 
 
-def _column_loop_bmu(codebook, samples):
-    """``batch_bmu`` as it was before ``nearest_rows``: every sample's
-    squared distances summed one column at a time."""
-    cb_t = np.ascontiguousarray(np.asarray(codebook, dtype=np.float64).T)
-    xs_t = np.ascontiguousarray(np.asarray(samples, dtype=np.float64).T)
-    d2 = np.zeros((xs_t.shape[1], cb_t.shape[1]))
-    for j in range(cb_t.shape[0]):
-        d2 += (xs_t[j, :, None] - cb_t[j]) ** 2
-    return np.argmin(d2, axis=1)
+def _column_order_bmu(codebook, x):
+    """Best-matching-unit scan that adds each unit's squares in column order,
+    one coordinate at a time."""
+    best, best_d = 0, None
+    for i, row in enumerate(codebook):
+        d = 0.0
+        for c, xj in zip(row, x):
+            d += (c - xj) * (c - xj)
+        if best_d is None or d < best_d:
+            best, best_d = i, d
+    return best
 
 
 @st.composite
@@ -53,7 +56,7 @@ def adversarial_bmu_problems(draw):
     """(codebook, samples, ulp pairs): duplicate rows, rows one ulp apart,
     samples that sit on codebook rows, one-unit codebooks, and a scale that
     makes the squares overflow (entries near 1e154) or underflow."""
-    units, dim = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    units, dim = draw(st.integers(1, 12)), draw(st.integers(1, 16))
     values = st.sampled_from([0.0, 0.5, 1.0, -1.0]) | st.floats(-2.0, 2.0, allow_nan=False)
     scale = draw(st.sampled_from([1.0, 1e150, 1e154, 1e-160]))
     codebook = draw(arrays(np.float64, (units, dim), elements=values)) * scale
@@ -81,13 +84,13 @@ def test_batch_bmu_matches_naive_scan_on_adversarial_codebooks(problem):
     with np.errstate(all="ignore"):
         got = kernels.batch_bmu(codebook, samples)
         best, unsure = kernels._certified(samples, codebook)
-    cb = codebook.tolist()
-    want = [naive_bmu(cb, x) for x in samples.tolist()]
+        want = [naive_bmu(codebook, x) for x in samples]
+        # a certified row has the same first minimum in any summation order
+        backward = [naive_bmu(codebook[:, ::-1], x) for x in samples[:, ::-1]]
+    in_columns = [_column_order_bmu(codebook.tolist(), x) for x in samples.tolist()]
     assert got.dtype == np.int64 and got.tolist() == want
-    # a certified row has the same first minimum in any summation order
-    backward = [naive_bmu(codebook[:, ::-1].tolist(), x) for x in samples[:, ::-1].tolist()]
     for row in np.flatnonzero(~unsure).tolist():
-        assert best[row] == want[row] == backward[row]
+        assert best[row] == want[row] == backward[row] == in_columns[row]
     if codebook.shape[0] == 1:
         assert not unsure.any()
     # a sample on a row with a neighbour one ulp away cannot be certified
@@ -109,9 +112,9 @@ def test_batch_bmu_keeps_its_answer_on_inf_and_nan_samples(problem, data):
         samples[row, col] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     with np.errstate(all="ignore"):
         got = kernels.batch_bmu(codebook, samples)
-        want = _column_loop_bmu(codebook, samples)
+        want = [naive_bmu(codebook, x) for x in samples]
         _, unsure = kernels._certified(samples, codebook)
-    assert got.tolist() == want.tolist()
+    assert got.tolist() == want
     if codebook.shape[0] > 1:
         assert unsure[bad].all()
 
@@ -132,16 +135,36 @@ def test_nearest_rows_leaves_exact_ties_unsure():
     assert unsure.tolist() == [True, True, False]
 
 
-def test_each_nearest_search_settles_ties_with_its_own_sum():
+def test_nearest_rows_sums_unsure_rows_one_at_a_time():
+    # a constant codebook leaves every part tied, so every row is summed; a
+    # (parts x units x machines) temporary would be 480 KB per part here
+    parts, units, machines = 400, 100, 60
+    values = (np.random.default_rng(4).random((parts, machines)) < 0.3).astype(np.uint8)
+    codebook = np.full((units, machines), 0.5)
+    tracemalloc.start()
+    try:
+        best = kernels.batch_bmu(codebook, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernels._certified(values.astype(np.float64), codebook)[1].all()
+    assert best.tolist() == [0] * parts
+    assert peak < 10 * parts * units * 8
+
+
+def test_every_nearest_search_picks_the_same_row():
     # From zeros(8), summing these rows' squares in column order gives
     # 29.01 and 29.009999999999998, while numpy's pairwise sum gives
-    # 29.009999999999998 for both. BMUs follow the column order
-    # (conftest.naive_bmu); k-means and the hitless fill follow the pairwise
-    # sum their references use. Dimensions 1-4 cannot tell the two apart.
+    # 29.009999999999998 for both. The product leaves the tie unsure, and
+    # every search settles it with the pairwise sum, so BMUs, the hitless
+    # fill and k-means all pick row 0. Dimensions 1-7 cannot tell the two
+    # sums apart.
     rows = np.array([[1e-8, 3, 0, 3, 3, 0.1, 1, 1], [0, 0.1, 3, 1e-8, 1, 3, 3, 1]])
     origin = np.zeros((1, 8))
-    assert naive_bmu(rows.tolist(), origin[0].tolist()) == 1
-    assert kernels.batch_bmu(rows, origin).tolist() == [1]
+    assert _column_order_bmu(rows.tolist(), origin[0].tolist()) == 1
+    assert kernels._certified(origin, rows)[1].tolist() == [True]
+    assert naive_bmu(rows, origin[0]) == 0
+    assert kernels.batch_bmu(rows, origin).tolist() == [0]
     # units 0 and 1 hold the parts; unit 2 sits at the origin with none
     grid = MapGrid(1, 3)
     model = SomModel(grid=grid, codebook=np.vstack([rows, origin]), seed=0)
@@ -156,6 +179,53 @@ def test_each_nearest_search_settles_ties_with_its_own_sum():
     assert centers.tobytes() == rows.tobytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(adversarial_bmu_problems())
+def test_batch_bmu_is_nearest_rows_on_adversarial_codebooks(problem):
+    codebook, samples, _ = problem
+    with np.errstate(all="ignore"):
+        got = kernels.batch_bmu(codebook, samples)
+        want = kernels.nearest_rows(samples, codebook)
+    assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(clustered_maps())
+def test_batch_bmu_is_nearest_rows_on_clustered_map_hits(case):
+    # every hit sits on its unit's codebook row, which often ties with others
+    model, hits, _ = case
+    samples = model.codebook[hits.bmus]
+    got = kernels.batch_bmu(model.codebook, samples)
+    assert got.tolist() == kernels.nearest_rows(samples, model.codebook).tolist()
+
+
+def test_batch_bmu_converts_a_01_matrix_to_float64(monkeypatch):
+    # numpy's einsum and matmul keep uint8 and wrap at 256, so a row of 300
+    # ones has norm 44 there: uint8 samples would get a rounding bound from
+    # the wrapped norms, and a uint8 codebook fails in the product's scaling
+    values = np.zeros((4, 300), dtype=np.uint8)
+    values[0, :200] = 1
+    values[1] = 1
+    values[2, ::3] = 1
+    values[3, 150:] = 1
+    assert np.einsum("ij,ij->i", values, values).tolist() == [200, 44, 100, 150]
+    seen = []
+    certified = kernels._certified
+
+    def recorded(points, centers):
+        seen.append((points.dtype, centers.dtype))
+        return certified(points, centers)
+
+    monkeypatch.setattr(kernels, "_certified", recorded)
+    codebook = np.random.default_rng(9).random((6, 300))
+    for cb in (values, codebook):
+        got = kernels.batch_bmu(cb, values)
+        want = kernels.batch_bmu(cb.astype(np.float64), values.astype(np.float64))
+        assert got.tolist() == want.tolist() == [naive_bmu(cb, x) for x in values]
+    assert kernels.batch_bmu(values, values).tolist() == [0, 1, 2, 3]
+    assert set(seen) == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+
 def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
     """Sequential online updates, one unit and one coordinate at a time."""
     cb = codebook.tolist()
@@ -163,7 +233,7 @@ def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
     for order in orders.tolist():
         for p in order:
             x = data[p].tolist()
-            best = naive_bmu(cb, x)
+            best = _column_order_bmu(cb, x)
             for u, row in enumerate(cb):
                 if sigmas[t] > 0.0:
                     h = alphas[t] * math.exp(-dist_sq[best, u] / (2.0 * sigmas[t] ** 2))

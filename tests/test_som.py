@@ -14,7 +14,6 @@ from somcell import (
     default_grid,
     compute_hits,
     default_schedule,
-    find_bmu,
     form_cells,
     init_codebook,
     load_model,
@@ -166,14 +165,6 @@ def test_init_codebook_identical_rows_falls_back_to_noise():
     assert np.array_equal(model.codebook, again.codebook)
 
 
-def test_find_bmu_checks_dimension(problem1):
-    model = init_codebook(MapGrid(4, 4), problem1, seed=0)
-    with pytest.raises(ValueError):
-        find_bmu(model, np.zeros(3))
-    idx = find_bmu(model, problem1.values[0].astype(float))
-    assert 0 <= idx < 16
-
-
 def test_train_is_deterministic_and_counts_epochs(problem1):
     grid = MapGrid(6, 5)
     sched = default_schedule(grid, problem1.parts)
@@ -284,7 +275,6 @@ def test_model_validates_codebook_shape():
 MISMATCH_CALLS = {
     "train": lambda model, data: train(model, data, default_schedule(model.grid, data.parts)),
     "quantization_error": quantization_error,
-    "find_bmu": lambda model, data: find_bmu(model, data.values[0]),
     "compute_hits": compute_hits,
     "pca_project": pca_project,
     "form_cells": lambda model, data: form_cells(model, data, k_max=2),

@@ -36,3 +36,11 @@ def test_random_incidence_returns_at_sparse_densities():
         assert values.shape == (parts, machines) and values.dtype == np.uint8
         assert set(np.unique(values).tolist()) <= {0, 1}
         assert values.sum(axis=1).min() > 0 and values.sum(axis=0).min() > 0
+
+
+def test_public_names_resolve_once():
+    # a deleted function left in __all__ would break `from somcell import *`
+    for module in (somcell, somcell.kernels):
+        assert len(module.__all__) == len(set(module.__all__)), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -255,24 +255,12 @@ def test_fill_hitless_units_matches_per_unit_loop(case):
     assert (got[hits.hits > 0] == ids[hits.hits > 0]).all()
 
 
-def _nearest_hit_units_reference(model, hits):
-    """``nearest_hit_units`` as it was before ``kernels.nearest_rows``: all
-    (hitless, hit, dim) squared differences, summed."""
-    hit_units = np.flatnonzero(hits.hits > 0)
-    hitless = np.flatnonzero(hits.hits == 0)
-    cb = model.codebook
-    d2 = ((cb[hit_units][None, :, :] - cb[hitless][:, None, :]) ** 2).sum(axis=2)
-    nearest = np.arange(model.grid.units, dtype=np.int64)
-    nearest[hitless] = hit_units[np.argmin(d2, axis=1)]
-    return nearest
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_nearest_hit_units_match_pairwise_sum_reference(case):
     model, hits, _ = case
     got = nearest_hit_units(model, hits)
-    want = _nearest_hit_units_reference(model, hits)
+    want = fill_hitless_reference(model.codebook, hits.hits, np.arange(model.grid.units))
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
