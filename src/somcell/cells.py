@@ -5,8 +5,10 @@ let every part inherit its BMU's cluster as a family, pull each machine
 into the family that uses it most densely, dissolve families that end up
 without machines, and sweep the cluster count, keeping the assignment with
 the best grouping efficacy. The sweep clusters every cluster count first,
-then settles all the candidates together in lockstep rounds over one
-stacked family tally (``_settle_sweep``), then scores them in order.
+running every count's k-means rounds together in lockstep, one segmented
+nearest-row search per group of counts and round (``_lloyd_sweep``), then
+settles all the candidates together in lockstep rounds over one stacked
+family tally (``_settle_sweep``), then scores them in order.
 ``polish`` then raises the winner's efficacy at its cell count by exact
 alternating machine and part steps.
 """
@@ -22,6 +24,14 @@ from .incidence import BlockDiagonalView, IncidenceMatrix
 from .metrics import CellAssignment
 from .som import SomModel, _check_machines
 from .viz import HitHistogram, compute_hits, nearest_hit_units
+
+
+# Each Lloyd round labels the moving k's in groups of at most this many
+# (busy unit, center) distances, every k padded to the group's largest, and
+# sums their centers in chunks of at most this many (k, busy unit, dim) bins
+# (a group or chunk always takes one k), so a round's temporaries stay small
+# however large k_max and the map are.
+_GROUP_ELEMENTS = 1 << 13
 
 
 def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,76 +55,134 @@ def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> tuple[np
     return order, seed_d2
 
 
-def _kmeans_labels(points: np.ndarray, centers: np.ndarray, first_d2: np.ndarray) -> np.ndarray:
-    """Lloyd iterations from ``centers`` (updated in place) until the labels
-    stop changing, at most 100 rounds. ``first_d2`` holds the squared
-    distances from each point to each starting center. Every later round
-    labels through ``kernels.nearest_rows``, whose answers are those of the
-    pairwise sum ``first_d2`` was summed with."""
-    k, dim = centers.shape
-    labels = np.full(points.shape[0], -1, dtype=np.int64)
-    flat_points = points.ravel()
-    columns = np.arange(dim)
-    new_labels = np.argmin(first_d2, axis=1)  # ties to the lowest center index
-    for _ in range(100):
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        # bincount adds each (cluster, column) bin's weights in row order,
-        # so each center is its members' in-order sum over their count
-        bins = (labels[:, None] * dim + columns).ravel()
-        sums = np.bincount(bins, weights=flat_points, minlength=k * dim).reshape(k, dim)
-        sizes = np.bincount(labels, minlength=k)
-        filled = sizes > 0  # an emptied cluster keeps its previous center
-        centers[filled] = sums[filled] / sizes[filled, None]
-        new_labels = kernels.nearest_rows(points, centers)
-    return labels
+def _first_labels(seed_d2: np.ndarray) -> np.ndarray:
+    """Row k - 1 is ``np.argmin(seed_d2[:, :k], axis=1)``, for every k at once.
+
+    A point's first minimum over the first k columns is the last column
+    below every column before it, so a strict comparison against the
+    running minimum keeps the lower index on ties.
+    """
+    points, count = seed_d2.shape
+    lower = np.zeros((points, count), dtype=np.int64)
+    lower[:, 1:] = seed_d2[:, 1:] < np.minimum.accumulate(seed_d2, axis=1)[:, :-1]
+    lower *= np.arange(count)
+    return np.maximum.accumulate(lower, axis=1).T.copy()
+
+
+def _recenter(centers: np.ndarray, labels: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> None:
+    """Move each center to its members' mean, in place.
+
+    ``centers`` stacks the centers of k's ``ks`` in order, and
+    ``labels[i]`` holds each point's cluster (from 0) for the i-th of them;
+    ``weights`` holds the points raveled, once per k of a chunk. Each chunk
+    of k's is one bincount, which adds each (center, column) bin's weights
+    in point order, so each center is its members' in-order sum over their
+    count; an emptied cluster keeps its center.
+    """
+    count, dim = labels.shape[1], centers.shape[1]
+    per_chunk = weights.size // (count * dim)
+    ends = np.cumsum(ks)
+    starts = ends - ks
+    for lo in range(0, ks.size, per_chunk):
+        hi = min(lo + per_chunk, ks.size)
+        block = centers[starts[lo]:ends[hi - 1]]
+        rows = block.shape[0]
+        stacked = labels[lo:hi] + (starts[lo:hi] - starts[lo])[:, None]
+        # each (k, point, column) element's bin, taken from a table of them
+        # and dropped as soon as they are counted
+        bins = np.arange(rows * dim).reshape(rows, dim)[stacked].ravel()
+        sums = np.bincount(bins, weights=weights[:bins.size], minlength=rows * dim)
+        del bins
+        members = np.bincount(stacked.ravel(), minlength=rows)
+        filled = members > 0
+        block[filled] = sums.reshape(rows, dim)[filled] / members[filled, None]
+
+
+def _lloyd_sweep(points: np.ndarray, order: np.ndarray, seed_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-means labels of ``points`` for every k in 1..k_max, row k - 1, and
+    every k's final centers, stacked: k's rows start at row k(k - 1)/2.
+
+    Each k starts from its first k farthest-first centers, whose first
+    round reads the first k columns of ``seed_d2``, and runs Lloyd
+    iterations until its labels stop changing, at most 100 rounds. The k's
+    run in lockstep: every round recenters each group of the k's still
+    moving (``_recenter``) and labels the points against all of the group's
+    centers with one segmented ``kernels.nearest_rows`` search, and a k
+    drops out when its labels repeat. Each center is its members' in-order
+    mean and every label the search's first minimum, so each k's labels and
+    centers are bit for bit those of its own loop.
+    """
+    count, dim = points.shape
+    k_max = order.size
+    moving = np.arange(1, k_max + 1)  # the k's still moving, in k order
+    firsts = moving * (moving - 1) // 2
+    centers = points[order[np.arange(firsts[-1] + k_max) - np.repeat(firsts, moving)]]
+    labels = _first_labels(seed_d2)  # the moving k's labels, one row each
+    out = np.empty_like(labels)
+    # the bin weights: the points, once per k of a chunk
+    weights = np.tile(points.ravel(), min(max(1, _GROUP_ELEMENTS // (count * dim)), k_max))
+    for rounds in range(1, 101):
+        new = np.empty_like(labels)
+        # a group takes the next k's while, each padded to the last one,
+        # their distances stay within _GROUP_ELEMENTS
+        cuts = [0]
+        for i, k in enumerate(moving.tolist()):
+            if i > cuts[-1] and (i + 1 - cuts[-1]) * k * count > _GROUP_ELEMENTS:
+                cuts.append(i)
+        for lo, hi in zip(cuts, cuts[1:] + [moving.size]):
+            ks = moving[lo:hi]
+            # the group's rows of centers, k by k
+            offsets = np.cumsum(ks) - ks
+            rows = np.arange(offsets[-1] + ks[-1]) + np.repeat(firsts[ks - 1] - offsets, ks)
+            group = centers[rows]
+            _recenter(group, labels[lo:hi], ks, weights)
+            centers[rows] = group
+            new[lo:hi] = kernels.nearest_rows(points, group, ks)
+        # the 100th round's labels are final whether or not they repeat
+        done = (new == labels).all(axis=1) | (rounds == 100)
+        out[moving[done] - 1] = labels[done]
+        if done.all():
+            return out, centers
+        moving, labels = moving[~done], new[~done]
 
 
 @dataclass(frozen=True, eq=False)
 class ClusterBasis:
     """What clustering one map shares across k: the units with hits, their
-    codebook rows, their farthest-first order, the squared distances from
-    each of them to each seed in that order, and each unit's nearest unit
-    with hits."""
+    k-means labels for every k (row k - 1, cluster ids from 0), and each
+    unit's nearest unit with hits."""
 
     hit_units: np.ndarray
-    points: np.ndarray
-    order: np.ndarray
-    seed_d2: np.ndarray
+    labels: np.ndarray
     nearest: np.ndarray
 
 
 def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> ClusterBasis:
-    """The basis for every k in 1..k_max; k_max may not exceed the units with hits."""
+    """The basis for every k in 1..k_max; k_max may not exceed the units with hits.
+
+    k-means over the codebook rows of units with at least one hit:
+    farthest-first seeding from the model seed, then Lloyd iterations until
+    the labels stop changing (at most 100 rounds), all k's in lockstep
+    (``_lloyd_sweep``).
+    """
     hit_units = np.flatnonzero(hits.hits > 0)
     if not 1 <= k_max <= hit_units.size:
         raise ValueError(f"k must lie in 1..{hit_units.size} (units with hits)")
     points = model.codebook[hit_units]
-    order, seed_d2 = _farthest_first_order(points, k_max, model.seed)
-    return ClusterBasis(
-        hit_units=hit_units,
-        points=points,
-        order=order,
-        seed_d2=seed_d2,
-        nearest=nearest_hit_units(model, hits),
-    )
+    labels, _ = _lloyd_sweep(points, *_farthest_first_order(points, k_max, model.seed))
+    return ClusterBasis(hit_units=hit_units, labels=labels, nearest=nearest_hit_units(model, hits))
 
 
 def cluster_map(basis: ClusterBasis, k: int) -> np.ndarray:
-    """Cluster ids (1..k) for every map unit.
-
-    k-means over the codebook rows of units with at least one hit:
-    farthest-first seeding from the model seed, then Lloyd iterations until
-    the labels stop changing (at most 100 rounds). Units with no hits
-    inherit the cluster of the nearest hit unit in codebook space.
-    ``basis`` is ``cluster_basis(model, hits, k_max)`` for some k_max >= k.
+    """Cluster ids (1..k) for every map unit: the k-means labels of the units
+    with hits, and units with no hits inherit the cluster of the nearest hit
+    unit in codebook space. ``basis`` is ``cluster_basis(model, hits,
+    k_max)`` for some k_max >= k.
     """
-    if not 1 <= k <= basis.order.size:
-        raise ValueError(f"k must lie in 1..{basis.order.size} for this basis")
-    labels = _kmeans_labels(basis.points, basis.points[basis.order[:k]], basis.seed_d2[:, :k])
+    if not 1 <= k <= basis.labels.shape[0]:
+        raise ValueError(f"k must lie in 1..{basis.labels.shape[0]} for this basis")
     out = np.zeros(basis.nearest.size, dtype=np.int64)
-    out[basis.hit_units] = labels + 1
+    out[basis.hit_units] = basis.labels[k - 1] + 1
     return out[basis.nearest]
 
 

@@ -5,14 +5,18 @@ are bit-deterministic for fixed inputs: nearest-unit ties go to the lowest
 unit index, exact efficacy ties to the lexicographically smallest machine
 assignment, and gain ties in an ascent step to the smallest family.
 
-Nearest-row searches (``batch_bmu``, k-means' labels in ``cells`` and the
-hitless-unit fill in ``viz``) all go through ``nearest_rows``, which ranks
-through one matrix product. A rounding-error bound certifies each row whose
-two nearest centers are far enough apart that every difference-then-square
-sum has the same first minimum. ``nearest_rows`` sums the rows left unsure
-(ties, near ties, inf, NaN, overflow) with numpy's pairwise ``sum``, so
-every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``,
-whatever order BLAS adds the product in and however many threads it uses.
+Nearest-row searches (``batch_bmu``, every k's k-means labels in
+``cells`` and the hitless-unit fill in ``viz``) all go through
+``nearest_rows``, which ranks through one matrix product. Its centers may
+be cut into segments, each searched on its own, so one product labels a
+k-means round against the centers of a whole group of k's; the others are
+the one-segment case. A rounding-error bound certifies each (row, segment)
+pair whose two nearest centers are far enough apart that every
+difference-then-square sum has the same first minimum. ``nearest_rows``
+sums the pairs left unsure (ties, near ties, inf, NaN, overflow) with
+numpy's pairwise ``sum``, so every answer is the first minimum of
+``((p - c) ** 2).sum(axis=-1)`` over its segment, whatever order BLAS adds
+the product in and however many threads it uses.
 """
 
 from __future__ import annotations
@@ -36,67 +40,105 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1022
 
 
-def _certified(points, centers) -> tuple[np.ndarray, np.ndarray]:
-    """``(best, unsure)``: ``best`` is the first minimum of
-    ``|points|^2 - 2 points @ centers.T + |centers|^2`` per row, and on
-    every row that ``unsure`` does not mark it is also the first minimum of
-    the squared distances summed term by term, in any order. A one-center
-    call is certain.
+def _certified(points, centers, sizes=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(best, unsure)`` per segment and row, for float64 inputs.
+
+    ``centers`` is cut into consecutive segments of ``sizes`` rows (one
+    segment of all rows when ``sizes`` is None, and then both results come
+    back per row alone). ``best[s, i]`` is the first minimum over segment s
+    of ``|points|^2 - 2 points @ centers.T + |centers|^2`` for row i, as an
+    index into the segment, and on every pair that ``unsure`` does not mark
+    it is also the first minimum of the squared distances summed term by
+    term, in any order. A one-center segment is certain.
     """
     n, dim = points.shape
-    if centers.shape[0] == 1:
-        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    if sizes is None:
+        widths = np.array([centers.shape[0]])
+    else:
+        widths = np.asarray(sizes, dtype=np.int64)
+        if widths.min() < 1 or widths.sum() != centers.shape[0]:
+            raise ValueError("segment sizes must be positive and add up to the center count")
+    segments, width = widths.size, int(widths.max())
+    starts = np.cumsum(widths) - widths
     nu = (dim + 4) * _UNIT_ROUNDOFF
-    # overflow and inf - inf here only mark rows unsure; the exact sums on
-    # those rows warn as they always did
+    # overflow and inf - inf here only mark pairs unsure; the exact sums on
+    # those pairs warn as they always did
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.einsum("ij,ij->i", points, points)
         center_sq = np.einsum("ij,ij->i", centers, centers)
-        approx = points @ centers.T
+        # every segment padded to the widest with rows of zeros, whose |c|^2
+        # of inf ranks them after every center
+        padded, padded_sq = centers, center_sq
+        if segments * width > centers.shape[0]:
+            slots = np.arange(centers.shape[0]) + np.repeat(np.arange(segments) * width - starts, widths)
+            padded = np.zeros((segments * width, dim))
+            padded[slots] = centers
+            padded_sq = np.full(segments * width, np.inf)
+            padded_sq[slots] = center_sq
+        approx = points @ padded.T
         approx *= -2.0
         approx += norms[:, None]
-        approx += center_sq
-        best = np.argmin(approx, axis=1)
-        rows = np.arange(n)
-        first = approx[rows, best]
-        approx[rows, best] = np.inf
-        gap = approx.min(axis=1) - first
+        approx += padded_sq
+        table = approx.reshape(n, segments, width)
+        best = table.argmin(axis=2)
+        # a row with an inf can rank a pad (inf * 0 is NaN) first: such a
+        # pair comes out unsure, or is a one-center segment's, whose answer
+        # is its one center
+        np.minimum(best, widths - 1, out=best)
+        at = (np.arange(n)[:, None], np.arange(segments), best)
+        first = table[at]
+        table[at] = np.inf
+        gap = table.min(axis=2) - first
         # Both this expansion and a term-by-term sum are within
         # gamma(d+2) * (|x| + |c|)^2 of the exact squared distance, whatever
         # the summation order (Higham 2002, sec. 3.1: d products and
         # additions plus two more roundings each), so a gap above twice both
         # errors leaves the same unique minimum in every such sum. gamma(d+4)
         # absorbs the rounding of the bound itself, and the 8(d+4) * tiny
-        # term products that underflow. (2(|x| + max|c|))^2 is inf when
-        # anything could overflow, and a NaN makes the gap or the bound NaN,
-        # so those rows fail the comparison and come out unsure.
-        reach = 2.0 * (np.sqrt(norms) + np.sqrt(center_sq.max()))
+        # term products that underflow. (2(|x| + max|c|))^2, with the
+        # segment's largest |c|, is inf when anything could overflow, and a
+        # NaN makes the gap or the bound NaN, so those pairs fail the
+        # comparison and come out unsure.
+        reach = 2.0 * (np.sqrt(norms)[:, None] + np.sqrt(np.maximum.reduceat(center_sq, starts)))
         bound = reach * reach * (nu / (1.0 - nu)) + 8 * (dim + 4) * _TINY
-    return best, ~(gap > bound)
+    unsure = ~(gap > bound)
+    unsure[:, widths == 1] = False
+    if sizes is None:
+        return best[:, 0], unsure[:, 0]
+    return best.T, unsure.T
 
 
-def nearest_rows(points, centers) -> np.ndarray:
+def nearest_rows(points, centers, sizes=None) -> np.ndarray:
     """Index of the nearest row of ``centers`` per row of ``points`` (ties go
     to the lowest index), ranked through one matrix product.
 
-    Every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``;
-    only rows the product leaves unsure are summed that way, one at a time,
-    so a map whose rows all tie needs no (rows x centers x dim) temporary.
+    With ``sizes``, ``centers`` is cut into consecutive segments of that
+    many rows, and the result holds one index into each segment per row, as
+    a (segments, rows) array; so one product ranks the rows against many
+    center sets at once. Inputs are converted to float64, since a product or
+    norm in a narrower dtype, such as a 0/1 matrix's uint8, would wrap.
+
+    Every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``
+    over its segment; only (segment, row) pairs the product leaves unsure
+    are summed that way, one at a time, so a map whose rows all tie needs
+    no (rows x centers x dim) temporary.
     """
-    best, unsure = _certified(points, centers)
-    for row in np.flatnonzero(unsure).tolist():
-        best[row] = np.argmin(((centers - points[row]) ** 2).sum(axis=-1))
+    points = np.asarray(points, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    best, unsure = _certified(points, centers, sizes)
+    if unsure.any():
+        bounds = np.cumsum([0, *([centers.shape[0]] if sizes is None else sizes)]).tolist()
+        grid = np.atleast_2d(best)  # a view of best, one row per segment
+        for seg, row in zip(*(axis.tolist() for axis in np.nonzero(np.atleast_2d(unsure)))):
+            segment = centers[bounds[seg]:bounds[seg + 1]]
+            grid[seg, row] = np.argmin(((segment - points[row]) ** 2).sum(axis=-1))
     return best
 
 
 def batch_bmu(codebook, samples) -> np.ndarray:
     """Index of the nearest codebook row per sample (ties go to the lowest
-    index): ``nearest_rows`` on float64 copies, since a product or norm in
-    a narrower dtype, such as a 0/1 matrix's uint8, would wrap.
-    """
-    return nearest_rows(
-        np.asarray(samples, dtype=np.float64), np.asarray(codebook, dtype=np.float64)
-    )
+    index): ``nearest_rows`` over one segment of all units."""
+    return nearest_rows(samples, codebook)
 
 
 def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:

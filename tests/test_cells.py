@@ -40,7 +40,14 @@ from somcell import (
 )
 from somcell import cells, kernels, metrics
 from somcell.cli import default_kmax, extract_cells, train_map
-from somcell.cells import _kmeans_labels, _relabel_by_size, _settle_sweep, _stacked_tally, cluster_basis
+from somcell.cells import (
+    _farthest_first_order,
+    _lloyd_sweep,
+    _relabel_by_size,
+    _settle_sweep,
+    _stacked_tally,
+    cluster_basis,
+)
 from somcell.metrics import BlockCounts
 from somcell.som import Phase, TrainingSchedule
 from somcell.viz import HitHistogram
@@ -316,6 +323,26 @@ def test_form_cells_keeps_the_traced_call_counts(monkeypatch):
         "grouping_efficacy": distinct,
     }
     assert asg in settled
+
+
+def test_form_cells_keeps_the_lloyd_rounds_small_in_memory():
+    # a seeded 400x60 planted model (70 busy units, k up to 30): the sweep's
+    # k-means rounds label and sum each round in groups, so form_cells'
+    # tracemalloc peak stays near the settle's own (about 0.85 MB here);
+    # stacking every k's (k x busy unit x dim) center-sum bins and every
+    # k's distances in one go peaks at 2.8 MB
+    values = planted_tall(1, (70, 65, 60, 55, 55, 50, 45), (10, 10, 9, 9, 8, 7, 7), noise=0.05)
+    data = IncidenceMatrix.from_array(values)
+    model = train_map(data, 1)
+    hits = compute_hits(model, data)
+    form_cells(model, data, default_kmax(data), hits)  # warm any lazy machinery
+    tracemalloc.start()
+    try:
+        form_cells(model, data, default_kmax(data), hits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_form_cells_on_demo_instance_matches_known_grouping(problem1):
@@ -722,43 +749,48 @@ def test_shared_basis_matches_standalone_cluster_map(case):
         assert shared.tolist() == _cluster_map_reference(model, hits, k).tolist()
 
 
+def _busy_points(model, hits):
+    return model.codebook[np.flatnonzero(hits.hits > 0)]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_seed_distances_are_each_k_first_lloyd_round(case):
-    # every k's first Lloyd round reads the first k columns of the basis's
+    # every k's first Lloyd round reads the first k columns of the sweep's
     # seed table, so each prefix must hold that round's bytes
     model, hits, _ = case
-    busy = int((hits.hits > 0).sum())
-    basis = cluster_basis(model, hits, busy)
-    points, order = basis.points, basis.order
-    for k in range(1, busy + 1):
+    points = _busy_points(model, hits)
+    order, seed_d2 = _farthest_first_order(points, points.shape[0], model.seed)
+    for k in range(1, points.shape[0] + 1):
         want = np.square(points[:, None] - points[order[:k]][None]).sum(axis=2)
-        assert np.ascontiguousarray(basis.seed_d2[:, :k]).tobytes() == want.tobytes()
+        assert np.ascontiguousarray(seed_d2[:, :k]).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_kmeans_centers_are_member_means_bit_for_bit(case):
-    # each center is its members' rows added in index order, over their
-    # count; members.mean(axis=0) adds the same way except on one-column
-    # points, which numpy sums pairwise
-    model, hits, k = case
-    basis = cluster_basis(model, hits, k)
-    centers = basis.points[basis.order[:k]]
-    labels = _kmeans_labels(basis.points, centers, basis.seed_d2[:, :k])
-    for c in np.unique(labels):
-        members = basis.points[labels == c]
-        total = np.zeros(members.shape[1])
-        for row in members:
-            total += row
-        assert centers[c].tobytes() == (total / members.shape[0]).tobytes()
-        if members.shape[1] > 1:
-            assert centers[c].tobytes() == members.mean(axis=0).tobytes()
+    # each k's centers (rows k(k-1)/2 on) are its members' rows added in
+    # index order, over their count; members.mean(axis=0) adds the same way
+    # except on one-column points, which numpy sums pairwise
+    model, hits, _ = case
+    points = _busy_points(model, hits)
+    labels, centers = _lloyd_sweep(points, *_farthest_first_order(points, points.shape[0], model.seed))
+    for k in range(1, points.shape[0] + 1):
+        own = centers[k * (k - 1) // 2:k * (k + 1) // 2]
+        for c in np.unique(labels[k - 1]):
+            members = points[labels[k - 1] == c]
+            total = np.zeros(members.shape[1])
+            for row in members:
+                total += row
+            assert own[c].tobytes() == (total / members.shape[0]).tobytes()
+            if members.shape[1] > 1:
+                assert own[c].tobytes() == members.mean(axis=0).tobytes()
 
 
 def _kmeans_labels_reference(points, centers, first_d2):
-    """``_kmeans_labels`` as it was before ``kernels.nearest_rows``: every
-    later round sums all (points, k, dim) squared differences."""
+    """One k's Lloyd loop as it was before ``kernels.nearest_rows``: every
+    later round sums all (points, k, dim) squared differences; ``centers``
+    is updated in place."""
     k, dim = centers.shape
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     flat_points = points.ravel()
@@ -780,20 +812,47 @@ def _kmeans_labels_reference(points, centers, first_d2):
     return labels
 
 
+def _check_lloyd_sweep(points, order, seed_d2):
+    labels, centers = _lloyd_sweep(points, order, seed_d2)
+    assert labels.shape == (order.size, points.shape[0]) and labels.dtype == np.int64
+    for k in range(1, order.size + 1):
+        want_centers = points[order[:k]].copy()
+        want = _kmeans_labels_reference(points, want_centers, seed_d2[:, :k])
+        assert labels[k - 1].tolist() == want.tolist()
+        assert centers[k * (k - 1) // 2:k * (k + 1) // 2].tobytes() == want_centers.tobytes()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_kmeans_labels_match_pairwise_sum_reference(case):
     # labels and final centers, bit for bit, for every k the sweep may use
     model, hits, _ = case
-    busy = int((hits.hits > 0).sum())
-    basis = cluster_basis(model, hits, busy)
-    for k in range(1, busy + 1):
-        got_centers = basis.points[basis.order[:k]]
-        want_centers = got_centers.copy()
-        got = _kmeans_labels(basis.points, got_centers, basis.seed_d2[:, :k])
-        want = _kmeans_labels_reference(basis.points, want_centers, basis.seed_d2[:, :k])
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert got_centers.tobytes() == want_centers.tobytes()
+    points = _busy_points(model, hits)
+    _check_lloyd_sweep(points, *_farthest_first_order(points, points.shape[0], model.seed))
+
+
+def test_lockstep_keeps_each_k_own_round_count(monkeypatch):
+    # on this seeded map k = 2..5 need five Lloyd rounds while k = 1, 7 and
+    # 8 stop after one, so the sweep drops k's between rounds and a later
+    # group holds k's that were not neighbours (6 and 9); the small budget
+    # splits every round into several groups, and groups of four k's into
+    # two center-sum chunks
+    monkeypatch.setattr(cells, "_GROUP_ELEMENTS", 960)
+    points = np.random.default_rng(12).random((40, 8))
+    order, seed_d2 = _farthest_first_order(points, 12, 7)
+    searches = []
+    real = kernels.nearest_rows
+
+    def recorded(p, c, sizes=None):
+        searches.append(np.asarray(sizes).tolist())
+        return real(p, c, sizes)
+
+    monkeypatch.setattr(kernels, "nearest_rows", recorded)
+    _check_lloyd_sweep(points, order, seed_d2)
+    rounds = [sum(k in group for group in searches) for k in range(1, 13)]
+    assert rounds == [1, 5, 5, 5, 5, 4, 1, 1, 3, 1, 1, 1]
+    assert [6, 9] in searches and [2, 3, 4, 5] in searches
+    assert len(searches) == 12  # one search per group and round, not per k
 
 
 def _efficacy(data, assignment):

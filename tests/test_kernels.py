@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import clustered_maps, naive_bmu, train_run_reference
 from somcell import MapGrid, SomModel, kernels
-from somcell.cells import _kmeans_labels
+from somcell.cells import _lloyd_sweep
 from somcell.viz import HitHistogram, nearest_hit_units
 
 
@@ -171,12 +171,13 @@ def test_every_nearest_search_picks_the_same_row():
     hits = HitHistogram(grid=grid, bmus=np.array([0, 1]))
     assert nearest_hit_units(model, hits).tolist() == [0, 1, 0]
     # the origin and 2 * rows[0] average to rows[0] exactly, so after one
-    # round the centers are the two rows and the origin ties between them
+    # round k = 2's centers (rows 1 and 2 of the stack) are the two rows and
+    # the origin ties between them
     points = np.vstack([origin, 2 * rows[0], rows[1]])
-    centers = points[[1, 2]].copy()
     first_d2 = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-    assert _kmeans_labels(points, centers, first_d2).tolist() == [0, 0, 1]
-    assert centers.tobytes() == rows.tobytes()
+    labels, centers = _lloyd_sweep(points, np.array([1, 2]), first_d2)
+    assert labels[1].tolist() == [0, 0, 1]
+    assert centers[1:].tobytes() == rows.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -212,9 +213,9 @@ def test_batch_bmu_converts_a_01_matrix_to_float64(monkeypatch):
     seen = []
     certified = kernels._certified
 
-    def recorded(points, centers):
+    def recorded(points, centers, sizes=None):
         seen.append((points.dtype, centers.dtype))
-        return certified(points, centers)
+        return certified(points, centers, sizes)
 
     monkeypatch.setattr(kernels, "_certified", recorded)
     codebook = np.random.default_rng(9).random((6, 300))
@@ -224,6 +225,56 @@ def test_batch_bmu_converts_a_01_matrix_to_float64(monkeypatch):
         assert got.tolist() == want.tolist() == [naive_bmu(cb, x) for x in values]
     assert kernels.batch_bmu(values, values).tolist() == [0, 1, 2, 3]
     assert set(seen) == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+
+def test_nearest_rows_converts_uint8_rows_to_float64():
+    # a public call on 0/1 uint8 rows with 300 machines: a uint8 einsum
+    # wraps a row of 300 ones to norm 44, and uint8 centers cannot take
+    # the product's -2 scaling, so both sides are ranked as float64
+    values = np.zeros((5, 300), dtype=np.uint8)
+    values[0, :200] = 1
+    values[1] = 1
+    values[2, ::3] = 1
+    values[3, 150:] = 1
+    values[4, :10] = 1
+    centers = values[[3, 1, 0]]
+    got = kernels.nearest_rows(values, centers)
+    want = kernels.nearest_rows(values.astype(np.float64), centers.astype(np.float64))
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist() == [naive_bmu(centers, x) for x in values] == [2, 1, 0, 0, 0]
+    split = kernels.nearest_rows(values, centers, [1, 2])
+    assert split.tolist() == [[0] * 5, [1, 0, 1, 0, 1]]
+
+
+def _split_sizes(seed, units):
+    """A random split of ``units`` centers into consecutive nonempty segments."""
+    cuts = np.flatnonzero(np.random.default_rng(seed).random(units - 1) < 0.5) + 1
+    return np.diff([0, *cuts.tolist(), units])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(adversarial_bmu_problems(), st.integers(0, 2**32 - 1))
+# a one-center segment beside a pair of one-ulp neighbours, a sample on each
+@example((np.array([[1.0, 2.0], [0.5, 0.5], np.nextafter([0.5, 0.5], 1)]), np.array([[0.5, 0.5], [1.0, 2.0]]), [(1, 2)]), 8)
+# the same split with an inf sample, whose product with the one-center
+# segment's zero pad is NaN while its own distance is inf
+@example((np.array([[-1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]), np.array([[np.inf, -1.0], [0.5, 0.5]]), []), 8)
+def test_segmented_search_is_each_segment_pairwise_first_min(problem, seed):
+    # one search over centers cut into segments answers, per segment, the
+    # first minimum of numpy's pairwise sum over that segment alone; the
+    # problems hold duplicate and one-ulp-apart rows, samples on rows,
+    # one-center segments and the 1e154 overflow scale
+    codebook, samples, _ = problem
+    sizes = _split_sizes(seed, codebook.shape[0])
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(all="ignore"):
+        got = kernels.nearest_rows(samples, codebook, sizes)
+        want = [[naive_bmu(codebook[a:a + w], x) for x in samples] for a, w in zip(starts, sizes)]
+        best, unsure = kernels._certified(samples, codebook, sizes)
+    assert got.dtype == np.int64 and got.shape == (sizes.size, samples.shape[0])
+    assert got.tolist() == want
+    assert best[~unsure].tolist() == got[~unsure].tolist()
+    assert not unsure[sizes == 1].any()
 
 
 def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
