@@ -39,6 +39,10 @@ BACKEND = "numpy"
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1022
 
+# train_run tabulates the neighborhood weights of at most this many
+# (step, distinct lattice distance) pairs at a time
+_TABLE_ELEMENTS = 1 << 13
+
 
 def _certified(points, centers, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     """``(best, unsure)`` per segment and row, for float64 inputs.
@@ -141,6 +145,13 @@ def batch_bmu(codebook, samples) -> np.ndarray:
     return nearest_rows(samples, codebook)
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct values of an array, ascending: ``np.unique`` without the
+    import of ``numpy.ma`` (1.2 MB) that its first call makes."""
+    flat = np.sort(values, axis=None)
+    return np.concatenate((flat[:1], flat[1:][flat[1:] != flat[:-1]]))
+
+
 def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     """Run the sequential online updates and return a new codebook.
 
@@ -149,13 +160,24 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     concatenated; ``dist_sq`` is the precomputed squared lattice distance
     between units.
 
-    Each step reuses three buffers allocated once (the (units, dim)
-    difference, the per-unit distances and the neighborhood weights) and
-    reads its scalars as Python floats, converted one epoch at a time. The
-    float operations and their order are those of a plain per-step loop
+    A step's neighborhood weights depend only on the step and on each
+    unit's squared distance to the matching unit, and a lattice has few
+    distinct distances (101 on a 10 x 10 hex grid). So the distinct
+    distances are found once, each ``dist_sq`` entry becomes an index into
+    them, and each block of steps tabulates
+    ``weights[t, v] = alpha_t * exp(level_v * -(1 / (2 sigma_t^2)))``, at
+    most ``_TABLE_ELEMENTS`` weights at a time. A step is then six numpy
+    calls on buffers allocated once: the (units, dim) difference and the
+    per-unit distances (``subtract``, ``einsum``), the matching unit
+    (``argmin``), its weights gathered from the step's table row by the
+    unit's index row (``take``), and the update (``multiply``, ``add``).
+
+    The codebook is bit-identical to a plain per-step loop
     (``h = alpha * exp(-d2[best] / (2 sigma^2))``, ``cb += h * (x - cb)``):
+    each weight is the same product of the same operands, ``exp`` returns
+    the same bits for a value wherever it sits in an array, and
     ``d2 * -(1 / (2 sigma^2))`` equals ``-d2 * (1 / (2 sigma^2))`` bit for
-    bit, so the codebook is bit-identical to that loop's.
+    bit. Steps with a zero sigma move only the matching unit.
     """
     cb = np.array(codebook, dtype=np.float64, order="C", copy=True)
     xs = np.ascontiguousarray(samples, dtype=np.float64)
@@ -166,30 +188,36 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     if al.shape[0] != ords.size or sg.shape[0] != ords.size:
         raise ValueError("alphas/sigmas must provide one value per training step")
     steps = ords.ravel()
-    # scalars are converted one epoch at a time; empty epochs (no samples)
-    # still step the slice forward
-    per_epoch = max(ords.shape[-1], 1) if ords.ndim else 1
+    levels = _distinct(d2)
+    # intp, the index dtype take wants, so no step casts its index row;
+    # every index is in range, so take may clip rather than check (with
+    # out, a checking take copies through a buffer)
+    index = list(np.searchsorted(levels, d2))
+    rows = list(xs)  # lists, so a step indexes no ndarray
+    block = max(1, _TABLE_ELEMENTS // levels.size)
     diff = np.empty_like(cb)
     dist = np.empty(cb.shape[0], dtype=np.float64)
     h = np.empty(cb.shape[0], dtype=np.float64)
     h_col = h[:, None]
-    for lo in range(0, steps.size, per_epoch):
-        hi = lo + per_epoch
-        # zero sigmas give inf here; those steps take the branch below
-        with np.errstate(divide="ignore"):
-            neg_inv = (-(1.0 / (2.0 * sg[lo:hi] * sg[lo:hi]))).tolist()
-        for p, alpha, sigma, neg_inv_t in zip(
-            steps[lo:hi].tolist(), al[lo:hi].tolist(), sg[lo:hi].tolist(), neg_inv
+    subtract, einsum, multiply, add = np.subtract, np.einsum, np.multiply, np.add
+    for lo in range(0, steps.size, block):
+        hi = lo + block
+        # zero sigmas give inf and nan weights here; those steps take the
+        # branch below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = multiply.outer(-(1.0 / (2.0 * sg[lo:hi] * sg[lo:hi])), levels)
+            np.exp(table, out=table)
+            table *= al[lo:hi, None]
+        for p, alpha, sigma, weights in zip(
+            steps[lo:hi].tolist(), al[lo:hi].tolist(), sg[lo:hi].tolist(), table
         ):
-            np.subtract(xs[p], cb, out=diff)
-            np.einsum("ij,ij->i", diff, diff, out=dist)
-            best = int(dist.argmin())
+            subtract(rows[p], cb, out=diff)
+            einsum("ij,ij->i", diff, diff, out=dist)
+            best = dist.argmin()
             if sigma > 0.0:
-                np.multiply(d2[best], neg_inv_t, out=h)
-                np.exp(h, out=h)
-                h *= alpha
-                diff *= h_col
-                cb += diff
+                weights.take(index[best], out=h, mode="clip")
+                multiply(diff, h_col, out=diff)
+                add(cb, diff, out=cb)
             else:
                 # degenerate neighborhood: only the matching unit moves
                 cb[best] += alpha * diff[best]

@@ -11,8 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import clustered_maps, naive_bmu, train_run_reference
-from somcell import MapGrid, SomModel, kernels
+from conftest import clustered_maps, naive_bmu, random_incidence, train_run_reference
+from somcell import (
+    IncidenceMatrix,
+    MapGrid,
+    SomModel,
+    default_grid,
+    default_schedule,
+    init_codebook,
+    kernels,
+)
 from somcell.cells import _lloyd_sweep
 from somcell.viz import HitHistogram, nearest_hit_units
 
@@ -365,6 +373,65 @@ def test_train_run_is_bit_identical_to_the_step_loop(problem):
         got = kernels.train_run(*problem)
         want = train_run_reference(*problem)
     assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
+def _lattice_problem(parts, machines, steps=360):
+    """train_run inputs on ``default_grid(parts)`` with its default schedule:
+    ``steps`` steps spread over the whole schedule, so the run meets both
+    phases' alphas and sigmas, in three epochs."""
+    values = random_incidence(np.random.default_rng(parts), parts, machines, density=0.2)
+    grid = default_grid(parts)
+    model = init_codebook(grid, IncidenceMatrix.from_array(values), 1)
+    alphas, sigmas = default_schedule(grid, parts).step_values(parts)
+    picked = np.linspace(0, alphas.size - 1, steps).astype(np.int64)
+    orders = np.random.default_rng(1).permutation(parts)[:steps].reshape(3, -1)
+    return model.codebook, values, orders, alphas[picked], sigmas[picked], grid.distance_sq
+
+
+@pytest.mark.parametrize("schedule", ["default", "zero-sigma-tail", "underflowing-sigma"])
+@pytest.mark.parametrize("parts, machines, levels", [(400, 60, 101), (2000, 300, 205)])
+def test_train_run_is_bit_identical_on_real_lattices(parts, machines, levels, schedule):
+    # 360 steps span several weight tables on both lattices (81 and 39 steps
+    # a table); the last cases end on steps that move only the matching
+    # unit, or have a sigma whose 2 sigma^2 underflows to 0 mid-table
+    codebook, values, orders, alphas, sigmas, dist_sq = _lattice_problem(parts, machines)
+    assert np.unique(dist_sq).size == levels
+    assert orders.size > 4 * kernels._TABLE_ELEMENTS // levels
+    if schedule == "zero-sigma-tail":
+        sigmas[-100:] = 0.0
+    elif schedule == "underflowing-sigma":
+        sigmas[150:153] = 1e-170
+    with np.errstate(all="ignore"):
+        got = kernels.train_run(codebook, values, orders, alphas, sigmas, dist_sq)
+        want = train_run_reference(codebook, values, orders, alphas, sigmas, dist_sq)
+    assert np.array_equal(got, want, equal_nan=True)
+    if schedule != "underflowing-sigma":
+        assert np.isfinite(got).all()
+
+
+def test_train_run_tabulates_few_steps_at_a_time():
+    # the BLAS-thread check's shape: 2000x300 on a 15x15 map, three epochs
+    # of 2000 steps over 205 distinct lattice distances. Besides the
+    # float64 samples, the codebook and its difference buffer, train_run
+    # holds a (units x units) index, the sample rows as a list and a 64 KB
+    # weight table (about 0.9 MB in all here); a table for each epoch
+    # (2000 x 205 x 8 bytes, 3.3 MB) or for the whole run would not fit
+    parts, machines = 2000, 300
+    values = random_incidence(np.random.default_rng(7), parts, machines, density=0.2)
+    grid = default_grid(parts)
+    model = init_codebook(grid, IncidenceMatrix.from_array(values), 1)
+    alphas, sigmas = default_schedule(grid, parts).step_values(parts)
+    orders = np.stack([np.random.default_rng(e).permutation(parts) for e in range(alphas.size // parts)])
+    assert orders.shape == (3, parts)
+    dist_sq = grid.distance_sq
+    inputs = 8 * (parts * machines + 2 * grid.units * machines)
+    tracemalloc.start()
+    try:
+        kernels.train_run(model.codebook, values, orders, alphas, sigmas, dist_sq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inputs + 1.5 * 2**20
 
 
 def test_train_run_zero_sigma_updates_only_the_bmu():
