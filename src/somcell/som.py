@@ -13,6 +13,7 @@ data reproduces the codebook bit for bit.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -272,16 +273,17 @@ def quantization_error(model: SomModel, data: IncidenceMatrix) -> float:
 
 
 def save_model(model: SomModel, path) -> None:
-    """Serialize to JSON; float values round-trip exactly through load_model."""
+    """Serialize to JSON, the codebook as base64 float64 bytes; load_model reads it back bit for bit."""
+    raw = model.codebook.astype("<f8", copy=False).tobytes()
     doc = {
         "format": "somcell-model",
-        "version": 1,
+        "version": 2,
         "grid": {"rows": model.grid.rows, "cols": model.grid.cols, "topology": "hexagonal"},
         "input_dim": model.input_dim,
         "seed": model.seed,
         "trained_epochs": model.trained_epochs,
         "schedule": [asdict(ph) for ph in model.schedule.phases] if model.schedule is not None else None,
-        "codebook": [[float(v) for v in row] for row in model.codebook],
+        "codebook": binascii.b2a_base64(raw, newline=False).decode("ascii"),
     }
     atomic_write_text(path, json.dumps(doc, indent=1))
 
@@ -297,8 +299,41 @@ def _load_phase(doc) -> Phase:
     return Phase(**doc)
 
 
+def _decimal_codebook(codebook) -> np.ndarray:
+    """Version 1: a list of rows of JSON numbers."""
+    if not (
+        isinstance(codebook, list)
+        and all(isinstance(row, list) for row in codebook)
+        and {type(v) for row in codebook for v in row} <= JSON_NUMBERS
+    ):
+        raise ValueError("codebook must be a list of rows of numbers")
+    try:
+        return np.array(codebook, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("codebook entries must be finite") from None
+
+
+def _base64_codebook(codebook, units: int, input_dim: int) -> np.ndarray:
+    """Version 2: the canonical base64 of the row-major little-endian float64 bytes."""
+    if not isinstance(codebook, str):
+        raise ValueError("codebook must be a base64 string")
+    try:
+        raw = binascii.a2b_base64(codebook)
+    except ValueError:  # bad padding or a non-ASCII character
+        raw = None
+    # a2b_base64 skips stray characters, so only the exact re-encoding is accepted
+    if raw is None or binascii.b2a_base64(raw, newline=False).decode("ascii") != codebook:
+        raise ValueError("codebook must be canonical base64 with no line breaks")
+    if len(raw) != units * input_dim * 8:
+        raise ValueError(
+            f"codebook has {len(raw)} bytes, but {units} units of input_dim {input_dim} "
+            f"float64 values take {units * input_dim * 8}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(units, input_dim)
+
+
 def load_model(path) -> SomModel:
-    """Read a model written by save_model.
+    """Read a model written by save_model, or a version 1 file with a decimal codebook.
 
     A foreign or malformed document raises ValueError, KeyError or
     TypeError; messages leave naming the file to the caller.
@@ -307,8 +342,9 @@ def load_model(path) -> SomModel:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "somcell-model":
         raise ValueError("not a somcell model file")
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if not is_json_int(version) or version not in (1, 2):
+        raise ValueError(f"unsupported model version {version!r}")
     if not isinstance(doc.get("grid"), dict) or doc["grid"].get("topology") != "hexagonal":
         raise ValueError("model grid topology must be 'hexagonal'")
     ints = {
@@ -321,22 +357,18 @@ def load_model(path) -> SomModel:
     for name, value in ints.items():
         if not is_json_int(value):
             raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    if ints["input_dim"] < 1:
+        raise ValueError(f"input_dim must be at least 1, got {ints['input_dim']}")
     schedule = None
     if doc.get("schedule"):
         schedule = TrainingSchedule(tuple(_load_phase(ph) for ph in doc["schedule"]))
-    codebook = doc["codebook"]
-    if not (
-        isinstance(codebook, list)
-        and all(isinstance(row, list) for row in codebook)
-        and {type(v) for row in codebook for v in row} <= JSON_NUMBERS
-    ):
-        raise ValueError("codebook must be a list of rows of numbers")
-    try:
-        codebook = np.array(codebook, dtype=np.float64)
-    except OverflowError:
-        raise ValueError("codebook entries must be finite") from None
+    grid = MapGrid(ints["grid.rows"], ints["grid.cols"])
+    if version == 1:
+        codebook = _decimal_codebook(doc["codebook"])
+    else:
+        codebook = _base64_codebook(doc["codebook"], grid.units, ints["input_dim"])
     model = SomModel(
-        grid=MapGrid(ints["grid.rows"], ints["grid.cols"]),
+        grid=grid,
         codebook=codebook,
         seed=ints["seed"],
         trained_epochs=ints["trained_epochs"],

@@ -1,5 +1,7 @@
 """Shared fixtures and independent reference helpers for the test suite."""
 import itertools
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from somcell import IncidenceMatrix, MapGrid, MatrixFormatError, SomModel, load_problem1
+from somcell._util import atomic_write_text
 from somcell.viz import HitHistogram
 
 # Expected two-cell grouping of the bundled demo instance (0-based indices).
@@ -46,6 +49,23 @@ def train_run_reference(codebook, samples, orders, alphas, sigmas, dist_sq):
         else:
             cb[best] += al[t] * diff[best]
     return cb
+
+
+def save_model_v1(model, path):
+    """The version 1 model writer, the reference for that format: the same
+    metadata as ``save_model`` and the codebook as lists of decimal floats
+    (``repr`` round-trips every finite float64)."""
+    doc = {
+        "format": "somcell-model",
+        "version": 1,
+        "grid": {"rows": model.grid.rows, "cols": model.grid.cols, "topology": "hexagonal"},
+        "input_dim": model.input_dim,
+        "seed": model.seed,
+        "trained_epochs": model.trained_epochs,
+        "schedule": [asdict(ph) for ph in model.schedule.phases] if model.schedule is not None else None,
+        "codebook": [[float(v) for v in row] for row in model.codebook],
+    }
+    atomic_write_text(path, json.dumps(doc, indent=1))
 
 
 def parse_matrix_reference(text):

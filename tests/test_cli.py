@@ -598,20 +598,21 @@ def test_model_errors_name_the_path_once(tmp_path, blocks_file, trained, capsys)
     good = json.loads(model_path.read_text())
     foreign = {
         "array.json": [good],
-        "version.json": {**good, "version": 2},
+        "version.json": {**good, "version": 3},
         "topology.json": {**good, "grid": {**good["grid"], "topology": "rectangular"}},
         "fields.json": {key: value for key, value in good.items() if key != "codebook"},
     }
     for name, doc in foreign.items():
         path = tmp_path / name
         path.write_text(json.dumps(doc))
-        rc = main(["cells", "--input", str(blocks_file), "--model", str(path)])
+        rc = main(["cells", "--input", str(blocks_file), "--model", str(path), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a valid model file (") and err.count("\n") == 1
         assert err.count(str(path)) == 1, err
     (tmp_path / "broken.json").write_text("{")
-    assert main(["cells", "--input", str(blocks_file), "--model", str(tmp_path / "broken.json")]) == 2
+    assert main(["cells", "--input", str(blocks_file), "--model", str(tmp_path / "broken.json"),
+                 "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.count(str(tmp_path / "broken.json")) == 1
 
 

@@ -2,8 +2,10 @@
 manifest file either works (exit 0) or fails with one ``error:`` line on
 stderr and exit 2, never a traceback.
 
-The files start from the bundled 10x10 demo, a model trained on it once and
-the assignment ``cells`` writes for it. Integers drawn into them stay within
+The files start from the bundled 10x10 demo, a model trained on it once
+(saved as a version 2 file, whose codebook is one base64 string, and as a
+version 1 file, whose codebook is lists of decimal numbers) and the
+assignment ``cells`` writes for it. Integers drawn into them stay within
 10**4 in magnitude, so no example asks for a large allocation.
 """
 import contextlib
@@ -16,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import save_model_v1
 from somcell.cli import main
+from somcell.som import load_model
 
 FUZZ = settings(
     max_examples=150,
@@ -57,9 +61,9 @@ MODEL_PATHS = [
     ("schedule", 0, "epochs"),
     ("schedule", 0, "sigma_end"),
     ("codebook",),
-    ("codebook", 0),
-    ("codebook", 0, 0),
 ]
+# a version 1 codebook is a list of rows; in version 2 it is one string
+V1_MODEL_PATHS = MODEL_PATHS + [("codebook", 0), ("codebook", 0, 0)]
 ASSIGNMENT_PATHS = [
     ("k",),
     ("part_family",),
@@ -72,6 +76,8 @@ ASSIGNMENT_PATHS = [
     ("part_labels",),
 ]
 BAD_TOKENS = ["2", "-1", "x", "", "01", "1.0", "+1", "١", "1 1", "#", "10 10"]
+# the base64 alphabet, its padding and characters a decoder may skip or misread
+STRING_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=" + " \n-_é"
 
 
 def run_cli(argv):
@@ -89,8 +95,25 @@ def assert_clean_exit(rc, err):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@st.composite
+def damaged_string(draw, text: str) -> str:
+    """``text`` truncated, spliced into, with one character swapped, or padded."""
+    action = draw(st.sampled_from(["truncate", "splice", "swap", "pad"]))
+    at = draw(st.integers(0, len(text)))
+    if action == "truncate":
+        return text[:at]
+    if action == "splice":
+        return text[:at] + draw(st.text(STRING_CHARS, min_size=1, max_size=4)) + text[at:]
+    if action == "swap" and text:
+        at = min(at, len(text) - 1)
+        return text[:at] + draw(st.sampled_from(STRING_CHARS)) + text[at + 1:]
+    return text + draw(st.sampled_from(["=", "==", "\n", "A", "AAAA", "AAAAAAAAAAA="]))
+
+
 def _look_alike(value):
     """Values close to ``value``: another JSON type with the same digits, or off by a little."""
+    if isinstance(value, str):
+        return damaged_string(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return st.sampled_from([float(value), value + 0.5, str(value), value != 0, value + 1, -value, [value]])
     if isinstance(value, list) and value and all(isinstance(v, int) for v in value):
@@ -171,24 +194,38 @@ def mutated_matrix(draw, text):
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """Demo matrix text, a model trained on it and the assignment `cells` finds."""
+    """Demo matrix text, a model trained on it, in both versions, and the assignment `cells` finds."""
     root = tmp_path_factory.mktemp("fuzz-base")
     matrix = root / "problem1.txt"
     matrix.write_text(importlib.resources.files("somcell").joinpath("data", "problem1.txt").read_text())
     assert run_cli(["train", "--input", str(matrix), "--seed", "42", "--out", str(root / "model.json")]) == (0, "")
     assert run_cli(["cells", "--input", str(matrix), "--model", str(root / "model.json"),
                     "--out-dir", str(root / "cells")]) == (0, "")
+    save_model_v1(load_model(root / "model.json"), root / "model-v1.json")
     return {
         "matrix": matrix.read_text(),
         "model": json.loads((root / "model.json").read_text()),
+        "model_v1": json.loads((root / "model-v1.json").read_text()),
         "assignment": json.loads((root / "cells" / "assignment.json").read_text()),
     }
 
 
 @st.composite
+def damaged_codebook(draw, model):
+    """A version 2 model whose codebook string alone is damaged."""
+    doc = {**model, "codebook": draw(damaged_string(model["codebook"]))}
+    return draw(byte_damage(json.dumps(doc).encode("utf-8")))
+
+
+@st.composite
 def matrix_and_model(draw, base):
     matrix = draw(st.just(base["matrix"].encode("utf-8")) | mutated_matrix(base["matrix"]))
-    model = draw(mutated_json(base["model"], MODEL_PATHS) | st.just(json.dumps(base["model"]).encode("utf-8")))
+    model = draw(
+        mutated_json(base["model"], MODEL_PATHS)
+        | damaged_codebook(base["model"])
+        | mutated_json(base["model_v1"], V1_MODEL_PATHS)
+        | st.sampled_from([json.dumps(base[key]).encode("utf-8") for key in ("model", "model_v1")])
+    )
     return matrix, model
 
 

@@ -7,7 +7,8 @@ A refactor that changes float summation order can flip a BMU argmin, and
 this is the test that notices. Two cases also pin the sha256 of every file
 ``somcell viz`` writes, so a rendering refactor must keep the bytes, two pin
 the JSON files ``somcell cells`` and ``somcell metrics`` write, and one pins
-the model file ``save_model`` writes. Regenerate the table only for a
+the model file ``save_model`` writes (and the version 1 file of the same
+model, which must load to the same bits). Regenerate the table only for a
 deliberate change of results, never to absorb an accidental one.
 """
 import hashlib
@@ -16,10 +17,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import planted_instance, planted_tall
+from conftest import planted_instance, planted_tall, save_model_v1
 from somcell import IncidenceMatrix, load_problem1
 from somcell.cli import extract_cells, main, train_map
-from somcell.som import save_model
+from somcell.som import load_model, save_model
 from somcell.viz import compute_hits, export_scatter_data
 
 
@@ -207,8 +208,26 @@ def test_saved_model_is_pinned(tmp_path):
     path = tmp_path / "model.json"
     save_model(train_map(matrix, seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3468d7db5126404eee52990078d1fe3ddd12012c8fb83807bdcfb208ee6948c9"
+    )
+
+
+def test_version_1_model_loads_to_the_version_2_bits(tmp_path):
+    # the version 1 file of this model, from the reference writer, keeps the
+    # sha it had when save_model wrote it; both versions load to one codebook
+    model = train_map(*_case("problem1-42"))
+    save_model_v1(model, tmp_path / "v1.json")
+    assert hashlib.sha256((tmp_path / "v1.json").read_bytes()).hexdigest() == (
         "798f3380c0342d7258529ebe728fbcfb2d26dda43a77a33725bf3b861e97f9a8"
     )
+    from_v1 = load_model(tmp_path / "v1.json")
+    save_model(from_v1, tmp_path / "v2.json")
+    from_v2 = load_model(tmp_path / "v2.json")
+    for loaded in (from_v1, from_v2):
+        assert loaded.codebook.view(np.int64).tobytes() == model.codebook.view(np.int64).tobytes()
+        assert (loaded.grid, loaded.seed, loaded.trained_epochs, loaded.schedule) == (
+            model.grid, model.seed, model.trained_epochs, model.schedule
+        )
 
 
 # sha256 of every file `somcell viz` writes (default flags)

@@ -1,10 +1,15 @@
 """Lattice geometry, schedules, initialization, training, persistence."""
+import binascii
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import save_model_v1
 from somcell import (
     IncidenceMatrix,
     MapGrid,
@@ -222,12 +227,17 @@ def test_load_model_rejects_foreign_json(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_model(path)
-    save_model(SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=0), path)
+    model = SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=0)
+    save_model(model, path)
     good = json.loads(path.read_text())
+    save_model_v1(model, path)
+    good_v1 = json.loads(path.read_text())
     phase = {"epochs": 2, "alpha_start": 0.5, "alpha_end": 0.1, "sigma_start": 1.0, "sigma_end": 0.5}
     foreign = [
         [good],
-        {**good, "version": 2},
+        {**good, "version": 3},
+        {**good, "version": 2.0},
+        {**good_v1, "version": True},
         {**good, "grid": {**good["grid"], "topology": "rectangular"}},
         # integer fields must be JSON integers, not look-alikes
         {**good, "grid": {**good["grid"], "rows": 2.0}},
@@ -236,6 +246,8 @@ def test_load_model_rejects_foreign_json(tmp_path):
         # input_dim must be the codebook's width
         {**good, "input_dim": 3},
         {**good, "input_dim": 1},
+        {**good_v1, "input_dim": 3},
+        {**good_v1, "input_dim": 1},
         {**good, "seed": 3.9},
         {**good, "trained_epochs": True},
         # schedule epochs are integers, rates and radii numbers
@@ -244,21 +256,109 @@ def test_load_model_rejects_foreign_json(tmp_path):
         {**good, "schedule": [{**phase, "alpha_start": "0.5"}]},
         {**good, "schedule": [{**phase, "sigma_end": True}]},
         {**good, "schedule": [[2, 0.5, 0.1, 1.0, 0.5]]},
-        # codebook entries are numbers that fit a float
-        {**good, "codebook": [[True, 0.0]] + good["codebook"][1:]},
-        {**good, "codebook": [["0.5", 0.0]] + good["codebook"][1:]},
-        {**good, "codebook": [[10**400, 0.0]] + good["codebook"][1:]},
-        {**good, "codebook": [0.0, 0.0, 0.0, 0.0]},
+        # version 1 codebook entries are numbers that fit a float
+        {**good_v1, "codebook": [[True, 0.0]] + good_v1["codebook"][1:]},
+        {**good_v1, "codebook": [["0.5", 0.0]] + good_v1["codebook"][1:]},
+        {**good_v1, "codebook": [[10**400, 0.0]] + good_v1["codebook"][1:]},
+        {**good_v1, "codebook": [0.0, 0.0, 0.0, 0.0]},
+        # each version reads its own codebook encoding only
+        {**good, "codebook": good_v1["codebook"]},
+        {**good_v1, "codebook": good["codebook"]},
     ]
     for doc in foreign:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
     # integer rates and integer codebook entries are JSON numbers too
-    path.write_text(json.dumps({**good, "schedule": [{**phase, "alpha_end": 0}], "codebook": [[1, 0]] * 4}))
+    path.write_text(json.dumps({**good_v1, "schedule": [{**phase, "alpha_end": 0}], "codebook": [[1, 0]] * 4}))
     model = load_model(path)
     assert model.schedule.total_epochs == 2 and model.schedule.phases[0].alpha_end == 0
     assert model.codebook.tolist() == [[1.0, 0.0]] * 4
+
+
+def _base64(raw: bytes) -> str:
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+# signed zeros, the smallest subnormals, a mid subnormal and the largest finite values
+FINITE_EXTREMES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_model_file_round_trips_every_finite_float(tmp_path, shape, data):
+    rows, cols, dim = shape
+    elements = FINITE_EXTREMES | st.floats(allow_nan=False, allow_infinity=False)
+    codebook = data.draw(arrays(np.float64, (rows * cols, dim), elements=elements))
+    model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, seed=3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2 and "\n" not in doc["codebook"]
+    # the README's decode recipe, which needs no somcell import
+    recipe = np.frombuffer(binascii.a2b_base64(doc["codebook"]), dtype="<f8").reshape(rows * cols, dim)
+    loaded = load_model(path).codebook
+    for got in (loaded, recipe):
+        assert np.array_equal(got.view(np.int64), codebook.view(np.int64))
+
+
+def _swap_last_data_char(text: str) -> str:
+    """The same decoded bytes with non-zero trailing bits: the last character
+    before the padding carries bits the decoder drops."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    body = text.rstrip("=")
+    return body[:-1] + alphabet[alphabet.index(body[-1]) | 1] + text[len(body):]
+
+
+def test_load_model_rejects_a_malformed_base64_codebook(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(SomModel(grid=MapGrid(2, 2), codebook=np.arange(8.0).reshape(4, 2) / 8, seed=0), path)
+    good = json.loads(path.read_text())
+    text = good["codebook"]
+    assert text.endswith("==")  # 64 bytes: one byte past a 3-byte group
+    bad_codebooks = {
+        "list": [[0.0, 0.0]] * 4,
+        "number": 0.5,
+        "null": None,
+        "non-alphabet": text[:8] + "!" + text[8:],
+        "url-safe": text.replace("A", "-", 1),
+        "non-ascii": text[:8] + "é" + text[8:],
+        "newline": text[:8] + "\n" + text[8:],
+        "trailing newline": text + "\n",
+        "space": text[:8] + " " + text[8:],
+        "missing padding": text[:-1],
+        "no padding": text.rstrip("="),
+        "extra padding": text + "=",
+        "trailing bits": _swap_last_data_char(text),
+        "empty": "",
+    }
+    # the decoder drops trailing bits, so only the canonical check sees them
+    assert binascii.a2b_base64(bad_codebooks["trailing bits"]) == binascii.a2b_base64(text)
+    for codebook in bad_codebooks.values():
+        path.write_text(json.dumps({**good, "codebook": codebook}))
+        with pytest.raises(ValueError, match="codebook"):
+            load_model(path)
+    # canonical base64 of the wrong byte count: the message names input_dim
+    for size in (56, 61, 72):
+        path.write_text(json.dumps({**good, "codebook": _base64(bytes(size))}))
+        with pytest.raises(ValueError, match="input_dim"):
+            load_model(path)
+    for input_dim in (0, -1, 1, 3):
+        path.write_text(json.dumps({**good, "input_dim": input_dim}))
+        with pytest.raises(ValueError, match="input_dim"):
+            load_model(path)
+    path.write_text(json.dumps({**good, "input_dim": 0, "codebook": ""}))
+    with pytest.raises(ValueError, match="input_dim"):
+        load_model(path)
+    for bad in (np.nan, np.inf, -np.inf):
+        path.write_text(json.dumps({**good, "codebook": _base64(np.array([bad] + [0.0] * 7, dtype="<f8").tobytes())}))
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
 
 
 def test_model_validates_codebook_shape():
