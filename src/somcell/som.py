@@ -175,8 +175,10 @@ class SomModel:
         cb = np.ascontiguousarray(np.asarray(self.codebook, dtype=np.float64))
         if cb.ndim != 2 or cb.shape[0] != self.grid.units:
             raise ValueError("codebook must be 2-D with one row per grid unit")
-        if not np.isfinite(cb).all():
-            raise ValueError("codebook entries must be finite")
+        # also rejects NaN and inf; within 2**100 no norm, product or
+        # distance taken from a codebook can overflow
+        if not (np.abs(cb) <= 2.0**100).all():
+            raise ValueError("codebook entries must be finite and at most 2**100 in magnitude")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         cb.flags.writeable = False

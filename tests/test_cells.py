@@ -843,7 +843,7 @@ def test_lockstep_keeps_each_k_own_round_count(monkeypatch):
     searches = []
     real = kernels.nearest_rows
 
-    def recorded(p, c, sizes=None):
+    def recorded(p, c, sizes):
         searches.append(np.asarray(sizes).tolist())
         return real(p, c, sizes)
 

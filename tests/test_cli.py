@@ -1,8 +1,11 @@
 """End-to-end command-line tests, run in process through main(argv)."""
+import binascii
+import contextlib
 import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -629,6 +632,46 @@ def test_model_input_dim_must_match_the_codebook_width(tmp_path, trained, capsys
     assert rc == 2
     assert err.startswith(f"error: {path}: not a valid model file (") and err.count("\n") == 1
     assert "input_dim" in err
+    assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def problem1_model(tmp_path_factory):
+    """The bundled 10x10 instance as a matrix file and a model trained on it."""
+    root = tmp_path_factory.mktemp("problem1")
+    lines = [" ".join(str(v) for v in row) for row in load_problem1().values]
+    matrix_path = write_matrix(root / "p1.txt", lines)
+    model_path = root / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--input", str(matrix_path), "--seed", "42", "--out", str(model_path)]) == 0
+    return matrix_path, model_path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e300, -1e200, sys.float_info.max])
+@pytest.mark.parametrize("version", [2, 1])
+@pytest.mark.parametrize("command", ["cells", "viz"])
+def test_codebook_past_2_100_is_a_clean_error(tmp_path, problem1_model, capsys, command, version, value):
+    # one codebook row past SomModel's 2**100 bound: the U-matrix distances
+    # and the nearest-row search's squares would overflow
+    matrix_path, model_path = problem1_model
+    doc = json.loads(model_path.read_text())
+    raw = bytearray(binascii.a2b_base64(doc["codebook"]))
+    raw[: 8 * doc["input_dim"]] = struct.pack(f"<{doc['input_dim']}d", *[value] * doc["input_dim"])
+    if version == 2:
+        doc["codebook"] = binascii.b2a_base64(bytes(raw), newline=False).decode("ascii")
+    else:
+        values = struct.unpack(f"<{len(raw) // 8}d", raw)
+        dim = doc["input_dim"]
+        doc = {**doc, "version": 1, "codebook": [list(values[i:i + dim]) for i in range(0, len(values), dim)]}
+    path = tmp_path / f"model-v{version}.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    rc = main([command, "--input", str(matrix_path), "--model", str(path), "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: not a valid model file (") and err.count("\n") == 1, err
+    assert "finite" in err
     assert not out_dir.exists()
 
 

@@ -2,18 +2,26 @@
 manifest file either works (exit 0) or fails with one ``error:`` line on
 stderr and exit 2, never a traceback.
 
+A run that exits 0 writes nothing to stderr, Python warnings included.
+
 The files start from the bundled 10x10 demo, a model trained on it once
 (saved as a version 2 file, whose codebook is one base64 string, and as a
 version 1 file, whose codebook is lists of decimal numbers) and the
 assignment ``cells`` writes for it. Integers drawn into them stay within
-10**4 in magnitude, so no example asks for a large allocation.
+10**4 in magnitude, so no example asks for a large allocation. Codebook
+values are also drawn at and past ``SomModel``'s 2**100 bound, up to the
+largest float64.
 """
+import binascii
 import contextlib
 import copy
 import importlib.resources
 import io
 import json
+import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -75,22 +83,36 @@ ASSIGNMENT_PATHS = [
     ("machine_cell", 9),
     ("part_labels",),
 ]
+# finite codebook values far past SomModel's 2**100 bound, and the bound
+# with its neighbours on either side
+EDGE = 2.0**100
+EXTREME_VALUES = [
+    v * sign
+    for v in (1e300, sys.float_info.max, EDGE, float(np.nextafter(EDGE, 0)), float(np.nextafter(EDGE, np.inf)))
+    for sign in (1.0, -1.0)
+]
 BAD_TOKENS = ["2", "-1", "x", "", "01", "1.0", "+1", "١", "1 1", "#", "10 10"]
 # the base64 alphabet, its padding and characters a decoder may skip or misread
 STRING_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=" + " \n-_é"
 
 
 def run_cli(argv):
+    """``main``'s exit code and stderr, with every Python warning the run
+    raised written to that stderr as the interpreter would print it."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(argv)
-    return rc, err.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return rc, err.getvalue() + shown
 
 
 def assert_clean_exit(rc, err):
     assert "Traceback" not in err
     assert rc in (0, 2)
-    if rc == 2:
+    if rc == 0:
+        assert err == "", err
+    else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
@@ -218,11 +240,33 @@ def damaged_codebook(draw, model):
 
 
 @st.composite
+def extreme_codebook(draw, base):
+    """A version 2 or version 1 model with extreme finite values in its
+    codebook: one entry, or a whole row, per draw."""
+    doc = copy.deepcopy(base[draw(st.sampled_from(["model", "model_v1"]))])
+    dim = doc["input_dim"]
+    if doc["version"] == 2:
+        codebook = np.frombuffer(binascii.a2b_base64(doc["codebook"]), dtype="<f8").reshape(-1, dim).copy()
+    else:
+        codebook = np.array(doc["codebook"], dtype=np.float64)
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, codebook.shape[0] - 1))
+        col = draw(st.sampled_from([slice(None), *range(dim)]))
+        codebook[row, col] = draw(st.sampled_from(EXTREME_VALUES))
+    if doc["version"] == 2:
+        doc["codebook"] = binascii.b2a_base64(codebook.astype("<f8").tobytes(), newline=False).decode("ascii")
+    else:
+        doc["codebook"] = codebook.tolist()
+    return draw(byte_damage(json.dumps(doc).encode("utf-8")))
+
+
+@st.composite
 def matrix_and_model(draw, base):
     matrix = draw(st.just(base["matrix"].encode("utf-8")) | mutated_matrix(base["matrix"]))
     model = draw(
         mutated_json(base["model"], MODEL_PATHS)
         | damaged_codebook(base["model"])
+        | extreme_codebook(base)
         | mutated_json(base["model_v1"], V1_MODEL_PATHS)
         | st.sampled_from([json.dumps(base[key]).encode("utf-8") for key in ("model", "model_v1")])
     )

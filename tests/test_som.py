@@ -28,7 +28,7 @@ from somcell import (
     train,
 )
 from somcell import pca
-from somcell.som import STEP_BUDGET
+from somcell.som import STEP_BUDGET, _base64_codebook
 
 SQ3_2 = math.sqrt(3.0) / 2.0
 
@@ -281,9 +281,10 @@ def _base64(raw: bytes) -> str:
 
 
 # signed zeros, the smallest subnormals, a mid subnormal and the largest finite values
-FINITE_EXTREMES = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
-)
+FINITE_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
+# SomModel's bound on codebook entries, and the values just inside it
+EDGE = 2.0**100
+EDGE_VALUES = [EDGE, -EDGE, float(np.nextafter(EDGE, 0)), -float(np.nextafter(EDGE, 0))]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -293,18 +294,33 @@ FINITE_EXTREMES = st.sampled_from(
 )
 def test_model_file_round_trips_every_finite_float(tmp_path, shape, data):
     rows, cols, dim = shape
-    elements = FINITE_EXTREMES | st.floats(allow_nan=False, allow_infinity=False)
-    codebook = data.draw(arrays(np.float64, (rows * cols, dim), elements=elements))
-    model = SomModel(grid=MapGrid(rows, cols), codebook=codebook, seed=3)
+    units = rows * cols
+    # the codec: every finite float keeps its bits through the base64
+    # string, read back by load_model's decoder and by the README's recipe,
+    # which needs no somcell import
+    finite = st.sampled_from(FINITE_EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)
+    raw = data.draw(arrays(np.float64, (units, dim), elements=finite))
+    text = _base64(raw.astype("<f8").tobytes())
+    recipe = np.frombuffer(binascii.a2b_base64(text), dtype="<f8").reshape(units, dim)
+    for got in (_base64_codebook(text, units, dim), recipe):
+        assert np.array_equal(got.view(np.int64), raw.view(np.int64))
+    # the file: save_model and load_model keep every admitted value's bits
+    admitted = st.sampled_from(FINITE_EXTREMES[:5] + EDGE_VALUES) | st.floats(-EDGE, EDGE)
+    codebook = data.draw(arrays(np.float64, (units, dim), elements=admitted))
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_model(SomModel(grid=MapGrid(rows, cols), codebook=codebook, seed=3), path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 2 and "\n" not in doc["codebook"]
-    # the README's decode recipe, which needs no somcell import
-    recipe = np.frombuffer(binascii.a2b_base64(doc["codebook"]), dtype="<f8").reshape(rows * cols, dim)
-    loaded = load_model(path).codebook
-    for got in (loaded, recipe):
-        assert np.array_equal(got.view(np.int64), codebook.view(np.int64))
+    assert doc["version"] == 2 and doc["codebook"] == _base64(codebook.astype("<f8").tobytes())
+    assert np.array_equal(load_model(path).codebook.view(np.int64), codebook.view(np.int64))
+    # either version of a file holding the codec's values loads them bit
+    # for bit, or, with one past 2**100, is rejected
+    for version_doc in ({**doc, "codebook": text}, {**doc, "version": 1, "codebook": raw.tolist()}):
+        path.write_text(json.dumps(version_doc))
+        if (np.abs(raw) <= EDGE).all():
+            assert np.array_equal(load_model(path).codebook.view(np.int64), raw.view(np.int64))
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                load_model(path)
 
 
 def _swap_last_data_char(text: str) -> str:
@@ -355,7 +371,7 @@ def test_load_model_rejects_a_malformed_base64_codebook(tmp_path):
     path.write_text(json.dumps({**good, "input_dim": 0, "codebook": ""}))
     with pytest.raises(ValueError, match="input_dim"):
         load_model(path)
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, 1e300, -1e200, FINITE_EXTREMES[-2], float(np.nextafter(-EDGE, -np.inf))):
         path.write_text(json.dumps({**good, "codebook": _base64(np.array([bad] + [0.0] * 7, dtype="<f8").tobytes())}))
         with pytest.raises(ValueError, match="finite"):
             load_model(path)
@@ -370,6 +386,19 @@ def test_model_validates_codebook_shape():
         SomModel(grid=MapGrid(2, 2), codebook=np.full((4, 2), np.nan), seed=0)
     with pytest.raises(ValueError):
         SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=-1)
+
+
+def test_model_bounds_codebook_entries_by_2_100():
+    # every entry within 2**100 keeps its bits; NaN, inf and any finite
+    # value past the bound are rejected, so nothing downstream overflows
+    inside = np.array(EDGE_VALUES * 2).reshape(4, 2)
+    assert SomModel(grid=MapGrid(2, 2), codebook=inside, seed=0).codebook.tobytes() == inside.tobytes()
+    for bad in (np.nextafter(EDGE, np.inf), 1e300, FINITE_EXTREMES[-2], np.inf, np.nan):
+        for sign in (1.0, -1.0):
+            codebook = np.zeros((4, 2))
+            codebook[3, 1] = sign * bad
+            with pytest.raises(ValueError, match="finite"):
+                SomModel(grid=MapGrid(2, 2), codebook=codebook, seed=0)
 
 
 MISMATCH_CALLS = {
