@@ -5,8 +5,7 @@ let every part inherit its BMU's cluster as a family, pull each machine
 into the family that uses it most densely, dissolve families that end up
 without machines, and sweep the cluster count, keeping the assignment with
 the best grouping efficacy. The sweep clusters every cluster count first,
-running every count's k-means rounds together in lockstep, one segmented
-nearest-row search per group of counts and round (``_lloyd_sweep``), then
+all from one Ward dendrogram of the busy units (``_ward_labels``), then
 settles all the candidates together in lockstep rounds over one stacked
 family tally (``_settle_sweep``), then scores them in order.
 ``polish`` then raises the winner's efficacy at its cell count by exact
@@ -26,131 +25,44 @@ from .som import SomModel, _check_machines
 from .viz import HitHistogram, compute_hits, nearest_hit_units
 
 
-# Each Lloyd round labels the moving k's in groups of at most this many
-# (busy unit, center) distances, every k padded to the group's largest, and
-# sums their centers in chunks of at most this many (k, busy unit, dim) bins
-# (a group or chunk always takes one k), so a round's temporaries stay small
-# however large k_max and the map are.
-_GROUP_ELEMENTS = 1 << 13
+def _ward_labels(points: np.ndarray, k_max: int) -> np.ndarray:
+    """Ward clustering labels of ``points`` for every k in 1..k_max, row
+    k - 1, each cluster numbered from 0 in order of its first member.
 
-
-def _farthest_first_order(points: np.ndarray, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into ``points`` of the first ``count`` farthest-first centers,
-    and the (points, count) squared distances from every point to each.
-
-    The first is drawn from ``seed``; each next one is the point farthest
-    from all chosen so far. The centers for any smaller count are a prefix
-    of these (Gonzalez 1985), so one order serves a whole k-sweep, and the
-    first ``k`` distance columns are k-means' first round for k.
+    One pass of merges down the dendrogram (Ward 1963) over a table of
+    squared distances, built one row at a time. Each merge joins the first
+    minimum of the table in row-major order, the pair (i, j) with i < j,
+    and updates row and column i by Lance and Williams' formula; dead
+    slots, i and j come out inf, and j is retired into i. So slot i is
+    always its cluster's smallest member, and the ids by first member are
+    each point's slot ranked among the live slots.
     """
-    rng = np.random.default_rng(seed)
-    order = np.empty(count, dtype=np.int64)
-    seed_d2 = np.empty((points.shape[0], count))
-    nearest = np.full(points.shape[0], np.inf)
-    for j in range(count):
-        # argmax takes the first max, so ties go to the lowest index
-        order[j] = np.argmax(nearest) if j else rng.integers(points.shape[0])
-        seed_d2[:, j] = ((points - points[order[j]]) ** 2).sum(axis=1)
-        np.minimum(nearest, seed_d2[:, j], out=nearest)
-    return order, seed_d2
-
-
-def _first_labels(seed_d2: np.ndarray) -> np.ndarray:
-    """Row k - 1 is ``np.argmin(seed_d2[:, :k], axis=1)``, for every k at once.
-
-    A point's first minimum over the first k columns is the last column
-    below every column before it, so a strict comparison against the
-    running minimum keeps the lower index on ties.
-    """
-    points, count = seed_d2.shape
-    lower = np.zeros((points, count), dtype=np.int64)
-    lower[:, 1:] = seed_d2[:, 1:] < np.minimum.accumulate(seed_d2, axis=1)[:, :-1]
-    lower *= np.arange(count)
-    return np.maximum.accumulate(lower, axis=1).T.copy()
-
-
-def _recenter(centers: np.ndarray, labels: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> None:
-    """Move each center to its members' mean, in place.
-
-    ``centers`` stacks the centers of k's ``ks`` in order, and
-    ``labels[i]`` holds each point's cluster (from 0) for the i-th of them;
-    ``weights`` holds the points raveled, once per k of a chunk. Each chunk
-    of k's is one bincount, which adds each (center, column) bin's weights
-    in point order, so each center is its members' in-order sum over their
-    count; an emptied cluster keeps its center.
-    """
-    count, dim = labels.shape[1], centers.shape[1]
-    per_chunk = weights.size // (count * dim)
-    ends = np.cumsum(ks)
-    starts = ends - ks
-    for lo in range(0, ks.size, per_chunk):
-        hi = min(lo + per_chunk, ks.size)
-        block = centers[starts[lo]:ends[hi - 1]]
-        rows = block.shape[0]
-        stacked = labels[lo:hi] + (starts[lo:hi] - starts[lo])[:, None]
-        # each (k, point, column) element's bin, taken from a table of them
-        # and dropped as soon as they are counted
-        bins = np.arange(rows * dim).reshape(rows, dim)[stacked].ravel()
-        sums = np.bincount(bins, weights=weights[:bins.size], minlength=rows * dim)
-        del bins
-        members = np.bincount(stacked.ravel(), minlength=rows)
-        filled = members > 0
-        block[filled] = sums.reshape(rows, dim)[filled] / members[filled, None]
-
-
-def _lloyd_sweep(points: np.ndarray, order: np.ndarray, seed_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k-means labels of ``points`` for every k in 1..k_max, row k - 1, and
-    every k's final centers, stacked: k's rows start at row k(k - 1)/2.
-
-    Each k starts from its first k farthest-first centers, whose first
-    round reads the first k columns of ``seed_d2``, and runs Lloyd
-    iterations until its labels stop changing, at most 100 rounds. The k's
-    run in lockstep: every round recenters each group of the k's still
-    moving (``_recenter``) and labels the points against all of the group's
-    centers with one segmented ``kernels.nearest_rows`` search, and a k
-    drops out when its labels repeat. Each center is its members' in-order
-    mean and every label the search's first minimum, so each k's labels and
-    centers are bit for bit those of its own loop.
-    """
-    count, dim = points.shape
-    k_max = order.size
-    moving = np.arange(1, k_max + 1)  # the k's still moving, in k order
-    firsts = moving * (moving - 1) // 2
-    centers = points[order[np.arange(firsts[-1] + k_max) - np.repeat(firsts, moving)]]
-    labels = _first_labels(seed_d2)  # the moving k's labels, one row each
-    out = np.empty_like(labels)
-    # the bin weights: the points, once per k of a chunk
-    weights = np.tile(points.ravel(), min(max(1, _GROUP_ELEMENTS // (count * dim)), k_max))
-    for rounds in range(1, 101):
-        new = np.empty_like(labels)
-        # a group takes the next k's while, each padded to the last one,
-        # their distances stay within _GROUP_ELEMENTS
-        cuts = [0]
-        for i, k in enumerate(moving.tolist()):
-            if i > cuts[-1] and (i + 1 - cuts[-1]) * k * count > _GROUP_ELEMENTS:
-                cuts.append(i)
-        for lo, hi in zip(cuts, cuts[1:] + [moving.size]):
-            ks = moving[lo:hi]
-            # the group's rows of centers, k by k
-            offsets = np.cumsum(ks) - ks
-            rows = np.arange(offsets[-1] + ks[-1]) + np.repeat(firsts[ks - 1] - offsets, ks)
-            group = centers[rows]
-            _recenter(group, labels[lo:hi], ks, weights)
-            centers[rows] = group
-            new[lo:hi] = kernels.nearest_rows(points, group, ks)
-        # the 100th round's labels are final whether or not they repeat
-        done = (new == labels).all(axis=1) | (rounds == 100)
-        out[moving[done] - 1] = labels[done]
-        if done.all():
-            return out, centers
-        moving, labels = moving[~done], new[~done]
+    n = points.shape[0]
+    d = np.empty((n, n))
+    for i in range(n):
+        d[i] = ((points - points[i]) ** 2).sum(axis=1)
+    np.fill_diagonal(d, np.inf)
+    sizes = np.ones(n)  # each slot's cluster size, 0 once retired
+    slot = np.arange(n)  # each point's slot: its cluster's smallest member
+    labels = np.zeros((k_max, n), dtype=np.int64)  # k = 1 stays all 0
+    for count in range(n, 1, -1):
+        if count <= k_max:
+            labels[count - 1] = np.searchsorted(np.flatnonzero(sizes), slot)
+        i, j = divmod(int(d.argmin()), n)
+        n_i, n_j = sizes[i], sizes[j]
+        d[i] = ((sizes + n_i) * d[i] + (sizes + n_j) * d[j] - sizes * d[i, j]) / (sizes + n_i + n_j)
+        d[:, i] = d[i]
+        d[j] = d[:, j] = np.inf
+        sizes[i], sizes[j] = n_i + n_j, 0.0
+        slot[slot == j] = i
+    return labels
 
 
 @dataclass(frozen=True, eq=False)
 class ClusterBasis:
     """What clustering one map shares across k: the units with hits, their
-    k-means labels for every k (row k - 1, cluster ids from 0), and each
-    unit's nearest unit with hits."""
+    Ward labels for every k (row k - 1, cluster ids from 0 in order of each
+    cluster's first member), and each unit's nearest unit with hits."""
 
     hit_units: np.ndarray
     labels: np.ndarray
@@ -160,21 +72,18 @@ class ClusterBasis:
 def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> ClusterBasis:
     """The basis for every k in 1..k_max; k_max may not exceed the units with hits.
 
-    k-means over the codebook rows of units with at least one hit:
-    farthest-first seeding from the model seed, then Lloyd iterations until
-    the labels stop changing (at most 100 rounds), all k's in lockstep
-    (``_lloyd_sweep``).
+    Ward clustering of the codebook rows of units with at least one hit,
+    every k cut from one dendrogram (``_ward_labels``).
     """
     hit_units = np.flatnonzero(hits.hits > 0)
     if not 1 <= k_max <= hit_units.size:
         raise ValueError(f"k must lie in 1..{hit_units.size} (units with hits)")
-    points = model.codebook[hit_units]
-    labels, _ = _lloyd_sweep(points, *_farthest_first_order(points, k_max, model.seed))
+    labels = _ward_labels(model.codebook[hit_units], k_max)
     return ClusterBasis(hit_units=hit_units, labels=labels, nearest=nearest_hit_units(model, hits))
 
 
 def cluster_map(basis: ClusterBasis, k: int) -> np.ndarray:
-    """Cluster ids (1..k) for every map unit: the k-means labels of the units
+    """Cluster ids (1..k) for every map unit: the Ward labels of the units
     with hits, and units with no hits inherit the cluster of the nearest hit
     unit in codebook space. ``basis`` is ``cluster_basis(model, hits,
     k_max)`` for some k_max >= k.

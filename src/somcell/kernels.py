@@ -5,19 +5,16 @@ are bit-deterministic for fixed inputs: nearest-unit ties go to the lowest
 unit index, exact efficacy ties to the lexicographically smallest machine
 assignment, and gain ties in an ascent step to the smallest family.
 
-Nearest-row searches (``batch_bmu``, every k's k-means labels in
-``cells`` and the hitless-unit fill in ``viz``) all go through
-``nearest_rows``, which ranks through one matrix product over centers cut
-into segments, each searched on its own: one product labels a k-means
-round against a whole group of k's centers, and the others search one
-segment. Its inputs are finite and at most 2**100 in magnitude (0/1 rows,
-``SomModel`` codebooks and means of their rows), so nothing it computes
-overflows. A rounding-error bound certifies each (row, segment) pair whose
-two nearest centers are far enough apart that every difference-then-square
-sum has the same first minimum. ``nearest_rows`` sums the pairs left
-unsure (ties and near ties) with numpy's pairwise ``sum``, so every answer
-is the first minimum of ``((p - c) ** 2).sum(axis=-1)`` over its segment,
-whatever order BLAS adds the product in and however many threads it uses.
+Nearest-row searches (``batch_bmu`` and the hitless-unit fill in ``viz``)
+both go through ``nearest_rows``, which ranks all centers through one
+matrix product. Its inputs are finite and at most 2**100 in magnitude (0/1
+rows and ``SomModel`` codebooks), so nothing it computes overflows. A
+rounding-error bound certifies each row whose two nearest centers are far
+enough apart that every difference-then-square sum has the same first
+minimum. ``nearest_rows`` sums the rows left unsure (ties and near ties)
+with numpy's pairwise ``sum``, so every answer is the first minimum of
+``((p - c) ** 2).sum(axis=-1)``, whatever order BLAS adds the product in
+and however many threads it uses.
 """
 
 from __future__ import annotations
@@ -45,91 +42,67 @@ _TINY = 2.0**-1022
 _TABLE_ELEMENTS = 1 << 13
 
 
-def _certified(points, centers, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """``(best, unsure)``, one (segments, rows) array each, for float64
-    inputs within ``nearest_rows``' contract.
+def _certified(points, centers) -> tuple[np.ndarray, np.ndarray]:
+    """``(best, unsure)``, one per row of ``points``, for float64 inputs
+    within ``nearest_rows``' contract.
 
-    ``centers`` is cut into consecutive segments of ``sizes`` rows.
-    ``best[s, i]`` is the first minimum over segment s of
-    ``|points|^2 - 2 points @ centers.T + |centers|^2`` for row i, as an
-    index into the segment, and on every pair that ``unsure`` does not mark
-    it is also the first minimum of the squared distances summed term by
-    term, in any order. A one-center segment is certain.
+    ``best[i]`` is the first minimum of
+    ``|points|^2 - 2 points @ centers.T + |centers|^2`` for row i, and on
+    every row that ``unsure`` does not mark it is also the first minimum of
+    the squared distances summed term by term, in any order. A search over
+    one center is certain.
     """
     n, dim = points.shape
-    widths = np.asarray(sizes, dtype=np.int64)
-    if widths.min() < 1 or widths.sum() != centers.shape[0]:
-        raise ValueError("segment sizes must be positive and add up to the center count")
-    segments, width = widths.size, int(widths.max())
-    starts = np.cumsum(widths) - widths
     nu = (dim + 4) * _UNIT_ROUNDOFF
     norms = np.einsum("ij,ij->i", points, points)
     center_sq = np.einsum("ij,ij->i", centers, centers)
-    # every segment padded to the widest with rows of zeros, whose |c|^2 of
-    # inf ranks them after every center and leaves a one-center segment's
-    # gap to its runner-up inf
-    padded, padded_sq = centers, center_sq
-    if segments * width > centers.shape[0]:
-        slots = np.arange(centers.shape[0]) + np.repeat(np.arange(segments) * width - starts, widths)
-        padded = np.zeros((segments * width, dim))
-        padded[slots] = centers
-        padded_sq = np.full(segments * width, np.inf)
-        padded_sq[slots] = center_sq
-    approx = points @ padded.T
+    approx = points @ centers.T
     approx *= -2.0
     approx += norms[:, None]
-    approx += padded_sq
-    table = approx.reshape(n, segments, width)
-    best = table.argmin(axis=2)
-    at = (np.arange(n)[:, None], np.arange(segments), best)
-    first = table[at]
-    table[at] = np.inf
-    gap = table.min(axis=2) - first
+    approx += center_sq
+    best = approx.argmin(axis=1)
+    at = (np.arange(n), best)
+    first = approx[at]
+    # a lone center's runner-up is inf, so its gap is too
+    approx[at] = np.inf
+    gap = approx.min(axis=1) - first
     # Both this expansion and a term-by-term sum are within
     # gamma(d+2) * (|x| + |c|)^2 of the exact squared distance, whatever the
     # summation order (Higham 2002, sec. 3.1: d products and additions plus
     # two more roundings each), so a gap above twice both errors leaves the
     # same unique minimum in every such sum. gamma(d+4) absorbs the rounding
     # of the bound itself, and the 8(d+4) * tiny term products that
-    # underflow. (2(|x| + max|c|))^2, with the segment's largest |c|, is at
-    # most 16 d 2**200 within the contract, far below overflow.
-    reach = 2.0 * (np.sqrt(norms)[:, None] + np.sqrt(np.maximum.reduceat(center_sq, starts)))
+    # underflow. (2(|x| + max|c|))^2 is at most 16 d 2**200 within the
+    # contract, far below overflow.
+    reach = 2.0 * (np.sqrt(norms) + np.sqrt(center_sq.max()))
     bound = reach * reach * (nu / (1.0 - nu)) + 8 * (dim + 4) * _TINY
-    return best.T, (gap <= bound).T
+    return best, gap <= bound
 
 
-def nearest_rows(points, centers, sizes) -> np.ndarray:
-    """Index of the nearest row of each segment of ``centers`` per row of
-    ``points`` (ties go to the lowest index), as a (segments, rows) array,
-    ranked through one matrix product.
+def nearest_rows(points, centers) -> np.ndarray:
+    """Index of the nearest row of ``centers`` per row of ``points`` (ties
+    go to the lowest index), ranked through one matrix product.
 
-    ``centers`` is cut into consecutive segments of ``sizes`` rows, so one
-    product ranks the rows against many center sets at once; a search over
-    all centers passes ``[len(centers)]`` and reads row 0. Every entry is
-    finite and at most 2**100 in magnitude. Inputs are converted to
-    float64, since a product or norm in a narrower dtype, such as a 0/1
-    matrix's uint8, would wrap.
+    Every entry is finite and at most 2**100 in magnitude. Inputs are
+    converted to float64, since a product or norm in a narrower dtype, such
+    as a 0/1 matrix's uint8, would wrap.
 
-    Every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``
-    over its segment; only (segment, row) pairs the product leaves unsure
-    are summed that way, one at a time, so a map whose rows all tie needs
-    no (rows x centers x dim) temporary.
+    Every answer is the first minimum of ``((p - c) ** 2).sum(axis=-1)``;
+    only rows the product leaves unsure are summed that way, one at a time,
+    so a map whose rows all tie needs no (rows x centers x dim) temporary.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    best, unsure = _certified(points, centers, sizes)
-    if unsure.any():
-        bounds = np.cumsum([0, *sizes]).tolist()
-        for seg, row in zip(*(axis.tolist() for axis in np.nonzero(unsure))):
-            segment = centers[bounds[seg]:bounds[seg + 1]]
-            best[seg, row] = np.argmin(((segment - points[row]) ** 2).sum(axis=-1))
+    best, unsure = _certified(points, centers)
+    for row in np.flatnonzero(unsure).tolist():
+        best[row] = np.argmin(((centers - points[row]) ** 2).sum(axis=-1))
     return best
 
 
 def batch_bmu(codebook, samples) -> np.ndarray:
     """Index of the nearest codebook row per sample (ties go to the lowest
-    index): ``nearest_rows`` over one segment of all units."""
-    return nearest_rows(samples, codebook, [len(codebook)])[0]
+    index), through ``nearest_rows``."""
+    return nearest_rows(samples, codebook)
 
 
 def _distinct(values) -> np.ndarray:

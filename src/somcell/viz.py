@@ -299,7 +299,7 @@ def nearest_hit_units(model: SomModel, hits: HitHistogram) -> np.ndarray:
     hit_units = np.flatnonzero(hits.hits > 0)
     hitless = np.flatnonzero(hits.hits == 0)
     points, centers = model.codebook[hitless], model.codebook[hit_units]
-    best = kernels.nearest_rows(points, centers, [len(centers)])[0]
+    best = kernels.nearest_rows(points, centers)
     nearest = np.arange(model.grid.units, dtype=np.int64)
     nearest[hitless] = hit_units[best]
     return nearest

@@ -1,4 +1,6 @@
 """Cell extraction: clustering, inheritance, machine pull, k sweep, polish."""
+import dataclasses
+import math
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -41,11 +43,10 @@ from somcell import (
 from somcell import cells, kernels, metrics
 from somcell.cli import default_kmax, extract_cells, train_map
 from somcell.cells import (
-    _farthest_first_order,
-    _lloyd_sweep,
     _relabel_by_size,
     _settle_sweep,
     _stacked_tally,
+    _ward_labels,
     cluster_basis,
 )
 from somcell.metrics import BlockCounts
@@ -325,12 +326,12 @@ def test_form_cells_keeps_the_traced_call_counts(monkeypatch):
     assert asg in settled
 
 
-def test_form_cells_keeps_the_lloyd_rounds_small_in_memory():
-    # a seeded 400x60 planted model (70 busy units, k up to 30): the sweep's
-    # k-means rounds label and sum each round in groups, so form_cells'
-    # tracemalloc peak stays near the settle's own (about 0.85 MB here);
-    # stacking every k's (k x busy unit x dim) center-sum bins and every
-    # k's distances in one go peaks at 2.8 MB
+def test_form_cells_keeps_the_ward_table_small_in_memory():
+    # a seeded 400x60 planted model (70 busy units, k up to 30): the Ward
+    # table is built one row of busy-unit distances at a time, so it holds
+    # 70 x 70 floats and form_cells' tracemalloc peak stays near the
+    # settle's own (about 0.73 MB here); all (busy unit x busy unit x dim)
+    # differences at once would be 2.4 MB
     values = planted_tall(1, (70, 65, 60, 55, 55, 50, 45), (10, 10, 9, 9, 8, 7, 7), noise=0.05)
     data = IncidenceMatrix.from_array(values)
     model = train_map(data, 1)
@@ -474,42 +475,53 @@ def _count_blocks_reference(values, part_family, machine_cell):
     return BlockCounts(n1, n1 - n1_in, in_elements - n1_in, int(values.size))
 
 
-def _farthest_first_reference(points, k, seed):
-    """Seed centers one at a time: each next one is the point farthest from
-    all chosen so far (first such point on ties)."""
-    chosen = [int(np.random.default_rng(seed).integers(points.shape[0]))]
-    nearest = [float(((p - points[chosen[0]]) ** 2).sum()) for p in points]
-    while len(chosen) < k:
-        best = 0
-        for i in range(1, len(nearest)):
-            if nearest[i] > nearest[best]:
-                best = i
-        chosen.append(best)
-        for i, p in enumerate(points):
-            nearest[i] = min(nearest[i], float(((p - points[best]) ** 2).sum()))
-    return points[chosen].copy()
-
-
-def _kmeans_reference(points, k, seed):
-    centers = _farthest_first_reference(points, k, seed)
-    labels = np.full(points.shape[0], -1, dtype=np.int64)
-    for _ in range(100):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            members = points[labels == c]
-            if members.shape[0]:
-                centers[c] = members.mean(axis=0)
-    return labels
+def _ward_reference(points, k_max):
+    """Every k's Ward labels (row k - 1) by brute force, in plain Python
+    floats: squared distances summed column by column (numpy's pairwise sum
+    does the same below 8 columns), then n - 1 merges, each of the first
+    closest live pair (a, b), a < b, scanned in order, with Lance and
+    Williams' update in the same operation order as ``_ward_labels``. Each
+    k's clusters are numbered by their smallest member."""
+    n = points.shape[0]
+    rows = points.tolist()
+    d = [[math.inf] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                total = 0.0
+                for x, y in zip(rows[a], rows[b]):
+                    total += (x - y) * (x - y)
+                d[a][b] = total
+    clusters = {a: [a] for a in range(n)}
+    labels = [None] * k_max
+    while True:
+        if len(clusters) <= k_max:
+            firsts = sorted(min(members) for members in clusters.values())
+            row = [0] * n
+            for members in clusters.values():
+                for p in members:
+                    row[p] = firsts.index(min(members))
+            labels[len(clusters) - 1] = row
+        if len(clusters) == 1:
+            return np.array(labels, dtype=np.int64)
+        live = sorted(clusters)
+        i, j = live[0], live[1]
+        for a in live:
+            for b in live:
+                if a < b and d[a][b] < d[i][j]:
+                    i, j = a, b
+        n_i, n_j = float(len(clusters[i])), float(len(clusters[j]))
+        for c in live:
+            if c not in (i, j):
+                s = float(len(clusters[c]))
+                d[i][c] = d[c][i] = ((s + n_i) * d[i][c] + (s + n_j) * d[j][c] - s * d[i][j]) / (s + n_i + n_j)
+        clusters[i] += clusters.pop(j)
 
 
 def _cluster_map_reference(model, hits, k):
     hit_units = np.flatnonzero(hits.hits > 0)
     out = np.zeros(model.grid.units, dtype=np.int64)
-    out[hit_units] = _kmeans_reference(model.codebook[hit_units], k, model.seed) + 1
+    out[hit_units] = _ward_reference(model.codebook[hit_units], k)[k - 1] + 1
     return fill_hitless_reference(model.codebook, hits.hits, out)
 
 
@@ -738,8 +750,8 @@ def test_cluster_map_matches_loop_reference(case):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_shared_basis_matches_standalone_cluster_map(case):
-    # the sweep's single basis (one farthest-first order, one nearest-unit
-    # map) labels every k as a basis built for that k alone would
+    # the sweep's single basis (one dendrogram, one nearest-unit map)
+    # labels every k as a basis built for that k alone would
     model, hits, _ = case
     busy = int((hits.hits > 0).sum())
     basis = cluster_basis(model, hits, busy)
@@ -749,110 +761,46 @@ def test_shared_basis_matches_standalone_cluster_map(case):
         assert shared.tolist() == _cluster_map_reference(model, hits, k).tolist()
 
 
-def _busy_points(model, hits):
-    return model.codebook[np.flatnonzero(hits.hits > 0)]
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(clustered_maps())
-def test_seed_distances_are_each_k_first_lloyd_round(case):
-    # every k's first Lloyd round reads the first k columns of the sweep's
-    # seed table, so each prefix must hold that round's bytes
-    model, hits, _ = case
-    points = _busy_points(model, hits)
-    order, seed_d2 = _farthest_first_order(points, points.shape[0], model.seed)
-    for k in range(1, points.shape[0] + 1):
-        want = np.square(points[:, None] - points[order[:k]][None]).sum(axis=2)
-        assert np.ascontiguousarray(seed_d2[:, :k]).tobytes() == want.tobytes()
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
-def test_kmeans_centers_are_member_means_bit_for_bit(case):
-    # each k's centers (rows k(k-1)/2 on) are its members' rows added in
-    # index order, over their count; members.mean(axis=0) adds the same way
-    # except on one-column points, which numpy sums pairwise
+def test_ward_labels_match_brute_force_reference(case):
+    # the maps' codebook rows often coincide or tie, so first-minimum merges
+    # and zero distances are common; every k is one cut of one dendrogram
     model, hits, _ = case
-    points = _busy_points(model, hits)
-    labels, centers = _lloyd_sweep(points, *_farthest_first_order(points, points.shape[0], model.seed))
-    for k in range(1, points.shape[0] + 1):
-        own = centers[k * (k - 1) // 2:k * (k + 1) // 2]
-        for c in np.unique(labels[k - 1]):
-            members = points[labels[k - 1] == c]
-            total = np.zeros(members.shape[1])
-            for row in members:
-                total += row
-            assert own[c].tobytes() == (total / members.shape[0]).tobytes()
-            if members.shape[1] > 1:
-                assert own[c].tobytes() == members.mean(axis=0).tobytes()
+    points = model.codebook[np.flatnonzero(hits.hits > 0)]
+    n = points.shape[0]
+    labels = _ward_labels(points, n)
+    assert labels.dtype == np.int64 and labels.tolist() == _ward_reference(points, n).tolist()
+    for k, row in enumerate(labels.tolist(), start=1):
+        # ids go by first member: 0, 1, ... in order of first appearance
+        assert list(dict.fromkeys(row)) == list(range(k))
+        if k < n:
+            # each of k + 1's clusters lies inside one of k's
+            finer = labels[k]
+            assert all(np.unique(labels[k - 1][finer == c]).size == 1 for c in range(k + 1))
 
 
-def _kmeans_labels_reference(points, centers, first_d2):
-    """One k's Lloyd loop as it was before ``kernels.nearest_rows``: every
-    later round sums all (points, k, dim) squared differences; ``centers``
-    is updated in place."""
-    k, dim = centers.shape
-    labels = np.full(points.shape[0], -1, dtype=np.int64)
-    flat_points = points.ravel()
-    columns = np.arange(dim)
-    diff = np.empty((points.shape[0], k, dim))
-    d2 = first_d2
-    for _ in range(100):
-        new_labels = np.argmin(d2, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        bins = (labels[:, None] * dim + columns).ravel()
-        sums = np.bincount(bins, weights=flat_points, minlength=k * dim).reshape(k, dim)
-        sizes = np.bincount(labels, minlength=k)
-        filled = sizes > 0
-        centers[filled] = sums[filled] / sizes[filled, None]
-        np.subtract(points[:, None, :], centers[None, :, :], out=diff)
-        d2 = np.square(diff, out=diff).sum(axis=2)
-    return labels
-
-
-def _check_lloyd_sweep(points, order, seed_d2):
-    labels, centers = _lloyd_sweep(points, order, seed_d2)
-    assert labels.shape == (order.size, points.shape[0]) and labels.dtype == np.int64
-    for k in range(1, order.size + 1):
-        want_centers = points[order[:k]].copy()
-        want = _kmeans_labels_reference(points, want_centers, seed_d2[:, :k])
-        assert labels[k - 1].tolist() == want.tolist()
-        assert centers[k * (k - 1) // 2:k * (k + 1) // 2].tobytes() == want_centers.tobytes()
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(clustered_maps())
-def test_kmeans_labels_match_pairwise_sum_reference(case):
-    # labels and final centers, bit for bit, for every k the sweep may use
-    model, hits, _ = case
-    points = _busy_points(model, hits)
-    _check_lloyd_sweep(points, *_farthest_first_order(points, points.shape[0], model.seed))
-
-
-def test_lockstep_keeps_each_k_own_round_count(monkeypatch):
-    # on this seeded map k = 2..5 need five Lloyd rounds while k = 1, 7 and
-    # 8 stop after one, so the sweep drops k's between rounds and a later
-    # group holds k's that were not neighbours (6 and 9); the small budget
-    # splits every round into several groups, and groups of four k's into
-    # two center-sum chunks
-    monkeypatch.setattr(cells, "_GROUP_ELEMENTS", 960)
-    points = np.random.default_rng(12).random((40, 8))
-    order, seed_d2 = _farthest_first_order(points, 12, 7)
-    searches = []
+def test_form_cells_does_not_depend_on_the_model_seed(monkeypatch):
+    # on this seeded instance a farthest-first k-means start drawn from
+    # the model seed gave seeds 0 and 1 different assignments; a dendrogram
+    # has no start, so only the codebook matters
+    values = planted_tall(2, (12, 10, 9, 8), (6, 5, 5, 4), noise=0.2)
+    data = IncidenceMatrix.from_array(values)
+    model = train_map(data, 1)
+    hits = compute_hits(model, data)
+    got = [form_cells(dataclasses.replace(model, seed=seed), data, default_kmax(data), hits) for seed in (0, 1)]
+    assert got[0] == got[1]
+    # the one nearest-row search left in clustering is the hitless fill
+    calls = []
     real = kernels.nearest_rows
 
-    def recorded(p, c, sizes):
-        searches.append(np.asarray(sizes).tolist())
-        return real(p, c, sizes)
+    def counting(points, centers):
+        calls.append(points.shape[0])
+        return real(points, centers)
 
-    monkeypatch.setattr(kernels, "nearest_rows", recorded)
-    _check_lloyd_sweep(points, order, seed_d2)
-    rounds = [sum(k in group for group in searches) for k in range(1, 13)]
-    assert rounds == [1, 5, 5, 5, 5, 4, 1, 1, 3, 1, 1, 1]
-    assert [6, 9] in searches and [2, 3, 4, 5] in searches
-    assert len(searches) == 12  # one search per group and round, not per k
+    monkeypatch.setattr(kernels, "nearest_rows", counting)
+    cluster_basis(model, hits, 2)
+    assert calls == [int((hits.hits == 0).sum())]
 
 
 def _efficacy(data, assignment):

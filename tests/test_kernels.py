@@ -21,7 +21,6 @@ from somcell import (
     init_codebook,
     kernels,
 )
-from somcell.cells import _lloyd_sweep
 from somcell.viz import HitHistogram, nearest_hit_units
 
 
@@ -95,12 +94,6 @@ def _strict():
     return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-def _one_segment(points, centers):
-    """``_certified``'s (best, unsure) over one segment of all centers, per row."""
-    best, unsure = kernels._certified(points, centers, [len(centers)])
-    return best[0], unsure[0]
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(adversarial_bmu_problems())
 # every square underflows to 0, so the sums tie, while the product's |c|^2
@@ -108,11 +101,15 @@ def _one_segment(points, centers):
 @example((np.array([[2e-162], [0.0]]), np.array([[1e-162]]), []))
 # the contract's edge and its one-ulp neighbour inside it
 @example((np.array([[EDGE, -EDGE], [np.nextafter(EDGE, 0), -EDGE]]), np.array([[EDGE, -EDGE], [-EDGE, EDGE]]), [(0, 1)]))
+# a far row beside a pair of one-ulp neighbours, a sample on each
+@example((np.array([[1.0, 2.0], [0.5, 0.5], np.nextafter([0.5, 0.5], 1)]), np.array([[0.5, 0.5], [1.0, 2.0]]), [(1, 2)]))
+# three rows at the contract's edge
+@example((np.array([[-EDGE, 0.0], [0.0, EDGE], [EDGE, EDGE]]), np.array([[EDGE, -EDGE], [0.5, 0.5]]), []))
 def test_batch_bmu_matches_naive_scan_on_adversarial_codebooks(problem):
     codebook, samples, pairs = problem
     with _strict():
         got = kernels.batch_bmu(codebook, samples)
-        best, unsure = _one_segment(samples, codebook)
+        best, unsure = kernels._certified(samples, codebook)
         want = [naive_bmu(codebook, x) for x in samples]
         # a certified row has the same first minimum in any summation order
         backward = [naive_bmu(codebook[:, ::-1], x) for x in samples[:, ::-1]]
@@ -133,7 +130,7 @@ def test_nearest_rows_certifies_separated_rows():
     # on ordinary data the product settles every row: the fast path is the one taken
     rng = np.random.default_rng(5)
     codebook, samples = rng.normal(size=(30, 10)), rng.normal(size=(200, 10))
-    best, unsure = _one_segment(samples, codebook)
+    best, unsure = kernels._certified(samples, codebook)
     assert not unsure.any()
     assert best.tolist() == [naive_bmu(codebook.tolist(), x) for x in samples.tolist()]
 
@@ -141,7 +138,7 @@ def test_nearest_rows_certifies_separated_rows():
 def test_nearest_rows_leaves_exact_ties_unsure():
     codebook = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     query = np.array([[0.6, 0.6], [1.0, 0.0], [0.0, 0.9]])
-    _, unsure = _one_segment(query, codebook)
+    _, unsure = kernels._certified(query, codebook)
     assert unsure.tolist() == [True, True, False]
 
 
@@ -157,7 +154,7 @@ def test_nearest_rows_sums_unsure_rows_one_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _one_segment(values.astype(np.float64), codebook)[1].all()
+    assert kernels._certified(values.astype(np.float64), codebook)[1].all()
     assert best.tolist() == [0] * parts
     assert peak < 10 * parts * units * 8
 
@@ -166,13 +163,13 @@ def test_every_nearest_search_picks_the_same_row():
     # From zeros(8), summing these rows' squares in column order gives
     # 29.01 and 29.009999999999998, while numpy's pairwise sum gives
     # 29.009999999999998 for both. The product leaves the tie unsure, and
-    # every search settles it with the pairwise sum, so BMUs, the hitless
-    # fill and k-means all pick row 0. Dimensions 1-7 cannot tell the two
-    # sums apart.
+    # every search settles it with the pairwise sum, so BMUs and the
+    # hitless fill both pick row 0. Dimensions 1-7 cannot tell the two sums
+    # apart.
     rows = np.array([[1e-8, 3, 0, 3, 3, 0.1, 1, 1], [0, 0.1, 3, 1e-8, 1, 3, 3, 1]])
     origin = np.zeros((1, 8))
     assert _column_order_bmu(rows.tolist(), origin[0].tolist()) == 1
-    assert _one_segment(origin, rows)[1].tolist() == [True]
+    assert kernels._certified(origin, rows)[1].tolist() == [True]
     assert naive_bmu(rows, origin[0]) == 0
     assert kernels.batch_bmu(rows, origin).tolist() == [0]
     # units 0 and 1 hold the parts; unit 2 sits at the origin with none
@@ -180,14 +177,6 @@ def test_every_nearest_search_picks_the_same_row():
     model = SomModel(grid=grid, codebook=np.vstack([rows, origin]), seed=0)
     hits = HitHistogram(grid=grid, bmus=np.array([0, 1]))
     assert nearest_hit_units(model, hits).tolist() == [0, 1, 0]
-    # the origin and 2 * rows[0] average to rows[0] exactly, so after one
-    # round k = 2's centers (rows 1 and 2 of the stack) are the two rows and
-    # the origin ties between them
-    points = np.vstack([origin, 2 * rows[0], rows[1]])
-    first_d2 = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-    labels, centers = _lloyd_sweep(points, np.array([1, 2]), first_d2)
-    assert labels[1].tolist() == [0, 0, 1]
-    assert centers[1:].tobytes() == rows.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -196,7 +185,7 @@ def test_batch_bmu_is_nearest_rows_on_adversarial_codebooks(problem):
     codebook, samples, _ = problem
     with _strict():
         got = kernels.batch_bmu(codebook, samples)
-        want = kernels.nearest_rows(samples, codebook, [len(codebook)])[0]
+        want = kernels.nearest_rows(samples, codebook)
     assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
 
 
@@ -207,7 +196,7 @@ def test_batch_bmu_is_nearest_rows_on_clustered_map_hits(case):
     model, hits, _ = case
     samples = model.codebook[hits.bmus]
     got = kernels.batch_bmu(model.codebook, samples)
-    assert got.tolist() == kernels.nearest_rows(samples, model.codebook, [model.grid.units])[0].tolist()
+    assert got.tolist() == kernels.nearest_rows(samples, model.codebook).tolist()
 
 
 def test_batch_bmu_converts_a_01_matrix_to_float64(monkeypatch):
@@ -223,9 +212,9 @@ def test_batch_bmu_converts_a_01_matrix_to_float64(monkeypatch):
     seen = []
     certified = kernels._certified
 
-    def recorded(points, centers, sizes):
+    def recorded(points, centers):
         seen.append((points.dtype, centers.dtype))
-        return certified(points, centers, sizes)
+        return certified(points, centers)
 
     monkeypatch.setattr(kernels, "_certified", recorded)
     codebook = np.random.default_rng(9).random((6, 300))
@@ -248,42 +237,10 @@ def test_nearest_rows_converts_uint8_rows_to_float64():
     values[3, 150:] = 1
     values[4, :10] = 1
     centers = values[[3, 1, 0]]
-    got = kernels.nearest_rows(values, centers, [3])[0]
-    want = kernels.nearest_rows(values.astype(np.float64), centers.astype(np.float64), [3])[0]
+    got = kernels.nearest_rows(values, centers)
+    want = kernels.nearest_rows(values.astype(np.float64), centers.astype(np.float64))
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist() == [naive_bmu(centers, x) for x in values] == [2, 1, 0, 0, 0]
-    split = kernels.nearest_rows(values, centers, [1, 2])
-    assert split.tolist() == [[0] * 5, [1, 0, 1, 0, 1]]
-
-
-def _split_sizes(seed, units):
-    """A random split of ``units`` centers into consecutive nonempty segments."""
-    cuts = np.flatnonzero(np.random.default_rng(seed).random(units - 1) < 0.5) + 1
-    return np.diff([0, *cuts.tolist(), units])
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(adversarial_bmu_problems(), st.integers(0, 2**32 - 1))
-# a one-center segment beside a pair of one-ulp neighbours, a sample on each
-@example((np.array([[1.0, 2.0], [0.5, 0.5], np.nextafter([0.5, 0.5], 1)]), np.array([[0.5, 0.5], [1.0, 2.0]]), [(1, 2)]), 8)
-# the same split at the contract's edge, where a pad's product is still 0
-@example((np.array([[-EDGE, 0.0], [0.0, EDGE], [EDGE, EDGE]]), np.array([[EDGE, -EDGE], [0.5, 0.5]]), []), 8)
-def test_segmented_search_is_each_segment_pairwise_first_min(problem, seed):
-    # one search over centers cut into segments answers, per segment, the
-    # first minimum of numpy's pairwise sum over that segment alone; the
-    # problems hold duplicate and one-ulp-apart rows, samples on rows,
-    # one-center segments and the contract's 2**100 edge
-    codebook, samples, _ = problem
-    sizes = _split_sizes(seed, codebook.shape[0])
-    starts = np.cumsum(sizes) - sizes
-    with _strict():
-        got = kernels.nearest_rows(samples, codebook, sizes)
-        want = [[naive_bmu(codebook[a:a + w], x) for x in samples] for a, w in zip(starts, sizes)]
-        best, unsure = kernels._certified(samples, codebook, sizes)
-    assert got.dtype == np.int64 and got.shape == (sizes.size, samples.shape[0])
-    assert got.tolist() == want
-    assert best[~unsure].tolist() == got[~unsure].tolist()
-    assert not unsure[sizes == 1].any()
 
 
 def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
