@@ -243,6 +243,39 @@ def test_nearest_rows_converts_uint8_rows_to_float64():
     assert got.tolist() == want.tolist() == [naive_bmu(centers, x) for x in values] == [2, 1, 0, 0, 0]
 
 
+def _split_sizes(seed, units):
+    """A random split of ``units`` centers into consecutive nonempty segments."""
+    cuts = np.flatnonzero(np.random.default_rng(seed).random(units - 1) < 0.5) + 1
+    return np.diff([0, *cuts.tolist(), units])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(adversarial_bmu_problems(), st.integers(0, 2**32 - 1))
+# a one-center segment beside a pair of one-ulp neighbours, a sample on each
+@example((np.array([[1.0, 2.0], [0.5, 0.5], np.nextafter([0.5, 0.5], 1)]), np.array([[0.5, 0.5], [1.0, 2.0]]), [(1, 2)]), 8)
+# the same split at the contract's edge
+@example((np.array([[-EDGE, 0.0], [0.0, EDGE], [EDGE, EDGE]]), np.array([[EDGE, -EDGE], [0.5, 0.5]]), []), 8)
+def test_segmented_search_is_each_segment_pairwise_first_min(problem, seed):
+    # a search over any consecutive segment of the centers answers the first
+    # minimum of numpy's pairwise sum over that segment alone; the problems
+    # hold duplicate and one-ulp-apart rows, samples on rows, one-center
+    # segments and the contract's 2**100 edge
+    codebook, samples, _ = problem
+    sizes = _split_sizes(seed, codebook.shape[0])
+    starts = np.cumsum(sizes) - sizes
+    for a, w in zip(starts.tolist(), sizes.tolist()):
+        segment = codebook[a:a + w]
+        with _strict():
+            got = kernels.nearest_rows(samples, segment)
+            want = [naive_bmu(segment, x) for x in samples]
+            best, unsure = kernels._certified(samples, segment)
+        assert got.dtype == np.int64 and got.shape == (samples.shape[0],)
+        assert got.tolist() == want
+        assert best[~unsure].tolist() == got[~unsure].tolist()
+        if w == 1:
+            assert not unsure.any()
+
+
 def _reference_train_run(codebook, data, orders, alphas, sigmas, dist_sq):
     """Sequential online updates, one unit and one coordinate at a time."""
     cb = codebook.tolist()
