@@ -14,8 +14,6 @@ alternating machine and part steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels, metrics
@@ -58,41 +56,34 @@ def _ward_labels(points: np.ndarray, k_max: int) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterBasis:
-    """What clustering one map shares across k: the units with hits, their
-    Ward labels for every k (row k - 1, cluster ids from 0 in order of each
-    cluster's first member), and each unit's nearest unit with hits."""
+def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> np.ndarray:
+    """Every unit's cluster for every k in 1..k_max, one read-only int64
+    (k_max, units) array: row k - 1 holds ids 1..k, numbered by each
+    cluster's first unit with hits; k_max may not exceed those units.
 
-    hit_units: np.ndarray
-    labels: np.ndarray
-    nearest: np.ndarray
-
-
-def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> ClusterBasis:
-    """The basis for every k in 1..k_max; k_max may not exceed the units with hits.
-
-    Ward clustering of the codebook rows of units with at least one hit,
-    every k cut from one dendrogram (``_ward_labels``).
+    The units with hits are Ward-clustered on their codebook rows, every k
+    cut from one dendrogram (``_ward_labels``), and each unit without hits
+    takes the cluster of its nearest unit with hits (``nearest_hit_units``).
     """
     hit_units = np.flatnonzero(hits.hits > 0)
     if not 1 <= k_max <= hit_units.size:
         raise ValueError(f"k must lie in 1..{hit_units.size} (units with hits)")
-    labels = _ward_labels(model.codebook[hit_units], k_max)
-    return ClusterBasis(hit_units=hit_units, labels=labels, nearest=nearest_hit_units(model, hits))
+    nearest = nearest_hit_units(model, hits)
+    table = np.zeros((k_max, nearest.size), dtype=np.int64)
+    table[:, hit_units] = _ward_labels(model.codebook[hit_units], k_max) + 1
+    table = table[:, nearest]
+    table.flags.writeable = False
+    return table
 
 
-def cluster_map(basis: ClusterBasis, k: int) -> np.ndarray:
-    """Cluster ids (1..k) for every map unit: the Ward labels of the units
-    with hits, and units with no hits inherit the cluster of the nearest hit
-    unit in codebook space. ``basis`` is ``cluster_basis(model, hits,
-    k_max)`` for some k_max >= k.
+def cluster_map(basis: np.ndarray, k: int) -> np.ndarray:
+    """Cluster ids (1..k) for every map unit: row k - 1 of ``basis``, which
+    is ``cluster_basis(model, hits, k_max)`` for some k_max >= k, as a
+    read-only view.
     """
-    if not 1 <= k <= basis.labels.shape[0]:
-        raise ValueError(f"k must lie in 1..{basis.labels.shape[0]} for this basis")
-    out = np.zeros(basis.nearest.size, dtype=np.int64)
-    out[basis.hit_units] = basis.labels[k - 1] + 1
-    return out[basis.nearest]
+    if not 1 <= k <= basis.shape[0]:
+        raise ValueError(f"k must lie in 1..{basis.shape[0]} for this basis")
+    return basis[k - 1]
 
 
 def assign_parts(clusters, hits: HitHistogram) -> np.ndarray:
@@ -279,12 +270,13 @@ def form_cells(
     """Best assignment over a sweep of candidate cell counts.
 
     Tries every k from 2 up to min(k_max, units with hits, machines,
-    parts): each k is clustered on one shared ``cluster_basis``, then all
-    candidates are settled together (``_settle_sweep``) and scored in k
-    order. The highest exact efficacy wins, ties going to the smaller k. A
-    settled assignment that repeats an earlier k's cannot win that rule,
-    so it is not scored again. If the sweep is empty (a single busy unit,
-    say) everything lands in one cell.
+    parts): each k's unit clusters are row k - 1 of one ``cluster_basis``
+    table, each part takes its BMU's cluster, then all candidates are
+    settled together (``_settle_sweep``) and scored in k order. The
+    highest exact efficacy wins, ties going to the smaller k. A settled
+    assignment that repeats an earlier k's cannot win that rule, so it is
+    not scored again. If the sweep is empty (a single busy unit, say)
+    everything lands in one cell.
     ``hits`` is ``compute_hits(model, data)``, computed here when not given.
     """
     _check_machines(model, data.machines)

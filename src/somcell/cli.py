@@ -85,7 +85,7 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
-def _read_matrix(path, transpose: bool = False) -> IncidenceMatrix:
+def _read_matrix(path, transpose: bool) -> IncidenceMatrix:
     try:
         matrix = load_matrix(path)
     except OSError as exc:

@@ -763,6 +763,27 @@ def test_shared_basis_matches_standalone_cluster_map(case):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
+def test_cluster_basis_is_one_read_only_table(case):
+    model, hits, _ = case
+    busy = int((hits.hits > 0).sum())
+    basis = cluster_basis(model, hits, busy)
+    assert type(basis) is np.ndarray and basis.dtype == np.int64
+    assert basis.shape == (busy, model.grid.units) and not basis.flags.writeable
+    for k, row in enumerate(basis, start=1):
+        clusters = cluster_map(basis, k)
+        assert np.shares_memory(clusters, row) and clusters.tolist() == row.tolist()
+        assert not clusters.flags.writeable
+        assert set(row.tolist()) == set(range(1, k + 1))
+        # each unit without hits holds its nearest busy unit's id
+        assert row.tolist() == fill_hitless_reference(model.codebook, hits.hits, row).tolist()
+        if k < busy:
+            # each of k + 1's clusters over all units lies inside one of k's
+            finer = basis[k]
+            assert all(np.unique(row[finer == c]).size == 1 for c in range(1, k + 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(clustered_maps())
 def test_ward_labels_match_brute_force_reference(case):
     # the maps' codebook rows often coincide or tie, so first-minimum merges
     # and zero distances are common; every k is one cut of one dendrogram

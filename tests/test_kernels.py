@@ -180,23 +180,13 @@ def test_every_nearest_search_picks_the_same_row():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(adversarial_bmu_problems())
-def test_batch_bmu_is_nearest_rows_on_adversarial_codebooks(problem):
-    codebook, samples, _ = problem
-    with _strict():
-        got = kernels.batch_bmu(codebook, samples)
-        want = kernels.nearest_rows(samples, codebook)
-    assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
 @given(clustered_maps())
-def test_batch_bmu_is_nearest_rows_on_clustered_map_hits(case):
+def test_batch_bmu_matches_naive_scan_on_clustered_map_hits(case):
     # every hit sits on its unit's codebook row, which often ties with others
     model, hits, _ = case
     samples = model.codebook[hits.bmus]
     got = kernels.batch_bmu(model.codebook, samples)
-    assert got.tolist() == kernels.nearest_rows(samples, model.codebook).tolist()
+    assert got.dtype == np.int64 and got.tolist() == [naive_bmu(model.codebook, x) for x in samples]
 
 
 def test_batch_bmu_converts_a_01_matrix_to_float64(monkeypatch):

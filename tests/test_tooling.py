@@ -1,6 +1,7 @@
 """Development tooling: the tracer that reaches into the package by
-attribute name, and the shared test helpers."""
+attribute name, the shared test helpers, and README's examples."""
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import somcell
 import somcell.cli  # noqa: F401  (the tracer wraps names in the cli namespace)
 from conftest import random_incidence
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def test_perfbench_trace_targets_resolve(monkeypatch):
@@ -44,3 +47,22 @@ def test_public_names_resolve_once():
         assert len(module.__all__) == len(set(module.__all__)), module.__name__
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_python_examples_print_what_they_say(capsys):
+    # README's python blocks run in order in one namespace, as a reader
+    # would paste them, except those that open a file; each print's
+    # trailing "# ..." comment is the line it must write
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    run = [block for block in blocks if "open(" not in block]
+    expected = [
+        line.rpartition("  # ")[2]
+        for block in run
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert len(run) >= 2 and expected
+    namespace = {}
+    for block in run:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out.splitlines() == expected
