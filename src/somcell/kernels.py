@@ -137,7 +137,11 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     each weight is the same product of the same operands, ``exp`` returns
     the same bits for a value wherever it sits in an array, and
     ``d2 * -(1 / (2 sigma^2))`` equals ``-d2 * (1 / (2 sigma^2))`` bit for
-    bit. Steps with a zero sigma move only the matching unit.
+    bit. ``dist_sq`` must have a zero diagonal: the matching unit's level, 0,
+    weighs ``alpha * exp(0) = alpha`` at every sigma. So a sigma whose
+    ``1 / (2 sigma^2)`` overflows (below about 5.3e-155, 0 included) moves
+    only the units at distance 0, by ``alpha``, the rest by ``exp(-inf)``;
+    one whose ``2 sigma^2`` overflows moves every unit by ``alpha``.
     """
     cb = np.array(codebook, dtype=np.float64, order="C", copy=True)
     xs = np.ascontiguousarray(samples, dtype=np.float64)
@@ -162,25 +166,19 @@ def train_run(codebook, samples, orders, alphas, sigmas, dist_sq) -> np.ndarray:
     subtract, einsum, multiply, add = np.subtract, np.einsum, np.multiply, np.add
     for lo in range(0, steps.size, block):
         hi = lo + block
-        # zero sigmas give inf and nan weights here; those steps take the
-        # branch below
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # 2 sigma^2 or its reciprocal overflows at the float range's ends;
+        # level 0 weighs exp(0) = 1 at every finite factor, nan at -inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             table = multiply.outer(-(1.0 / (2.0 * sg[lo:hi] * sg[lo:hi])), levels)
-            np.exp(table, out=table)
-            table *= al[lo:hi, None]
-        for p, alpha, sigma, weights in zip(
-            steps[lo:hi].tolist(), al[lo:hi].tolist(), sg[lo:hi].tolist(), table
-        ):
+        np.exp(table, out=table)
+        table[:, 0] = 1.0
+        table *= al[lo:hi, None]
+        for p, weights in zip(steps[lo:hi].tolist(), table):
             subtract(rows[p], cb, out=diff)
             einsum("ij,ij->i", diff, diff, out=dist)
-            best = dist.argmin()
-            if sigma > 0.0:
-                weights.take(index[best], out=h, mode="clip")
-                multiply(diff, h_col, out=diff)
-                add(cb, diff, out=cb)
-            else:
-                # degenerate neighborhood: only the matching unit moves
-                cb[best] += alpha * diff[best]
+            weights.take(index[dist.argmin()], out=h, mode="clip")
+            multiply(diff, h_col, out=diff)
+            add(cb, diff, out=cb)
     return cb
 
 

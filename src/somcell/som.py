@@ -92,8 +92,8 @@ class Phase:
             raise ValueError("phase needs at least one epoch")
         if not 0.0 <= self.alpha_end <= self.alpha_start <= 1.0:
             raise ValueError("alpha must decay within [0, 1]")
-        if not 0.0 <= self.sigma_end <= self.sigma_start:
-            raise ValueError("sigma must decay and stay non-negative")
+        if not 0.0 <= self.sigma_end <= self.sigma_start < math.inf:
+            raise ValueError("sigma must be finite, decay and stay non-negative")
 
 
 @dataclass(frozen=True)

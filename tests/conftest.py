@@ -32,7 +32,9 @@ def naive_bmu(codebook, x):
 def train_run_reference(codebook, samples, orders, alphas, sigmas, dist_sq):
     """The per-step update loop ``kernels.train_run`` had before it reused
     buffers: fresh temporaries and numpy-scalar arithmetic each step, same
-    float operations in the same order."""
+    float operations in the same order. Units at distance 0 from the
+    matching unit get weight ``alpha * exp(0) = alpha`` at every sigma, so a
+    sigma whose ``1 / (2 sigma^2)`` overflows (0 included) moves only them."""
     cb = np.array(codebook, dtype=np.float64, order="C", copy=True)
     xs = np.ascontiguousarray(samples, dtype=np.float64)
     ords = np.ascontiguousarray(orders, dtype=np.int64)
@@ -42,12 +44,12 @@ def train_run_reference(codebook, samples, orders, alphas, sigmas, dist_sq):
     for t, p in enumerate(ords.ravel()):
         diff = xs[p] - cb
         best = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-        if sg[t] > 0.0:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = 1.0 / (2.0 * sg[t] * sg[t])
-            h = al[t] * np.exp(-d2[best] * inv)
-            cb += h[:, None] * diff
-        else:
-            cb[best] += al[t] * diff[best]
+            e = np.exp(-d2[best] * inv)
+        e[d2[best] == 0.0] = 1.0
+        h = al[t] * e
+        cb += h[:, None] * diff
     return cb
 
 

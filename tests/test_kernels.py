@@ -306,8 +306,9 @@ def test_train_run_matches_sequential_reference():
 
 @st.composite
 def train_problems(draw):
-    """train_run inputs with tied codebook rows, zero sigmas mid-schedule and
-    sigmas small enough for the neighborhood to underflow to 0."""
+    """train_run inputs with tied codebook rows, zero sigmas mid-schedule,
+    sigmas small enough for the neighborhood to underflow to 0, and sigmas
+    whose 1 / (2 sigma^2) or 2 sigma^2 overflows."""
     units, dim = draw(st.integers(1, 40)), draw(st.integers(1, 30))
     n_samples, epochs = draw(st.integers(1, 20)), draw(st.integers(1, 4))
     values = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0, allow_nan=False)
@@ -323,7 +324,7 @@ def train_problems(draw):
     )
     steps = epochs * n_samples
     alphas = draw(arrays(np.float64, steps, elements=st.floats(0.0, 1.0)))
-    radius = st.sampled_from([0.0, 1e-3, 0.05, 0.5]) | st.floats(0.0, 5.0)
+    radius = st.sampled_from([0.0, 1e-160, 1e-3, 0.05, 0.5, 1e200]) | st.floats(0.0, 5.0)
     sigmas = draw(arrays(np.float64, steps, elements=radius))
     return codebook, samples, orders, alphas, sigmas, dist_sq
 
@@ -348,12 +349,13 @@ def _explicit_problem(sigmas, tied=False):
 @example(_explicit_problem(np.linspace(1.5, 0.3, 10), tied=True))
 @example(_explicit_problem([1e-3] * 5 + [0.01] * 5))
 def test_train_run_is_bit_identical_to_the_step_loop(problem):
-    # sigmas near the float minimum make 2*sigma**2 underflow to 0, so the
-    # neighborhood holds inf and nan; both sides must agree on those too
-    with np.errstate(all="ignore"):
-        got = kernels.train_run(*problem)
-        want = train_run_reference(*problem)
-    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    # sigmas near the float minimum or maximum make 2*sigma**2 under- or
+    # overflow; train_run trains them as the limits, finite and without a
+    # warning (the suite turns warnings into errors)
+    got = kernels.train_run(*problem)
+    want = train_run_reference(*problem)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.isfinite(got).all()
 
 
 def _lattice_problem(parts, machines, steps=360):
@@ -374,7 +376,8 @@ def _lattice_problem(parts, machines, steps=360):
 def test_train_run_is_bit_identical_on_real_lattices(parts, machines, levels, schedule):
     # 360 steps span several weight tables on both lattices (81 and 39 steps
     # a table); the last cases end on steps that move only the matching
-    # unit, or have a sigma whose 2 sigma^2 underflows to 0 mid-table
+    # unit, or have a sigma whose 2 sigma^2 underflows to 0 mid-table, and
+    # train_run must not warn on them (the suite turns warnings into errors)
     codebook, values, orders, alphas, sigmas, dist_sq = _lattice_problem(parts, machines)
     assert np.unique(dist_sq).size == levels
     assert orders.size > 4 * kernels._TABLE_ELEMENTS // levels
@@ -382,12 +385,10 @@ def test_train_run_is_bit_identical_on_real_lattices(parts, machines, levels, sc
         sigmas[-100:] = 0.0
     elif schedule == "underflowing-sigma":
         sigmas[150:153] = 1e-170
-    with np.errstate(all="ignore"):
-        got = kernels.train_run(codebook, values, orders, alphas, sigmas, dist_sq)
-        want = train_run_reference(codebook, values, orders, alphas, sigmas, dist_sq)
-    assert np.array_equal(got, want, equal_nan=True)
-    if schedule != "underflowing-sigma":
-        assert np.isfinite(got).all()
+    got = kernels.train_run(codebook, values, orders, alphas, sigmas, dist_sq)
+    want = train_run_reference(codebook, values, orders, alphas, sigmas, dist_sq)
+    assert np.array_equal(got, want)
+    assert np.isfinite(got).all()
 
 
 def test_train_run_tabulates_few_steps_at_a_time():
@@ -447,7 +448,7 @@ def test_train_run_without_samples_returns_the_codebook():
     codebook = np.arange(6.0).reshape(3, 2)
     out = kernels.train_run(
         codebook, np.zeros((0, 2)), np.zeros((4, 0), dtype=np.int64),
-        np.zeros(0), np.zeros(0), np.eye(3),
+        np.zeros(0), np.zeros(0), np.ones((3, 3)) - np.eye(3),
     )
     assert np.array_equal(out, codebook) and out is not codebook
 

@@ -71,6 +71,9 @@ def test_phase_validation():
         Phase(epochs=1, alpha_start=0.1, alpha_end=0.5, sigma_start=2, sigma_end=1)
     with pytest.raises(ValueError):
         Phase(epochs=1, alpha_start=0.5, alpha_end=0.1, sigma_start=1, sigma_end=2)
+    with pytest.raises(ValueError):
+        # the schedule's linear ramp from inf is nan
+        Phase(epochs=1, alpha_start=0.5, alpha_end=0.1, sigma_start=math.inf, sigma_end=1)
 
 
 def test_schedule_requires_final_sigma_at_most_one():
@@ -199,6 +202,33 @@ def test_train_validates_inputs(problem1):
     model = init_codebook(grid, problem1, seed=0)
     with pytest.raises(ValueError):
         train(model, problem1, TrainingSchedule(()))
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        [(0.0, 0.0)],
+        [(5e-324, 5e-324)],
+        [(1e-160, 1e-160)],
+        [(1e-150, 1e-150)],
+        [(1e200, 1.0), (1.0, 0.1)],
+        [(1.7e308, 1.0), (1.0, 0.1)],
+    ],
+    ids=["0", "5e-324", "1e-160", "1e-150", "1e200", "1.7e308"],
+)
+def test_train_takes_every_sigma_phase_accepts(problem1, phases):
+    # 1 / (2 sigma^2) overflows below about 5.3e-155 and 2 sigma^2 above
+    # about 9.5e153; training runs their limits without a warning (the
+    # suite turns warnings into errors), and a sigma below 5.3e-155 trains
+    # exactly as sigma 0 does: only the matching unit moves
+    model = init_codebook(MapGrid(4, 3), problem1, seed=5)
+    schedule = TrainingSchedule(tuple(Phase(2, 0.5, 0.05, *sigma) for sigma in phases))
+    trained = train(model, problem1, schedule)
+    assert np.isfinite(trained.codebook).all()
+    assert not np.array_equal(trained.codebook, model.codebook)
+    if phases[0][0] < 5.3e-155:
+        zero = train(model, problem1, TrainingSchedule((Phase(2, 0.5, 0.05, 0.0, 0.0),)))
+        assert trained.codebook.tobytes() == zero.codebook.tobytes()
 
 
 def test_training_reduces_quantization_error(problem1):
