@@ -91,7 +91,7 @@ def assign_parts(clusters, hits: HitHistogram) -> np.ndarray:
     clusters = np.asarray(clusters, dtype=np.int64)
     if clusters.shape[0] != hits.grid.units:
         raise ValueError("need one cluster id per unit")
-    return clusters[hits.bmus].copy()
+    return clusters[hits.bmus]
 
 
 def assign_machines(counts, sizes) -> np.ndarray:
@@ -101,8 +101,8 @@ def assign_machines(counts, sizes) -> np.ndarray:
     machine column j over that family's parts, as float64, and
     ``sizes[f]`` its part count. Density of machine j in family f is the
     mean of column j over f's parts. Exact ties go to the smaller family
-    id. Idempotent by construction: it depends only on (values,
-    part_family).
+    id. It reads nothing but (counts, sizes), so the tally of a settled
+    assignment gives back that assignment's machine cells.
     """
     # argmax's first maximum keeps the smaller id on ties
     return np.argmax(counts / sizes[:, None], axis=0) + 1

@@ -24,12 +24,7 @@ import numpy as np
 from . import metrics
 from ._util import JSON_NUMBERS, atomic_write_text, is_json_int
 from .cells import CellAssignment, build_view, form_cells, polish
-from .incidence import (
-    IncidenceMatrix,
-    MatrixFormatError,
-    load_matrix,
-    render_block_diagonal,
-)
+from .incidence import IncidenceMatrix, load_matrix, render_block_diagonal
 from .som import (
     MapGrid,
     SomModel,
@@ -85,23 +80,28 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
+def _read(path, kind: str, load):
+    """``load(path)``, any failure turned into one ValueError that names the file.
+
+    A file that cannot be opened or read gives ``cannot read <kind> file
+    <path>: <reason>``; one that cannot be parsed gives ``<path>: not a
+    valid <kind> file (<reason>)``. Callers pass ``load_matrix`` and
+    ``load_model`` by their names in this module, looked up at call time,
+    so a wrapper installed on the module sees every load.
+    """
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a valid {kind} file (missing key {exc})") from exc
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not a valid {kind} file ({exc})") from exc
+
+
 def _read_matrix(path, transpose: bool) -> IncidenceMatrix:
-    try:
-        matrix = load_matrix(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read matrix file {path}: {exc.strerror or exc}") from exc
-    except (MatrixFormatError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    matrix = _read(path, "matrix", load_matrix)
     return matrix.transposed() if transpose else matrix
-
-
-def _read_model(path) -> SomModel:
-    try:
-        return load_model(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}: not a valid model file ({exc})") from exc
 
 
 def default_kmax(matrix: IncidenceMatrix) -> int:
@@ -139,25 +139,18 @@ def _assignment_dict(assignment: CellAssignment, matrix: IncidenceMatrix) -> dic
     }
 
 
-def _load_assignment(path) -> CellAssignment:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not is_json_int(doc["k"]):
-            raise ValueError(f"k must be an integer, got {json.dumps(doc['k'])}")
-        for key in ("part_family", "machine_cell"):
-            if not isinstance(doc[key], list) or not all(is_json_int(v) for v in doc[key]):
-                raise ValueError(f"{key} must be a list of integers")
-        assignment = CellAssignment(
-            part_family=tuple(doc["part_family"]), machine_cell=tuple(doc["machine_cell"])
-        )
-        if doc["k"] != assignment.k:
-            raise ValueError(f"k is {doc['k']} but the largest id is {assignment.k}")
-        return assignment
-    except OSError as exc:
-        raise ValueError(f"cannot read assignment file {path}: {exc.strerror or exc}") from exc
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}: not a valid assignment file ({exc})") from exc
+def _parse_assignment(path) -> CellAssignment:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not is_json_int(doc["k"]):
+        raise ValueError(f"k must be an integer, got {json.dumps(doc['k'])}")
+    for key in ("part_family", "machine_cell"):
+        if not isinstance(doc[key], list) or not all(is_json_int(v) for v in doc[key]):
+            raise ValueError(f"{key} must be a list of integers")
+    assignment = CellAssignment(part_family=tuple(doc["part_family"]), machine_cell=tuple(doc["machine_cell"]))
+    if doc["k"] != assignment.k:
+        raise ValueError(f"k is {doc['k']} but the largest id is {assignment.k}")
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +172,7 @@ def cmd_train(args) -> int:
 
 def cmd_cells(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
-    model = _read_model(args.model)
+    model = _read(args.model, "model", load_model)
     assignment, grouping = extract_cells(model, matrix, args.kmax)
     view = build_view(assignment)
     print(render_block_diagonal(matrix, view), end="")
@@ -199,7 +192,7 @@ def cmd_cells(args) -> int:
 
 def cmd_metrics(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
-    assignment = _load_assignment(args.assignment)
+    assignment = _read(args.assignment, "assignment", _parse_assignment)
     grouping = metrics.score(matrix, assignment, r=args.r)
     print(f"n1={grouping.n1} exceptional={grouping.n1_out} voids={grouping.n0_in}")
     print(f"grouping efficacy {grouping.efficacy_text}")
@@ -212,7 +205,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_viz(args) -> int:
     matrix = _read_matrix(args.input, args.transpose)
-    model = _read_model(args.model)
+    model = _read(args.model, "model", load_model)
     # one BMU pass serves the sweep, the hit view and the scatter CSV
     hits = compute_hits(model, matrix)
     assignment, _ = extract_cells(model, matrix, args.kmax, hits=hits)
@@ -273,16 +266,11 @@ _CSV_COLUMNS = (
 )
 
 
-def _load_manifest(path: Path) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+def _parse_manifest(path) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     if not isinstance(doc, list):
-        raise ValueError(f"{path}: manifest must be a JSON array of cases")
+        raise ValueError("manifest must be a JSON array of cases")
     return doc
 
 
@@ -352,7 +340,7 @@ def _bench_report_csv(rows: list[dict]) -> str:
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     manifest_path = Path(args.manifest) if args.manifest else corpus / "manifest.json"
-    cases = _load_manifest(manifest_path)
+    cases = _read(manifest_path, "manifest", _parse_manifest)
     # imported here: the pool loads threading, queue and logging, which no other command needs
     from concurrent.futures import ThreadPoolExecutor
 

@@ -181,6 +181,8 @@ class SomModel:
             raise ValueError("codebook entries must be finite and at most 2**100 in magnitude")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.trained_epochs < 0:
+            raise ValueError("trained_epochs must be non-negative")
         cb.flags.writeable = False
         object.__setattr__(self, "codebook", cb)
 

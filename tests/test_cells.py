@@ -124,6 +124,10 @@ def test_assign_parts_inherits_bmu_cluster():
         bmus=np.array([0, 1, 0]),
     )
     assert assign_parts([5, 9], hits).tolist() == [5, 9, 5]
+    # a row of the read-only cluster basis: the parts get their own array
+    row = np.array([5, 9], dtype=np.int64)
+    row.flags.writeable = False
+    assert not np.shares_memory(assign_parts(row, hits), row)
     with pytest.raises(ValueError):
         assign_parts([5], hits)
 

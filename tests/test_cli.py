@@ -2,6 +2,7 @@
 import binascii
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -236,7 +237,7 @@ def test_metrics_rejects_assignment_fields_that_are_not_integers(tmp_path, block
     [
         ("cells", "--model", "not a valid model file"),
         ("metrics", "--assignment", "not a valid assignment file"),
-        ("bench", "--manifest", "invalid JSON"),
+        ("bench", "--manifest", "not a valid manifest file"),
     ],
 )
 def test_deeply_nested_json_is_a_clean_error(tmp_path, blocks_file, capsys, command, flag, kind):
@@ -256,7 +257,62 @@ def test_undecodable_matrix_file_names_its_path(tmp_path, capsys):
     rc = main(["train", "--input", str(path), "--out", str(tmp_path / "m.json")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: not a valid matrix file ('utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+# each input file the CLI reads, as (command, flag, kind), with how it can
+# fail: missing, not UTF-8, not parseable, or parseable but lacking what the
+# kind requires (a matrix has no such case)
+INPUT_FILES = [("cells", "--input", "matrix"), ("cells", "--model", "model"),
+               ("metrics", "--assignment", "assignment"), ("bench", "--manifest", "manifest")]
+INPUT_FILE_CASES = [
+    pytest.param(command, flag, kind, case, id=f"{kind}-{case}")
+    for command, flag, kind in INPUT_FILES
+    for case in ("missing", "undecodable", "malformed", "incomplete")
+    if (kind, case) != ("matrix", "incomplete")
+]
+
+
+@pytest.mark.parametrize("command, flag, kind, case", INPUT_FILE_CASES)
+def test_input_file_errors_have_one_shape(tmp_path, trained, capsys, command, flag, kind, case):
+    matrix_path, model_path = trained
+    path = tmp_path / f"input-{kind}"
+    if case == "missing":
+        want = f"cannot read {kind} file {path}: {os.strerror(errno.ENOENT)}"
+    else:
+        if case == "undecodable":
+            path.write_bytes(b"\xff")
+            reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        elif case == "malformed" and kind == "matrix":
+            path.write_text("2 2\n1 0\n0 x\n")
+            reason = "line 3: entry must be 0 or 1, found 'x'"
+        elif case == "malformed":
+            path.write_text("[1,")
+            reason = "Expecting value: line 1 column 4 (char 3)"
+        else:
+            model = {key: value for key, value in json.loads(model_path.read_text()).items() if key != "seed"}
+            assignment = {key: value for key, value in BLOCKS_ASSIGNMENT.items() if key != "k"}
+            doc, reason = {
+                "model": (model, "missing key 'seed'"),
+                "assignment": (assignment, "missing key 'k'"),
+                "manifest": ({"name": "blocks", "path": "blocks.txt"}, "manifest must be a JSON array of cases"),
+            }[kind]
+            path.write_text(json.dumps(doc))
+        want = f"{path}: not a valid {kind} file ({reason})"
+    out_dir = tmp_path / "out"
+    argv = {
+        "cells": ["cells", "--input", str(matrix_path), "--model", str(model_path), "--out-dir", str(out_dir)],
+        "metrics": ["metrics", "--input", str(matrix_path), "--assignment", None],
+        "bench": ["bench", "--corpus", str(tmp_path), "--manifest", None, "--out-dir", str(out_dir)],
+    }[command]
+    argv[argv.index(flag) + 1] = str(path)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {want}\n"
+    assert err.count(str(path)) == 1
+    assert not out_dir.exists()
 
 
 def test_viz_writes_every_surface(tmp_path, trained, capsys):
@@ -490,7 +546,7 @@ def test_bench_undecodable_case_is_an_error_row_naming_its_path(tmp_path, capsys
     assert main(["bench", "--corpus", str(corpus), "--restarts", "1", "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     (row,) = json.loads((out_dir / "report.json").read_text())["cases"]
-    assert row["error"].startswith(f"{corpus / 'latin1.txt'}: 'utf-8' codec can't decode byte 0xff")
+    assert row["error"].startswith(f"{corpus / 'latin1.txt'}: not a valid matrix file ('utf-8' codec can't decode byte 0xff")
 
 
 def test_bench_report_does_not_depend_on_jobs(tmp_path, capsys):
@@ -604,6 +660,7 @@ def test_model_errors_name_the_path_once(tmp_path, blocks_file, trained, capsys)
         "version.json": {**good, "version": 3},
         "topology.json": {**good, "grid": {**good["grid"], "topology": "rectangular"}},
         "fields.json": {key: value for key, value in good.items() if key != "codebook"},
+        "epochs.json": {**good, "trained_epochs": -1},
     }
     for name, doc in foreign.items():
         path = tmp_path / name

@@ -416,6 +416,10 @@ def test_model_validates_codebook_shape():
         SomModel(grid=MapGrid(2, 2), codebook=np.full((4, 2), np.nan), seed=0)
     with pytest.raises(ValueError):
         SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=-1)
+    # train seeds each epoch's shuffle from (seed, trained_epochs), which
+    # numpy accepts only when both are non-negative
+    with pytest.raises(ValueError, match="trained_epochs must be non-negative"):
+        SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=0, trained_epochs=-1)
 
 
 def test_model_bounds_codebook_entries_by_2_100():
