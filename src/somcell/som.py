@@ -303,22 +303,8 @@ def _load_phase(doc) -> Phase:
     return Phase(**doc)
 
 
-def _decimal_codebook(codebook) -> np.ndarray:
-    """Version 1: a list of rows of JSON numbers."""
-    if not (
-        isinstance(codebook, list)
-        and all(isinstance(row, list) for row in codebook)
-        and {type(v) for row in codebook for v in row} <= JSON_NUMBERS
-    ):
-        raise ValueError("codebook must be a list of rows of numbers")
-    try:
-        return np.array(codebook, dtype=np.float64)
-    except OverflowError:
-        raise ValueError("codebook entries must be finite") from None
-
-
 def _base64_codebook(codebook, units: int, input_dim: int) -> np.ndarray:
-    """Version 2: the canonical base64 of the row-major little-endian float64 bytes."""
+    """The canonical base64 of the row-major little-endian float64 bytes."""
     if not isinstance(codebook, str):
         raise ValueError("codebook must be a base64 string")
     try:
@@ -337,7 +323,7 @@ def _base64_codebook(codebook, units: int, input_dim: int) -> np.ndarray:
 
 
 def load_model(path) -> SomModel:
-    """Read a model written by save_model, or a version 1 file with a decimal codebook.
+    """Read a model written by save_model: a version 2 file, the only version read.
 
     A foreign or malformed document raises ValueError, KeyError or
     TypeError; messages leave naming the file to the caller.
@@ -347,7 +333,7 @@ def load_model(path) -> SomModel:
     if not isinstance(doc, dict) or doc.get("format") != "somcell-model":
         raise ValueError("not a somcell model file")
     version = doc.get("version")
-    if not is_json_int(version) or version not in (1, 2):
+    if not is_json_int(version) or version != 2:
         raise ValueError(f"unsupported model version {version!r}")
     if not isinstance(doc.get("grid"), dict) or doc["grid"].get("topology") != "hexagonal":
         raise ValueError("model grid topology must be 'hexagonal'")
@@ -367,17 +353,10 @@ def load_model(path) -> SomModel:
     if doc.get("schedule"):
         schedule = TrainingSchedule(tuple(_load_phase(ph) for ph in doc["schedule"]))
     grid = MapGrid(ints["grid.rows"], ints["grid.cols"])
-    if version == 1:
-        codebook = _decimal_codebook(doc["codebook"])
-    else:
-        codebook = _base64_codebook(doc["codebook"], grid.units, ints["input_dim"])
-    model = SomModel(
+    return SomModel(
         grid=grid,
-        codebook=codebook,
+        codebook=_base64_codebook(doc["codebook"], grid.units, ints["input_dim"]),
         seed=ints["seed"],
         trained_epochs=ints["trained_epochs"],
         schedule=schedule,
     )
-    if ints["input_dim"] != model.input_dim:
-        raise ValueError(f"input_dim is {ints['input_dim']} but the codebook has {model.input_dim} columns")
-    return model

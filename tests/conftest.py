@@ -56,7 +56,8 @@ def train_run_reference(codebook, samples, orders, alphas, sigmas, dist_sq):
 def save_model_v1(model, path):
     """The version 1 model writer, the reference for that format: the same
     metadata as ``save_model`` and the codebook as lists of decimal floats
-    (``repr`` round-trips every finite float64)."""
+    (``repr`` round-trips every finite float64). ``load_model`` refuses the
+    file; README's recipe converts it to the file ``save_model`` writes."""
     doc = {
         "format": "somcell-model",
         "version": 1,

@@ -5,9 +5,10 @@ stderr and exit 2, never a traceback.
 A run that exits 0 writes nothing to stderr, Python warnings included.
 
 The files start from the bundled 10x10 demo, a model trained on it once
-(saved as a version 2 file, whose codebook is one base64 string, and as a
-version 1 file, whose codebook is lists of decimal numbers) and the
-assignment ``cells`` writes for it. Integers drawn into them stay within
+(a version 2 file, whose codebook is one base64 string) and the
+assignment ``cells`` writes for it. The same model as a version 1 file,
+whose codebook is lists of decimal numbers, is also drawn, and ``cells``
+and ``viz`` must refuse it. Integers drawn into them stay within
 10**4 in magnitude, so no example asks for a large allocation. Codebook
 values are also drawn at and past ``SomModel``'s 2**100 bound, up to the
 largest float64.
@@ -70,8 +71,6 @@ MODEL_PATHS = [
     ("schedule", 0, "sigma_end"),
     ("codebook",),
 ]
-# a version 1 codebook is a list of rows; in version 2 it is one string
-V1_MODEL_PATHS = MODEL_PATHS + [("codebook", 0), ("codebook", 0, 0)]
 ASSIGNMENT_PATHS = [
     ("k",),
     ("part_family",),
@@ -216,7 +215,7 @@ def mutated_matrix(draw, text):
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """Demo matrix text, a model trained on it, in both versions, and the assignment `cells` finds."""
+    """Demo matrix text, a model trained on it, its version 1 file, and the assignment `cells` finds."""
     root = tmp_path_factory.mktemp("fuzz-base")
     matrix = root / "problem1.txt"
     matrix.write_text(importlib.resources.files("somcell").joinpath("data", "problem1.txt").read_text())
@@ -240,24 +239,17 @@ def damaged_codebook(draw, model):
 
 
 @st.composite
-def extreme_codebook(draw, base):
-    """A version 2 or version 1 model with extreme finite values in its
-    codebook: one entry, or a whole row, per draw."""
-    doc = copy.deepcopy(base[draw(st.sampled_from(["model", "model_v1"]))])
-    dim = doc["input_dim"]
-    if doc["version"] == 2:
-        codebook = np.frombuffer(binascii.a2b_base64(doc["codebook"]), dtype="<f8").reshape(-1, dim).copy()
-    else:
-        codebook = np.array(doc["codebook"], dtype=np.float64)
+def extreme_codebook(draw, model):
+    """A model with extreme finite values in its codebook: one entry, or a
+    whole row, per draw."""
+    dim = model["input_dim"]
+    codebook = np.frombuffer(binascii.a2b_base64(model["codebook"]), dtype="<f8").reshape(-1, dim).copy()
     for _ in range(draw(st.integers(1, 3))):
         row = draw(st.integers(0, codebook.shape[0] - 1))
         col = draw(st.sampled_from([slice(None), *range(dim)]))
         codebook[row, col] = draw(st.sampled_from(EXTREME_VALUES))
-    if doc["version"] == 2:
-        doc["codebook"] = binascii.b2a_base64(codebook.astype("<f8").tobytes(), newline=False).decode("ascii")
-    else:
-        doc["codebook"] = codebook.tolist()
-    return draw(byte_damage(json.dumps(doc).encode("utf-8")))
+    codebook_text = binascii.b2a_base64(codebook.astype("<f8").tobytes(), newline=False).decode("ascii")
+    return draw(byte_damage(json.dumps({**model, "codebook": codebook_text}).encode("utf-8")))
 
 
 @st.composite
@@ -266,8 +258,7 @@ def matrix_and_model(draw, base):
     model = draw(
         mutated_json(base["model"], MODEL_PATHS)
         | damaged_codebook(base["model"])
-        | extreme_codebook(base)
-        | mutated_json(base["model_v1"], V1_MODEL_PATHS)
+        | extreme_codebook(base["model"])
         | st.sampled_from([json.dumps(base[key]).encode("utf-8") for key in ("model", "model_v1")])
     )
     return matrix, model
@@ -280,10 +271,13 @@ def test_cells_and_viz_survive_mutated_inputs(tmp_path, base, command, data):
     matrix, model = data.draw(matrix_and_model(base))
     (tmp_path / "m.txt").write_bytes(matrix)
     (tmp_path / "model.json").write_bytes(model)
-    assert_clean_exit(*run_cli([
+    rc, err = run_cli([
         command, "--input", str(tmp_path / "m.txt"), "--model", str(tmp_path / "model.json"),
         "--out-dir", str(tmp_path / "out"),
-    ]))
+    ])
+    assert_clean_exit(rc, err)
+    if model == json.dumps(base["model_v1"]).encode("utf-8"):
+        assert rc == 2, "a version 1 model file was read"
 
 
 @FUZZ

@@ -8,11 +8,14 @@ this is the test that notices. Two cases also pin the sha256 of every file
 ``somcell viz`` writes, so a rendering refactor must keep the bytes, two pin
 the JSON files ``somcell cells`` and ``somcell metrics`` write, and one pins
 the model file ``save_model`` writes (and the version 1 file of the same
-model, which must load to the same bits). Regenerate the table only for a
-deliberate change of results, never to absorb an accidental one.
+model, which README's recipe must convert to it byte for byte). Regenerate
+the table only for a deliberate change of results, never to absorb an
+accidental one.
 """
 import hashlib
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from somcell import IncidenceMatrix, load_problem1
 from somcell.cli import extract_cells, main, train_map
 from somcell.som import load_model, save_model
 from somcell.viz import compute_hits, export_scatter_data
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _case(name):
@@ -212,22 +217,23 @@ def test_saved_model_is_pinned(tmp_path):
     )
 
 
-def test_version_1_model_loads_to_the_version_2_bits(tmp_path):
-    # the version 1 file of this model, from the reference writer, keeps the
-    # sha it had when save_model wrote it; both versions load to one codebook
-    model = train_map(*_case("problem1-42"))
-    save_model_v1(model, tmp_path / "v1.json")
-    assert hashlib.sha256((tmp_path / "v1.json").read_bytes()).hexdigest() == (
+def test_readme_recipe_converts_the_version_1_model_to_the_version_2_file(tmp_path, monkeypatch):
+    # load_model refuses the version 1 file of this model, from the
+    # reference writer; README's conversion recipe, run as written, turns
+    # it into the file save_model writes
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    [recipe] = [block for block in blocks if 'doc["version"] = 2' in block]
+    monkeypatch.chdir(tmp_path)
+    save_model_v1(train_map(*_case("problem1-42")), "model.json")
+    assert hashlib.sha256(Path("model.json").read_bytes()).hexdigest() == (
         "798f3380c0342d7258529ebe728fbcfb2d26dda43a77a33725bf3b861e97f9a8"
     )
-    from_v1 = load_model(tmp_path / "v1.json")
-    save_model(from_v1, tmp_path / "v2.json")
-    from_v2 = load_model(tmp_path / "v2.json")
-    for loaded in (from_v1, from_v2):
-        assert loaded.codebook.view(np.int64).tobytes() == model.codebook.view(np.int64).tobytes()
-        assert (loaded.grid, loaded.seed, loaded.trained_epochs, loaded.schedule) == (
-            model.grid, model.seed, model.trained_epochs, model.schedule
-        )
+    with pytest.raises(ValueError, match="^unsupported model version 1$"):
+        load_model("model.json")
+    exec(compile(recipe, str(README), "exec"), {})
+    assert hashlib.sha256(Path("model.json").read_bytes()).hexdigest() == (
+        "3468d7db5126404eee52990078d1fe3ddd12012c8fb83807bdcfb208ee6948c9"
+    )
 
 
 # sha256 of every file `somcell viz` writes (default flags)

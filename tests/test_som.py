@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import save_model_v1
 from somcell import (
     IncidenceMatrix,
     MapGrid,
@@ -260,14 +259,14 @@ def test_load_model_rejects_foreign_json(tmp_path):
     model = SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=0)
     save_model(model, path)
     good = json.loads(path.read_text())
-    save_model_v1(model, path)
-    good_v1 = json.loads(path.read_text())
+    # version 1 held the codebook as lists of decimal numbers
+    good_v1 = {**good, "version": 1, "codebook": [[0.0, 0.0]] * 4}
     phase = {"epochs": 2, "alpha_start": 0.5, "alpha_end": 0.1, "sigma_start": 1.0, "sigma_end": 0.5}
     foreign = [
         [good],
         {**good, "version": 3},
         {**good, "version": 2.0},
-        {**good_v1, "version": True},
+        {**good, "version": True},
         {**good, "grid": {**good["grid"], "topology": "rectangular"}},
         # integer fields must be JSON integers, not look-alikes
         {**good, "grid": {**good["grid"], "rows": 2.0}},
@@ -276,8 +275,6 @@ def test_load_model_rejects_foreign_json(tmp_path):
         # input_dim must be the codebook's width
         {**good, "input_dim": 3},
         {**good, "input_dim": 1},
-        {**good_v1, "input_dim": 3},
-        {**good_v1, "input_dim": 1},
         {**good, "seed": 3.9},
         {**good, "trained_epochs": True},
         # schedule epochs are integers, rates and radii numbers
@@ -286,24 +283,20 @@ def test_load_model_rejects_foreign_json(tmp_path):
         {**good, "schedule": [{**phase, "alpha_start": "0.5"}]},
         {**good, "schedule": [{**phase, "sigma_end": True}]},
         {**good, "schedule": [[2, 0.5, 0.1, 1.0, 0.5]]},
-        # version 1 codebook entries are numbers that fit a float
-        {**good_v1, "codebook": [[True, 0.0]] + good_v1["codebook"][1:]},
-        {**good_v1, "codebook": [["0.5", 0.0]] + good_v1["codebook"][1:]},
-        {**good_v1, "codebook": [[10**400, 0.0]] + good_v1["codebook"][1:]},
-        {**good_v1, "codebook": [0.0, 0.0, 0.0, 0.0]},
-        # each version reads its own codebook encoding only
+        # the codebook is one base64 string
         {**good, "codebook": good_v1["codebook"]},
-        {**good_v1, "codebook": good["codebook"]},
     ]
     for doc in foreign:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
-    # integer rates and integer codebook entries are JSON numbers too
-    path.write_text(json.dumps({**good_v1, "schedule": [{**phase, "alpha_end": 0}], "codebook": [[1, 0]] * 4}))
+    path.write_text(json.dumps(good_v1))
+    with pytest.raises(ValueError, match="^unsupported model version 1$"):
+        load_model(path)
+    # integer rates are JSON numbers too
+    path.write_text(json.dumps({**good, "schedule": [{**phase, "alpha_end": 0}]}))
     model = load_model(path)
     assert model.schedule.total_epochs == 2 and model.schedule.phases[0].alpha_end == 0
-    assert model.codebook.tolist() == [[1.0, 0.0]] * 4
 
 
 def _base64(raw: bytes) -> str:
@@ -342,15 +335,14 @@ def test_model_file_round_trips_every_finite_float(tmp_path, shape, data):
     doc = json.loads(path.read_text())
     assert doc["version"] == 2 and doc["codebook"] == _base64(codebook.astype("<f8").tobytes())
     assert np.array_equal(load_model(path).codebook.view(np.int64), codebook.view(np.int64))
-    # either version of a file holding the codec's values loads them bit
-    # for bit, or, with one past 2**100, is rejected
-    for version_doc in ({**doc, "codebook": text}, {**doc, "version": 1, "codebook": raw.tolist()}):
-        path.write_text(json.dumps(version_doc))
-        if (np.abs(raw) <= EDGE).all():
-            assert np.array_equal(load_model(path).codebook.view(np.int64), raw.view(np.int64))
-        else:
-            with pytest.raises(ValueError, match="finite"):
-                load_model(path)
+    # a file holding the codec's values loads them bit for bit, or, with
+    # one past 2**100, is rejected
+    path.write_text(json.dumps({**doc, "codebook": text}))
+    if (np.abs(raw) <= EDGE).all():
+        assert np.array_equal(load_model(path).codebook.view(np.int64), raw.view(np.int64))
+    else:
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
 
 
 def _swap_last_data_char(text: str) -> str:

@@ -1,8 +1,12 @@
 """Development tooling: the tracer that reaches into the package by
-attribute name, the shared test helpers, and README's examples."""
+attribute name, the shared test helpers, README's examples, and the
+modules the commands load."""
 import importlib.util
+import os
 import re
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from conftest import random_incidence
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
+PROBLEM1 = ROOT / "corpus" / "problem1.txt"
 
 
 def test_perfbench_trace_targets_resolve(monkeypatch):
@@ -66,3 +71,29 @@ def test_readme_python_examples_print_what_they_say(capsys):
     for block in run:
         exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 1.2 MB resident) on its first call,
+    # which kernels._distinct exists to avoid; a fresh process runs four
+    # commands and must end without it
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from somcell.cli import main
+        matrix = sys.argv[1]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["train", "--input", matrix, "--out", "model.json"],
+                ["cells", "--input", matrix, "--model", "model.json", "--out-dir", "cells"],
+                ["metrics", "--input", matrix, "--assignment", "cells/assignment.json"],
+                ["viz", "--input", matrix, "--model", "model.json", "--out-dir", "viz"],
+            ):
+                assert main(argv) == 0, argv
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(somcell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PROBLEM1)], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
+    )
+    assert done.stdout == "False\n"
