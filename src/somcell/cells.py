@@ -6,8 +6,8 @@ into the family that uses it most densely, dissolve families that end up
 without machines, and sweep the cluster count, keeping the assignment with
 the best grouping efficacy. The sweep clusters every cluster count first,
 all from one Ward dendrogram of the busy units (``_ward_labels``), then
-settles all the candidates together in lockstep rounds over one stacked
-family tally (``_settle_sweep``), then scores them in order.
+settles each candidate in turn, every machine-less family dissolving in
+the same round (``_settle_sweep``), then scores them in order.
 ``polish`` then raises the winner's efficacy at its cell count by exact
 alternating machine and part steps.
 """
@@ -98,7 +98,7 @@ def assign_machines(counts, sizes) -> np.ndarray:
     """Pull each machine into the family that uses it most densely.
 
     Row f stands for family id f + 1: ``counts[f, j]`` holds the ones in
-    machine column j over that family's parts, as float64, and
+    machine column j over that family's parts, as int64 or float64, and
     ``sizes[f]`` its part count. Density of machine j in family f is the
     mean of column j over f's parts. Exact ties go to the smaller family
     id. It reads nothing but (counts, sizes), so the tally of a settled
@@ -108,160 +108,52 @@ def assign_machines(counts, sizes) -> np.ndarray:
     return np.argmax(counts / sizes[:, None], axis=0) + 1
 
 
-def _relabel_by_size(
-    candidate: np.ndarray, sizes: np.ndarray, ones: np.ndarray, first: np.ndarray
-) -> np.ndarray:
-    """The row order that renumbers each candidate's families 1..k: biggest first, then densest.
-
-    Machine assignment breaks density ties toward the smaller family id, so
-    this ordering makes a machine that is equally dense everywhere side
-    with the largest (then fullest) family instead of collapsing onto a
-    small or sparse one. Rows are stacked over the candidates of a sweep,
-    so the candidate is the first key and each candidate's rows come out
-    together, in candidate order. The other keys are each family's part
-    count, its count of ones and its earliest part, which is unique within
-    a candidate, so no two of its families tie.
-    Ordering: candidate asc, size desc, ones desc, earliest part asc.
-    """
-    return np.lexsort((first, -ones, -sizes, candidate))  # last key sorts first
-
-
-def _stacked_tally(values, part_families, starts, widths) -> np.ndarray:
-    """Each candidate's ones per (family, machine), stacked as float64:
-    row ``starts[i] + f`` is family f of candidate i, for f below
-    ``widths[i]``, and ids a candidate does not use get rows of zeros.
-    Each candidate is one bincount over the matrix's ones, found once.
-    """
-    machines = values.shape[1]
-    hit, machine = np.nonzero(values)
-    tally = np.empty((int(widths.sum()), machines))
-    for family, start, width in zip(part_families, starts.tolist(), widths.tolist()):
-        bins = family[hit]  # each one's (family, machine) bin, built in place
-        bins *= machines
-        bins += machine
-        tally[start:start + width] = np.bincount(bins, minlength=width * machines).reshape(width, machines)
-    return tally
-
-
-def _densest_owners(
-    at: np.ndarray, hit: np.ndarray, machine: np.ndarray, machine_cell: np.ndarray
-) -> np.ndarray:
-    """For each orphan part, the family (0-based) whose machines it uses most densely.
-
-    Orphan i belongs to candidate ``at[i]``, whose machines' family ids
-    (1-based) are ``machine_cell[at[i]]``; ``(hit, machine)`` lists the
-    orphans' ones as (orphan, machine) pairs. Density is an orphan's ones in
-    a family's machines over their count, and families that own no machine
-    get -1, so argmax's first maximum is the smallest-id densest owner.
-    """
-    live, slots = machine_cell.shape[0], int(machine_cell.max())
-    bins = machine_cell - 1 + slots * np.arange(live)[:, None]  # one per (candidate, family)
-    owned = np.bincount(bins.ravel(), minlength=live * slots).reshape(live, slots).astype(np.float64)[at]
-    bins = machine_cell[at[hit], machine] - 1  # each one's (orphan, family) bin, built in place
-    bins += slots * hit
-    density = np.bincount(bins, weights=np.ones(bins.size), minlength=owned.size).reshape(owned.shape)
-    np.divide(density, owned, out=density, where=owned > 0)
-    density[owned == 0] = -1
-    return np.argmax(density, axis=1)
-
-
-def _dissolve(values, row, gone, machine_cell, starts, counts, sizes, first) -> None:
-    """Dissolve family ``gone[i]`` of each live candidate i, in place.
-
-    ``row[i, p]`` is part p's tally row in candidate i, whose family f is
-    row ``starts[i] + f - 1``, and ``machine_cell[i]`` its machines' family
-    ids. Each orphan part moves to its densest owner, and its ones, its
-    count and its index are added into that family's counts, size and
-    earliest part.
-    """
-    at, orphans = np.nonzero(row == gone[:, None])  # each orphan's candidate and part
-    hit, machine = np.nonzero(values[orphans])  # the orphans' ones
-    to = starts[at] + _densest_owners(at, hit, machine, machine_cell)
-    row[at, orphans] = to
-    # counts is C-contiguous, so reshape(-1) is a view of it
-    flat = to[hit]
-    flat *= counts.shape[1]
-    flat += machine
-    np.add.at(counts.reshape(-1), flat, 1.0)
-    np.add.at(sizes, to, 1)
-    np.minimum.at(first, to, orphans)
-    sizes[gone] = 0
-
-
 def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
-    """Settle every candidate of a sweep: assign machines and dissolve
-    machine-less families until each candidate is stable.
+    """Settle each candidate of a sweep: assign machines and dissolve
+    machine-less families until every family owns a machine.
 
-    Dissolving moves the orphan family's parts to whichever surviving
-    family's machines they use most densely, then machines are
-    re-assigned; each round removes one family, so this terminates. The
-    returned ids are the canonical size-ordered ones, which keeps
-    assign_machines idempotent on the result.
-
-    The candidates settle in lockstep rounds over one stacked tally, one
-    row per (candidate, family id), counted from the matrix's ones
-    (``_stacked_tally``). Each round puts every live row in rank
-    order at once, makes one ``assign_machines`` call per unsettled
-    candidate on its rows, and dissolves the first machine-less family of
-    every candidate that has one in one batched step. Tallies and
-    densities are exact integers divided by exact integers, and argmax
-    keeps the first maximum, so each candidate settles bit for bit as it
-    would alone. ``part_families`` holds at least one candidate: a
-    non-negative family id per part.
+    Each round renumbers the families 1..k, biggest first, then most ones,
+    then earliest part. ``assign_machines`` breaks density ties toward the
+    smaller id, so a machine equally dense everywhere sides with the
+    largest (then fullest) family instead of a small or sparse one. The
+    round then tallies each family's ones per machine, assigns the
+    machines, and dissolves every family left without one at once: each
+    of its parts moves to the family whose machines it uses most densely
+    (its ones in them over their count; families without machines get -1,
+    and ties go to the smaller id). A family that owns a machine keeps its
+    parts, so each round but the last removes at least one family.
+    Tallies and densities are exact integers over exact integers. The
+    returned ids are the last round's, so ``assign_machines`` on the
+    result's tally gives back its machine cells. ``part_families`` holds a
+    non-negative family id per part for each candidate.
     """
     values = data.values
-    parts = values.shape[0]
-    # row[i, p] is part p's tally row in live candidate i, at first
-    # starts[i] + its family id; the first round cuts unused ids' empty rows
-    widths = np.array([int(family.max()) + 1 for family in part_families])
-    starts = np.cumsum(widths) - widths
-    row = np.stack(part_families)
-    row += starts[:, None]
-    counts = _stacked_tally(values, part_families, starts, widths)
-    sizes = np.bincount(row.ravel(), minlength=counts.shape[0])
-    ks = np.add.reduceat(sizes > 0, starts)  # each live candidate's family count
-    candidate = np.repeat(np.arange(ks.size), widths)
-    first = np.full(sizes.size, parts)
-    # a flat index with a tiled b: numpy 2.4's ufunc.at reads past the end
-    # of a 1-D b broadcast over a 2-D index
-    np.minimum.at(first, row.ravel(), np.tile(np.arange(parts), ks.size))
-    live = np.arange(ks.size)
-    settled = [None] * ks.size
-    while True:
-        # a family's ones are its tally row's sum; dissolved families and
-        # settled candidates' families have no parts left, so they are cut
-        order = _relabel_by_size(candidate, sizes, counts.sum(axis=1), first)
-        order = order[sizes[order] > 0]
-        rank = np.empty_like(sizes)
-        rank[order] = np.arange(order.size)
-        row = rank[row]
-        counts, sizes, first, candidate = counts[order], sizes[order], first[order], candidate[order]
-        # family f of live candidate i is row starts[i] + f - 1
-        starts = np.cumsum(ks) - ks
-        machine_cell = np.stack([
-            assign_machines(counts[s:s + k], sizes[s:s + k])
-            for s, k in zip(starts.tolist(), ks.tolist())
-        ])
-        has_machines = np.zeros(order.size, dtype=bool)
-        has_machines[machine_cell + (starts - 1)[:, None]] = True
-        machineless = np.flatnonzero(~has_machines)
-        # each candidate's first machine-less family leads its run of them
-        lead = np.ones(machineless.size, dtype=bool)
-        lead[1:] = candidate[machineless[1:]] != candidate[machineless[:-1]]
-        gone = machineless[lead]
-        unsettled = np.searchsorted(starts, gone, side="right") - 1
-        done = np.ones(live.size, dtype=bool)
-        done[unsettled] = False
-        for i in np.flatnonzero(done).tolist():
-            settled[live[i]] = CellAssignment(
-                part_family=tuple((row[i] - (starts[i] - 1)).tolist()),
-                machine_cell=tuple(machine_cell[i].tolist()),
-            )
-        if not unsettled.size:
-            return settled
-        sizes[np.repeat(done, ks)] = 0
-        live, ks, row = live[unsettled], ks[unsettled] - 1, row[unsettled]
-        _dissolve(values, row, gone, machine_cell[unsettled], starts[unsettled], counts, sizes, first)
+    parts, machines = values.shape
+    hit, machine = np.nonzero(values)
+    settled = []
+    for family in part_families:
+        while True:
+            sizes = np.bincount(family)
+            first = np.full(sizes.size, parts)
+            np.minimum.at(first, family, np.arange(parts))
+            # ids no part uses have size 0, so they rank last and drop out
+            order = np.lexsort((first, -np.bincount(family[hit], minlength=sizes.size), -sizes))
+            k = np.count_nonzero(sizes)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            family = rank[family]
+            counts = np.bincount(family[hit] * machines + machine, minlength=k * machines).reshape(k, machines)
+            machine_cell = assign_machines(counts, sizes[order[:k]])
+            owned = np.bincount(machine_cell - 1, minlength=k)
+            orphans = np.flatnonzero(owned[family] == 0)
+            if not orphans.size:
+                break
+            at, used = np.nonzero(values[orphans])
+            ones = np.bincount(at * k + machine_cell[used] - 1, minlength=orphans.size * k).reshape(-1, k)
+            density = np.divide(ones, owned, out=np.full(ones.shape, -1.0), where=owned > 0)
+            family[orphans] = np.argmax(density, axis=1)
+        settled.append(CellAssignment(part_family=tuple((family + 1).tolist()), machine_cell=tuple(machine_cell.tolist())))
+    return settled
 
 
 def form_cells(
@@ -271,8 +163,8 @@ def form_cells(
 
     Tries every k from 2 up to min(k_max, units with hits, machines,
     parts): each k's unit clusters are row k - 1 of one ``cluster_basis``
-    table, each part takes its BMU's cluster, then all candidates are
-    settled together (``_settle_sweep``) and scored in k order. The
+    table, each part takes its BMU's cluster, then each candidate is
+    settled (``_settle_sweep``) and all are scored in k order. The
     highest exact efficacy wins, ties going to the smaller k. A settled
     assignment that repeats an earlier k's cannot win that rule, so it is
     not scored again. If the sweep is empty (a single busy unit, say)

@@ -42,13 +42,7 @@ from somcell import (
 )
 from somcell import cells, kernels, metrics
 from somcell.cli import default_kmax, extract_cells, train_map
-from somcell.cells import (
-    _relabel_by_size,
-    _settle_sweep,
-    _stacked_tally,
-    _ward_labels,
-    cluster_basis,
-)
+from somcell.cells import _settle_sweep, _ward_labels, cluster_basis
 from somcell.metrics import BlockCounts
 from somcell.som import Phase, TrainingSchedule
 from somcell.viz import HitHistogram
@@ -192,6 +186,37 @@ def test_settle_rehomes_orphans_by_density_past_uint8_counts():
     assert settled.machine_cell == (1,) * 256 + (2, 2)
 
 
+def test_settle_dissolves_every_machineless_family_in_one_round(monkeypatch):
+    # families 3 (part 4) and 4 (part 5) tie on every machine they use
+    # with a bigger family and lose them all in round 1, so both dissolve
+    # in that round: part 4 uses family 1's machines more densely (2/2
+    # against 1/2), part 5 family 2's. Neither joins the other orphan's
+    # family, which owns no machine. Dissolving only family 3 first would
+    # leave family 4 to a second dissolve round and a third call.
+    values = np.array(
+        [
+            [1, 1, 0, 0],
+            [1, 1, 0, 0],
+            [0, 0, 1, 1],
+            [0, 0, 1, 1],
+            [1, 1, 1, 0],
+            [0, 1, 1, 1],
+        ],
+        dtype=np.uint8,
+    )
+    real, calls = cells.assign_machines, []
+
+    def recording(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(cells, "assign_machines", recording)
+    settled = _settle_sweep(IncidenceMatrix.from_array(values), [np.array([1, 1, 2, 2, 3, 4])])[0]
+    assert [c.tolist() for c in calls] == [[1, 1, 2, 2], [1, 1, 2, 2]]
+    assert settled.part_family == (1, 1, 2, 2, 1, 2)
+    assert settled.machine_cell == (1, 1, 2, 2)
+
+
 def test_form_cells_validates_inputs(problem1):
     model = _trained(problem1)
     with pytest.raises(ValueError):
@@ -288,11 +313,11 @@ def test_form_cells_breaks_efficacy_ties_toward_the_earlier_candidate(problem1, 
 
 def test_form_cells_keeps_the_traced_call_counts(monkeypatch):
     # the benchmark's tracer counts k candidates as cluster_map calls,
-    # dissolves as assign_machines calls beyond one per candidate, and
-    # distinct candidates as count_blocks calls, so the sweep makes one
-    # cluster_map call per k, one assign_machines call per candidate per
-    # settle round, and one count_blocks and grouping_efficacy call per
-    # distinct settled candidate
+    # dissolves as assign_machines calls beyond one per candidate (the
+    # extra settle rounds), and distinct candidates as count_blocks calls,
+    # so the sweep makes one cluster_map call per k, one assign_machines
+    # call per candidate per settle round, and one count_blocks and
+    # grouping_efficacy call per distinct settled candidate
     values = planted_tall(1, (50, 42, 38, 35, 32, 28, 25), (9, 8, 7, 6, 6, 5, 4), noise=0.05)
     data = IncidenceMatrix.from_array(values)
     model = _trained(data)
@@ -301,10 +326,8 @@ def test_form_cells_keeps_the_traced_call_counts(monkeypatch):
     upper = min(k_max, int((hits.hits > 0).sum()), data.machines, data.parts)
     basis = cluster_basis(model, hits, upper)
     families = [assign_parts(cluster_map(basis, k), hits) for k in range(2, upper + 1)]
-    settled = [_settle_reference(data, family) for family in families]
-    # each round but a candidate's last dissolves one family
-    rounds = sum(np.unique(family).size - s.k + 1 for family, s in zip(families, settled, strict=True))
-    assert upper > 10 and rounds > 2 * len(families)
+    settled, rounds = zip(*(_settle_loop_reference(data.values, family) for family in families), strict=True)
+    assert upper > 10 and max(rounds) > 1  # some candidates dissolve families
     calls = dict.fromkeys(("cluster_map", "assign_machines", "count_blocks", "grouping_efficacy"), 0)
 
     def counting(module, name):
@@ -323,7 +346,7 @@ def test_form_cells_keeps_the_traced_call_counts(monkeypatch):
     distinct = len(set(settled))
     assert calls == {
         "cluster_map": upper - 1,
-        "assign_machines": rounds,
+        "assign_machines": sum(rounds),
         "count_blocks": distinct,
         "grouping_efficacy": distinct,
     }
@@ -334,7 +357,7 @@ def test_form_cells_keeps_the_ward_table_small_in_memory():
     # a seeded 400x60 planted model (70 busy units, k up to 30): the Ward
     # table is built one row of busy-unit distances at a time, so it holds
     # 70 x 70 floats and form_cells' tracemalloc peak stays near the
-    # settle's own (about 0.73 MB here); all (busy unit x busy unit x dim)
+    # settle's own (about 0.42 MB here); all (busy unit x busy unit x dim)
     # differences at once would be 2.4 MB
     values = planted_tall(1, (70, 65, 60, 55, 55, 50, 45), (10, 10, 9, 9, 8, 7, 7), noise=0.05)
     data = IncidenceMatrix.from_array(values)
@@ -415,59 +438,23 @@ def _relabel_reference(part_family, values):
 
 
 def _settle_loop_reference(values, part_family):
+    """(settled assignment, rounds): each round relabels by size, assigns
+    machines, and moves every part of every machine-less family to the
+    machine-owning family whose machines it uses most densely."""
     part_family = np.asarray(part_family, dtype=np.int64).copy()
+    rounds = 0
     while True:
+        rounds += 1
         part_family = _relabel_reference(part_family, values)
         machine_cell = _assign_machines_reference(values, part_family)
-        machineless = np.setdiff1d(np.unique(part_family), np.unique(machine_cell))
-        if machineless.size == 0:
-            break
-        orphans = np.flatnonzero(part_family == machineless[0])
         owners = np.unique(machine_cell)
+        orphans = np.flatnonzero(~np.isin(part_family, owners))
+        if orphans.size == 0:
+            break
         onehot = (machine_cell[:, None] == owners[None, :]).astype(np.float64)
         density = (values[orphans].astype(np.float64) @ onehot) / onehot.sum(axis=0)
         part_family[orphans] = owners[np.argmax(density, axis=1)]
-    return CellAssignment(
-        part_family=tuple(part_family),
-        machine_cell=tuple(machine_cell),
-    )
-
-
-def _settle_reference(data, part_family):
-    """The settle as it ran one candidate at a time: one running tally per
-    candidate, reordered biggest first (then densest, then earliest part)
-    each round, with the first machine-less family dissolved into the
-    family whose machines its parts use most densely."""
-    values = data.values
-    ids, counts, sizes = _family_tally_reference(values, part_family)
-    row = np.searchsorted(ids, part_family)
-    first = np.full(ids.size, row.size)
-    np.minimum.at(first, row, np.arange(row.size))
-    k = ids.size
-    while True:
-        order = np.lexsort((first, -counts.sum(axis=1), -sizes))[:k]
-        rank = np.empty_like(sizes)
-        rank[order] = np.arange(k)
-        row = rank[row]
-        counts, sizes, first = counts[order], sizes[order], first[order]
-        machine_cell = assign_machines(counts, sizes)
-        has_machines = np.bincount(machine_cell, minlength=k + 1)[1:] > 0
-        if has_machines.all():
-            break
-        gone = int(np.argmin(has_machines))
-        orphans = np.flatnonzero(row == gone)
-        owners = np.flatnonzero(has_machines)
-        onehot = (machine_cell[:, None] == owners[None, :] + 1).astype(np.float64)
-        orphan_values = values[orphans].astype(np.float64)
-        density = (orphan_values @ onehot) / onehot.sum(axis=0)
-        to = owners[np.argmax(density, axis=1)]
-        row[orphans] = to
-        np.add.at(counts, to, orphan_values)
-        np.add.at(sizes, to, 1)
-        np.minimum.at(first, to, orphans)
-        sizes[gone] = 0
-        k -= 1
-    return CellAssignment(part_family=tuple((row + 1).tolist()), machine_cell=tuple(machine_cell.tolist()))
+    return CellAssignment(part_family=tuple(part_family), machine_cell=tuple(machine_cell)), rounds
 
 
 def _count_blocks_reference(values, part_family, machine_cell):
@@ -566,26 +553,6 @@ _BIG_FAMILY = (
 @given(family_problems())
 @example(_GAPPY)
 @example(_BIG_FAMILY)
-def test_stacked_tally_matches_unique_reference(problem):
-    # two candidates of different widths stacked: each one's id rows hold
-    # its tally byte for byte, and the rows of ids it does not use are zero
-    values, family = problem
-    families = [family, family[::-1] * 2]
-    widths = np.array([f.max() + 1 for f in families])
-    starts = np.cumsum(widths) - widths
-    got = _stacked_tally(values, families, starts, widths)
-    assert got.dtype == np.float64 and got.shape == (widths.sum(), values.shape[1])
-    for f, start, width in zip(families, starts, widths, strict=True):
-        ids, counts, _ = _family_tally_reference(values, f)
-        block = got[start:start + width]
-        assert block[ids].tobytes() == counts.tobytes()
-        assert not block[np.setdiff1d(np.arange(width), ids)].any()
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(family_problems())
-@example(_GAPPY)
-@example(_BIG_FAMILY)
 def test_assign_machines_matches_per_family_loop(problem):
     values, family = problem
     ids, counts, sizes = _family_tally_reference(values, family)
@@ -598,26 +565,19 @@ def test_assign_machines_matches_per_family_loop(problem):
 @given(family_problems())
 @example(_GAPPY)
 @example(_BIG_FAMILY)
-def test_relabel_by_size_matches_sorted_remap(problem):
-    values, family = problem
-    ids, counts, sizes = _family_tally_reference(values, family)
-    row = np.searchsorted(ids, family)
-    first = np.full(ids.size, family.size)
-    np.minimum.at(first, row, np.arange(family.size))
-    rank = np.empty(ids.size, dtype=np.int64)
-    rank[_relabel_by_size(np.zeros_like(sizes), sizes, counts.sum(axis=1), first)] = np.arange(1, ids.size + 1)
-    got = rank[row]
-    want = _relabel_reference(family, values)
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(family_problems())
-@example(_GAPPY)
-@example(_BIG_FAMILY)
 def test_settle_matches_loop_reference(problem):
+    # the same assignment, with one assign_machines call per round
     values, family = problem
-    assert _settle_sweep(IncidenceMatrix.from_array(values), [family])[0] == _settle_loop_reference(values, family)
+    real, calls = cells.assign_machines, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cells, "assign_machines", counting)
+        settled = _settle_sweep(IncidenceMatrix.from_array(values), [family])[0]
+    assert (settled, len(calls)) == _settle_loop_reference(values, family)
 
 
 @st.composite
@@ -647,12 +607,12 @@ def sweep_problems(draw):
 @example((_GAPPY[0], [_GAPPY[1], np.full(5, 4), np.arange(5), _GAPPY[1][::-1].copy()]))
 @example((_BIG_FAMILY[0], [_BIG_FAMILY[1], np.arange(302) % 3, np.full(302, 7)]))
 def test_settle_sweep_matches_reference_per_candidate(problem):
-    # every candidate settles as it would alone, and as the one-candidate
-    # reference settles it, so candidates of one sweep cannot cross-talk
+    # every candidate settles as it would alone, and as the reference
+    # settles it, so candidates of one sweep cannot cross-talk
     values, families = problem
     data = IncidenceMatrix.from_array(values)
     settled = _settle_sweep(data, families)
-    assert settled == [_settle_reference(data, family) for family in families]
+    assert settled == [_settle_loop_reference(values, family)[0] for family in families]
     for family, got in zip(families, settled, strict=True):
         assert _settle_sweep(data, [family])[0] == got
 
@@ -676,70 +636,6 @@ def test_count_blocks_matches_mask_reference(problem):
     assignment = SimpleNamespace(part_family=family, machine_cell=machine_cell)
     got = count_blocks(IncidenceMatrix.from_array(values), assignment)
     assert got == _count_blocks_reference(values, family, machine_cell)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(family_problems())
-@example(_GAPPY)
-@example(_BIG_FAMILY)
-def test_settle_looks_up_assign_machines_once_per_round(problem):
-    # every round relabels once and assigns machines once, and each round
-    # but the last dissolves one family; the benchmark's tracer counts
-    # dissolves as assign_machines calls beyond one per candidate
-    values, family = problem
-    calls = {"assign_machines": 0, "_relabel_by_size": 0}
-
-    def counting(name):
-        real = getattr(cells, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(cells, name, counting(name))
-        settled = _settle_sweep(IncidenceMatrix.from_array(values), [family])[0]
-    rounds = np.unique(family).size - settled.k + 1
-    assert calls == {"assign_machines": rounds, "_relabel_by_size": rounds}
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(family_problems())
-@example(_GAPPY)
-@example(_BIG_FAMILY)
-def test_settle_carries_the_settled_families_tally(problem):
-    # the settle tallies the parts once and carries that tally, and each
-    # family's size, ones and earliest part, through every relabel and
-    # dissolve; by the last round they must be exactly those of the
-    # families it returns
-    values, family = problem
-    last = {}
-
-    def recording(name):
-        real = getattr(cells, name)
-
-        def wrapper(*args):
-            last[name] = (args, real(*args))
-            return last[name][1]
-
-        return wrapper
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("assign_machines", "_relabel_by_size"):
-            mp.setattr(cells, name, recording(name))
-        settled = _settle_sweep(IncidenceMatrix.from_array(values), [family])[0]
-    part_family = np.array(settled.part_family)
-    tally, _ = last["assign_machines"]
-    for got, want in zip(tally, _family_tally_reference(values, part_family)[1:], strict=True):
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-    (_, *keys), order = last["_relabel_by_size"]
-    sizes, ones, first = (key[order[: settled.k]] for key in keys)
-    assert sizes.tolist() == np.bincount(part_family)[1:].tolist()
-    assert ones.tolist() == np.bincount(part_family, weights=values.sum(axis=1))[1:].tolist()
-    assert first.tolist() == [int(np.flatnonzero(part_family == f)[0]) for f in range(1, settled.k + 1)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
