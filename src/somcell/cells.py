@@ -112,18 +112,21 @@ def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
     """Settle each candidate of a sweep: assign machines and dissolve
     machine-less families until every family owns a machine.
 
-    Each round renumbers the families 1..k, biggest first, then most ones,
-    then earliest part. ``assign_machines`` breaks density ties toward the
+    Each round tallies each family's ones per machine, once, then
+    renumbers the families 1..k, biggest first, then most ones (the
+    tally's row sums), then earliest part, and the tally's rows follow
+    their families. ``assign_machines`` breaks density ties toward the
     smaller id, so a machine equally dense everywhere sides with the
     largest (then fullest) family instead of a small or sparse one. The
-    round then tallies each family's ones per machine, assigns the
-    machines, and dissolves every family left without one at once: each
-    of its parts moves to the family whose machines it uses most densely
-    (its ones in them over their count; families without machines get -1,
-    and ties go to the smaller id). A family that owns a machine keeps its
-    parts, so each round but the last removes at least one family.
-    Tallies and densities are exact integers over exact integers. The
-    returned ids are the last round's, so ``assign_machines`` on the
+    round then assigns the machines and dissolves every family left
+    without one at once: each of its parts moves to the family whose
+    machines it uses most densely (its ones in them over their count,
+    ties to the smaller id). Every part has a one and every machine an
+    owner, so some owning family's density is above 0 and a family
+    without machines, at 0, never wins. A family that owns a machine
+    keeps its parts, so each round but the last removes at least one
+    family. Tallies and densities are exact integers over exact integers.
+    The returned ids are the last round's, so ``assign_machines`` on the
     result's tally gives back its machine cells. ``part_families`` holds a
     non-negative family id per part for each candidate.
     """
@@ -136,21 +139,22 @@ def _settle_sweep(data: IncidenceMatrix, part_families) -> list[CellAssignment]:
             sizes = np.bincount(family)
             first = np.full(sizes.size, parts)
             np.minimum.at(first, family, np.arange(parts))
+            tally = np.bincount(family[hit] * machines + machine, minlength=sizes.size * machines)
+            tally = tally.reshape(sizes.size, machines)
             # ids no part uses have size 0, so they rank last and drop out
-            order = np.lexsort((first, -np.bincount(family[hit], minlength=sizes.size), -sizes))
+            order = np.lexsort((first, -tally.sum(axis=1), -sizes))
             k = np.count_nonzero(sizes)
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
             family = rank[family]
-            counts = np.bincount(family[hit] * machines + machine, minlength=k * machines).reshape(k, machines)
-            machine_cell = assign_machines(counts, sizes[order[:k]])
+            machine_cell = assign_machines(tally[order[:k]], sizes[order[:k]])
             owned = np.bincount(machine_cell - 1, minlength=k)
             orphans = np.flatnonzero(owned[family] == 0)
             if not orphans.size:
                 break
             at, used = np.nonzero(values[orphans])
             ones = np.bincount(at * k + machine_cell[used] - 1, minlength=orphans.size * k).reshape(-1, k)
-            density = np.divide(ones, owned, out=np.full(ones.shape, -1.0), where=owned > 0)
+            density = np.divide(ones, owned, out=np.zeros(ones.shape), where=owned > 0)
             family[orphans] = np.argmax(density, axis=1)
         settled.append(CellAssignment(part_family=tuple((family + 1).tolist()), machine_cell=tuple(machine_cell.tolist())))
     return settled

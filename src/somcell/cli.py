@@ -26,6 +26,7 @@ from ._util import JSON_NUMBERS, atomic_write_text, is_json_int
 from .cells import CellAssignment, build_view, form_cells, polish
 from .incidence import IncidenceMatrix, load_matrix, render_block_diagonal
 from .som import (
+    UNITS_PER_SQRT_PART,
     MapGrid,
     SomModel,
     default_grid,
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a map and write the model JSON")
     add_matrix_flags(sp)
-    sp.add_argument("--grid", type=_parse_grid, default=None, help="ROWSxCOLS (default: near-square, about 5*sqrt(P) units)")
+    sp.add_argument("--grid", type=_parse_grid, default=None, help=f"ROWSxCOLS (default: near-square, at least {UNITS_PER_SQRT_PART}*sqrt(P) units)")
     sp.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
     sp.add_argument("--out", required=True, help="model output path")
 

@@ -123,6 +123,8 @@ class TrainingSchedule:
 
 # training steps (epochs x parts) above which the schedule runs fewer epochs
 STEP_BUDGET = 4000
+# default map units per square root of the part count (see default_grid)
+UNITS_PER_SQRT_PART = 3.5
 
 
 def default_schedule(grid: MapGrid, parts: int) -> TrainingSchedule:
@@ -147,10 +149,14 @@ def default_schedule(grid: MapGrid, parts: int) -> TrainingSchedule:
 
 
 def default_grid(parts: int) -> MapGrid:
-    """Smallest near-square grid holding at least ceil(5 * sqrt(parts)) units."""
+    """Smallest near-square grid holding at least
+    ceil(UNITS_PER_SQRT_PART * sqrt(parts)) = ceil(3.5 * sqrt(parts)) units:
+    rows and columns differ by at most one, rows the larger. 400 parts get
+    9x8 = 72 units, 250 parts 8x7 = 56.
+    """
     if parts < 1:
         raise ValueError("parts must be positive")
-    target = math.ceil(5.0 * math.sqrt(parts))
+    target = math.ceil(UNITS_PER_SQRT_PART * math.sqrt(parts))
     base = math.isqrt(target)
     if base * base >= target:
         rows, cols = base, base

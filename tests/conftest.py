@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from somcell import IncidenceMatrix, MapGrid, MatrixFormatError, SomModel, load_problem1
+from somcell import CellAssignment, IncidenceMatrix, MapGrid, MatrixFormatError, SomModel, load_problem1
 from somcell._util import atomic_write_text
 from somcell.viz import HitHistogram
 
@@ -215,12 +215,14 @@ QUALITY_RUN_SEEDS = (1, 2, 3)
 
 
 def quality_family():
-    """``(name, values)`` of each instance of the quality family, in a fixed order.
+    """``(name, values, planted)`` of each instance of the quality family, in
+    a fixed order.
 
     Each is ``k`` diagonal blocks (every side at least 2 wide, the rest
     split by a seeded multinomial) with every bit flipped with probability
     ``noise``, rows and columns shuffled; a draw with an empty row or column
-    is redrawn, not repaired.
+    is redrawn, not repaired. ``planted`` is the blocks' assignment of the
+    shuffled rows and columns, as a ``CellAssignment`` with ids 1..k.
     """
     out = []
     for seed, ((parts, machines), k, noise) in enumerate(
@@ -234,8 +236,11 @@ def quality_family():
             values ^= (rng.random(values.shape) < noise).astype(np.uint8)
             if values.sum(axis=1).min() > 0 and values.sum(axis=0).min() > 0:
                 break
-        values = values[rng.permutation(parts)][:, rng.permutation(machines)]
-        out.append((f"{parts}x{machines}-k{k}-noise{round(noise * 100)}", values))
+        rows, cols = rng.permutation(parts), rng.permutation(machines)
+        planted = CellAssignment(
+            part_family=tuple((pf[rows] + 1).tolist()), machine_cell=tuple((mc[cols] + 1).tolist())
+        )
+        out.append((f"{parts}x{machines}-k{k}-noise{round(noise * 100)}", values[rows][:, cols], planted))
     return out
 
 

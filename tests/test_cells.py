@@ -822,7 +822,7 @@ def _full_schedule(grid):
 
 @pytest.mark.parametrize(
     "values",
-    [pytest.param(values, id=name) for name, values in quality_family()
+    [pytest.param(values, id=name) for name, values, _ in quality_family()
      if name.endswith("-noise15") and values.shape[0] <= 400],
 )
 def test_budget_and_polish_hold_the_full_schedule_efficacy(values):
@@ -834,3 +834,18 @@ def test_budget_and_polish_hold_the_full_schedule_efficacy(values):
     full = form_cells(train(init_codebook(grid, data, seed), data, _full_schedule(grid)), data, default_kmax(data))
     _, grouping = extract_cells(train_map(data, seed), data)
     assert grouping.efficacy >= _efficacy(data, full)
+
+
+@pytest.mark.parametrize(
+    "values, planted",
+    [pytest.param(values, planted, id=name) for name, values, planted in quality_family()
+     if name.endswith("-noise15") and values.shape[0] <= 400],
+)
+def test_default_pipeline_reaches_the_planted_efficacy(values, planted):
+    # the default pipeline at the first run seed against the blocks each
+    # instance was drawn from, on the noisiest slice of the quality family
+    # up to 400 parts: whatever map size default_grid picks, the cells it
+    # finds are never worse than the planted ones
+    data = IncidenceMatrix.from_array(values)
+    _, grouping = extract_cells(train_map(data, QUALITY_RUN_SEEDS[0]), data)
+    assert grouping.efficacy >= _efficacy(data, planted)

@@ -40,7 +40,7 @@ def _case(name):
         return IncidenceMatrix.from_array(planted_tall(int(arg))), 42
     if kind == "planted250x45":
         # seven blocks at 5% noise: the default sweep (k = 2..23) settles
-        # 22 candidates with 54 dissolves between them
+        # 22 candidates, 35 families dissolving between them
         values = planted_tall(
             int(arg), (50, 42, 38, 35, 32, 28, 25), (9, 8, 7, 6, 6, 5, 4), noise=0.05
         )
@@ -54,97 +54,97 @@ def _codebook_sha256(model):
 
 GOLDEN = {
     "problem1-42": {
-        "codebook_sha256": "9146b91efd7245f1b5cc87a1290f7a66c85a16cd7f931c2fa2e202c846986a0e",
+        "codebook_sha256": "ee965879a8679c4af84313e1b84017f0238fe9f3a69aa3196db39950c8cdb90a",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-43": {
-        "codebook_sha256": "894612bb2e33537c3a424a21da5401406dc7cfb5d62a731f4d2804c54511378f",
+        "codebook_sha256": "e1de92fecfdc6773f6fad0f9367d8101964ae4c3ec2f3e71e37929b871beed87",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-44": {
-        "codebook_sha256": "0f028a927c0499f55582eb9278b8c168c65ab61b688f8830c2ebdf5e2ad84795",
+        "codebook_sha256": "0bcd915530c719184f02dc80c0e8dc9eef2760fc2bb8c2a09f16e7d71551a5fe",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-45": {
-        "codebook_sha256": "418f73325419831b25d3d8aaf17cbe7e7f51510dc82168739917f9bdacd75d65",
+        "codebook_sha256": "2f30290643218a6605a242e9f881aa4b1937e8ccd9b60040313f4f59700315f9",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-46": {
-        "codebook_sha256": "ea4d1077d51fc160a134f79389ca9057aeb4a93267d4ad3cd961c180071ee377",
+        "codebook_sha256": "642e58310844b259bd98b4730a2c51743b82a59ce01dafa68cfa420a64f8b242",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-47": {
-        "codebook_sha256": "29a2386b20aa2be3967c2aa52664fc00319d4f642ab2bf72793256d8c0e9eae3",
+        "codebook_sha256": "8415ba21c95eb1570c2928388a248e24d701c147f53d4745b814c78a85a8d3f2",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-48": {
-        "codebook_sha256": "fc0a7b5719a9ef62443ab94e9411676f6c66a16c5d47b0f107564d34e0f6998c",
+        "codebook_sha256": "551c32d51601279ad1ff964066ec44a1dd95d107dcea0c9caf236dfb76695a2c",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-49": {
-        "codebook_sha256": "a4552b92afaae328700fd5d3e390ea25226fd407450126a8e15a4ca4e21c2747",
+        "codebook_sha256": "e202cf53233bc31bd56cbff5fd5f5a6b5ba4a495ce6abc6868b0c853bfcc69ee",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-50": {
-        "codebook_sha256": "4fffad5f45ec282ffa5f884b82277d3d874c5a5f200f209278f0758d57e006a4",
+        "codebook_sha256": "ffed7089f47ad20dbb858878a8ef0b9cf7366e44262aff7632507ddd5dd44a83",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "problem1-51": {
-        "codebook_sha256": "dc0d2329a0b9f4c8c5e567a61d1232238e22431d043cfc4ab1f96d72909a7e68",
+        "codebook_sha256": "4bc0d31e0d54ea7e8507cb26a599931fd60b5ebac226ac1f910a6b9c821bb81c",
         "part_family": (2, 2, 1, 1, 1, 1, 1, 1, 1, 2),
         "machine_cell": (1, 2, 1, 2, 1, 2, 2, 2, 1, 1),
         "efficacy": Fraction(25, 26),
     },
     "planted6x6-0": {
-        "codebook_sha256": "8f91f550692d3dd39c79ce2f47f00a8068fcceeb6491f5404f6aaca9e1140261",
+        "codebook_sha256": "4e060e94938d41ec309f7017e18471f5ac06a16da30a4559191b4aa65a402f4d",
         "part_family": (2, 1, 2, 3, 1, 3),
         "machine_cell": (1, 3, 3, 2, 2, 1),
         "efficacy": Fraction(11, 13),
     },
     "planted6x6-1": {
-        "codebook_sha256": "22c069ed86469b31bfed3c7244796213791d624802fe2676922c6355de7d0fad",
+        "codebook_sha256": "ce023e4bec58858e763e45eb95034d011b91370d8195d4ef725879375474738a",
         "part_family": (1, 2, 2, 2, 1, 1),
         "machine_cell": (1, 2, 2, 1, 1, 1),
         "efficacy": Fraction(8, 9),
     },
     "planted6x6-2": {
-        "codebook_sha256": "27cb9c0c13ded2059cda1940e5cf504d2c30eea010a06b68c6996af863d213aa",
+        "codebook_sha256": "159d3639853ba9957c808c7a0b080febbc1cb0ea81b94a48e4cfe16fc34e7d41",
         "part_family": (2, 3, 2, 1, 3, 1),
         "machine_cell": (3, 2, 1, 1, 3, 2),
         "efficacy": Fraction(11, 13),
     },
     "planted6x6-3": {
-        "codebook_sha256": "56e87207e641c795059ff08efa62d31677d6eabbde7f70c57ecaa51b23dba2d0",
+        "codebook_sha256": "81418147687f4291505d7286a7d88778d9efffddb9dcfd704d57512f1d2a0acb",
         "part_family": (2, 3, 2, 1, 1, 3),
         "machine_cell": (3, 1, 1, 2, 3, 2),
         "efficacy": Fraction(6, 7),
     },
     "planted6x6-4": {
-        "codebook_sha256": "4af07f90084be7ace3ddf2208f0efb28bcff4644731c2e36e485522548205ea5",
+        "codebook_sha256": "bcfdf883207b30e586638b1de3bf689e4fc97d7836cc83e98b9c1a09e39b78f7",
         "part_family": (1, 2, 3, 2, 3, 1),
         "machine_cell": (3, 1, 3, 2, 1, 2),
         "efficacy": Fraction(11, 13),
     },
     "planted100x40-7": {
-        "codebook_sha256": "150703ee68409ee0590f8e429dee137475ef88a12bbefbf47027689b27f48029",
+        "codebook_sha256": "e67c056383945331285b448a69b72f9f10e198e332b630a1c8a99154666b1bc6",
         "part_family": (
             1, 3, 2, 3, 3, 1, 2, 2, 2, 1, 4, 4, 4, 2, 4, 1, 3, 1, 3, 3, 1, 4, 1, 3, 3,
             2, 2, 4, 3, 2, 3, 2, 1, 2, 1, 1, 4, 2, 4, 2, 2, 3, 1, 4, 3, 4, 1, 1, 3, 2,
@@ -158,7 +158,7 @@ GOLDEN = {
         "efficacy": Fraction(9, 10),
     },
     "planted250x45-3": {
-        "codebook_sha256": "acae19742325cfdebdc514cd817a6450452b19f8aebc387cf489379a25365a54",
+        "codebook_sha256": "8df09570215a77a5b27d30589fc039442870a049ffb00990c8b350d55d9a8410",
         "part_family": (
             3, 6, 1, 5, 2, 7, 3, 7, 2, 1, 6, 4, 4, 5, 5, 3, 3, 3, 2, 2, 7, 6, 1, 2, 5,
             2, 2, 2, 6, 1, 4, 4, 3, 5, 1, 1, 1, 3, 3, 5, 7, 7, 4, 2, 1, 4, 6, 1, 4, 6,
@@ -180,9 +180,9 @@ GOLDEN = {
 }
 
 SCATTER_GOLDEN = {
-    "problem1-42": "9d7f0c59f568dc32edd3be17eef3a9e0b255d6904d4fc2f81684abe6c3a6a7a8",
-    "planted100x40-7": "b3a9adffafb75dde512e7096e881a790a465a90aa6e30b72213d828445a4a2b5",
-    "planted250x45-3": "9b81fc86117b869702b679e7f5cbceeafd8f026be27eae2925c991ba1543e065",
+    "problem1-42": "2351e5d8334f050d272d03498874ff78e4dbabea886004db42a2c0e57a7d62e5",
+    "planted100x40-7": "93ed9228fea64d9175f62cf4d4f0444d3d438f9c373112db6a1f931bb7adf998",
+    "planted250x45-3": "541e7385546efdaf58236d1dec8e691514fdad5625a63cc79753449edbe028e5",
 }
 
 
@@ -213,7 +213,7 @@ def test_saved_model_is_pinned(tmp_path):
     path = tmp_path / "model.json"
     save_model(train_map(matrix, seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "3468d7db5126404eee52990078d1fe3ddd12012c8fb83807bdcfb208ee6948c9"
+        "671b2aaa07f74b377bb3ec851c32ab62e9f38345257b924397cbec7c8985ff32"
     )
 
 
@@ -226,84 +226,84 @@ def test_readme_recipe_converts_the_version_1_model_to_the_version_2_file(tmp_pa
     monkeypatch.chdir(tmp_path)
     save_model_v1(train_map(*_case("problem1-42")), "model.json")
     assert hashlib.sha256(Path("model.json").read_bytes()).hexdigest() == (
-        "798f3380c0342d7258529ebe728fbcfb2d26dda43a77a33725bf3b861e97f9a8"
+        "be015bec50d055bad77ba23510be0d8c550d2c14169367ee032d8d95b277af24"
     )
     with pytest.raises(ValueError, match="^unsupported model version 1$"):
         load_model("model.json")
     exec(compile(recipe, str(README), "exec"), {})
     assert hashlib.sha256(Path("model.json").read_bytes()).hexdigest() == (
-        "3468d7db5126404eee52990078d1fe3ddd12012c8fb83807bdcfb208ee6948c9"
+        "671b2aaa07f74b377bb3ec851c32ab62e9f38345257b924397cbec7c8985ff32"
     )
 
 
 # sha256 of every file `somcell viz` writes (default flags)
 VIZ_GOLDEN = {
     "problem1-42": {
-        "umatrix.svg": "9618990d77c89adbb26605b34b2e3cb681808a2d113ec3b64b1895d3b86f3427",
-        "plane_m1.svg": "a6535fee3e59975617481f1d1e24497b753cf04712be8eb938a6cf394ff7c4ca",
-        "plane_m2.svg": "e2419e635cebf36efff40fb6eb6cbe9f93ab78fe339bb39f871a0ac0b5b0cc94",
-        "plane_m3.svg": "80d7d13ff1e2cc220153a03ed5870769abb175544f22f29aafb26d3e68670b0c",
-        "plane_m4.svg": "3dfe830bcd2ece5d09a5f3e22bf69c3617e7c1e1dc4b9ca8c55b25ee1e151608",
-        "plane_m5.svg": "077cccd0b848405af81c844748e1cc460639f1c740ac403fc8cdc06669c6fb15",
-        "plane_m6.svg": "0d5ab25cefb48be65e6271c10562c703d5879a04a9e345e4e2e587c9b80f8c65",
-        "plane_m7.svg": "e39c1e20ed9c91263a7ecb5409e517f4e6786824507afaa1cac28cde22df1752",
-        "plane_m8.svg": "8e14bf91f308a57a093570ae8e31a6dca4878a35f0b48488af8d1049f9693e04",
-        "plane_m9.svg": "21dc178042af259cd456f231edfc13c4323caee8252c960620f9d245333cd57e",
-        "plane_m10.svg": "674a147fc121ab389e7a7c646fbd8d5bbbe6fe221873ca29922bb564ea840002",
-        "hits.svg": "5fe42329667266c0465cf463e2c1e65f9ee5b86f5ff6762f6198edb6e3aa8364",
-        "projection.svg": "9c40e0f2efe70581e919a55bc41f896773bd8aed7d2963b55a0d0330300d4e17",
-        "scatter.csv": "9d7f0c59f568dc32edd3be17eef3a9e0b255d6904d4fc2f81684abe6c3a6a7a8",
+        "umatrix.svg": "c72878ad2922559f932bce0a6c5d3a0ab7a7d2eb095bfc0d4a59658f5e8bd0e6",
+        "plane_m1.svg": "a141be32e0ecbb9e2a265816508322eb8f42e59ffa95470f291dd37c30bd1d62",
+        "plane_m2.svg": "ac7d21bc415eeabc72a3f0d4f86f4350bf175cd15f3dd6fe6c85735263310b5f",
+        "plane_m3.svg": "ac27f3092eb60c17a354ca76d3659700d8e973366a1861e05a16ade9f16a04ab",
+        "plane_m4.svg": "26c705e81d979a4dea6c9da73ed180fe4fb945e5b227e5bd828e22f8a1b2a5b0",
+        "plane_m5.svg": "be7093b99ab4d737a17cc3608eb550f4cac4d44c69927c941cf13e197255ab95",
+        "plane_m6.svg": "f611c8cd6aa28d25dc92cb78a2ffec43e3fa9fd049b7d17e96d13d0e0bc8ba5c",
+        "plane_m7.svg": "22be398e8f94ed42643290635198f2e8ca5680082d1c3c2d84dd21f33bdbdd94",
+        "plane_m8.svg": "5a8574c1aaf435ddef2f02d3009d85c378c624ca481c07c33544b90f415183a3",
+        "plane_m9.svg": "61cb2b0c6e6a66e81347951ee264f238314278af29eb6c62193839475d2a4ffd",
+        "plane_m10.svg": "976c64e7e9227b382fd5813e1b5ded7608426612eae265c2a786eb9346613a19",
+        "hits.svg": "50053186e7d6cc141d70dc7136a83837a7320a137df01d45562398aa0a7b0ae3",
+        "projection.svg": "09b5081ca26eecb1888a48e6f107c2078f98850b7766b6b523cd1dbf00119cba",
+        "scatter.csv": "2351e5d8334f050d272d03498874ff78e4dbabea886004db42a2c0e57a7d62e5",
     },
     "planted250x45-3": {
-        "umatrix.svg": "a974ca76cc1e0ef5223b042a1cb253c6436afd8bc3b5b3194abb0c48b25f760c",
-        "plane_m1.svg": "2dc1a7c4b41fe6e9dd339bd794dbcdcdc8689b8da569bb1ef54bed14a5c6235b",
-        "plane_m2.svg": "cc90d9494c6464fe8ad806ff215e4a45dfec650dad7151e5e81c7618c2d548ca",
-        "plane_m3.svg": "6078176330ad7fa3279945e7e6a0ab1a888c708f59afde55d252a5389c25baef",
-        "plane_m4.svg": "dfeaf5f026e0c0394ee745391694971cf72adf9d393a0afbb075f000743306a4",
-        "plane_m5.svg": "7346db8f8b08759299ff204d25506b62d20ac1f8fae729f2be0e80f169ca8fab",
-        "plane_m6.svg": "23bc65cc8548eb665cf0a1ac26737caaf2f2fb39eaeb76f5147a03e6f2214308",
-        "plane_m7.svg": "a967276c9c84d679a131c4513f6e5d196badf19d3a4341bc090847b92dad52d8",
-        "plane_m8.svg": "ddc1fc79e34abc8de0a611e56f2d0f0ab8a564b94bea1dd1e546f8199d7a29cc",
-        "plane_m9.svg": "9afc565a537086e09bcf1f08d7e0926c7accd7647f2f3768bdf67e2036615e9a",
-        "plane_m10.svg": "0e0ac5a77b48401f9f620b63368983bd723f59f6ba7a13236f322eb5fb9a7977",
-        "plane_m11.svg": "b9e8a15c08b8f98f365106ec29285ad23bfb32da3c155b32cece4ddbb39370c5",
-        "plane_m12.svg": "8a8c5c8a0f3be8ebfba99cfbbe765ffd325071cf3aaa5e6b8731974ee728dbb3",
-        "plane_m13.svg": "26f7a1d790a8b06a85d436b1ecd2415fc9af86350a0e04d821a5cc39faa35428",
-        "plane_m14.svg": "c87226c60189a2ffc35835c074a9a0e23ee7e8eca49ccee3544e5f272aa398b7",
-        "plane_m15.svg": "76f6040eaf059e5d6d47b21eac989cdaaac58262a200ace014e71f99214f2346",
-        "plane_m16.svg": "708144f6712b9b942df6aaec34b8f487ee2b023e676b33303ff6c086ead806e0",
-        "plane_m17.svg": "369f68f4716d96ee9df562a555abe22d3bf90bdd65475a6236ffa0f85567e20f",
-        "plane_m18.svg": "306462c15c52476bd84b02c1f0689db984e33715de426588df6d3b5afe90cef0",
-        "plane_m19.svg": "a9d7ebeba1aa91408f3e392a7a9bdc633c0ca2eb6acef6ae918e9a82992212f1",
-        "plane_m20.svg": "1ea2b532ce6f6db31f84f3f8b8e90560d68bc1e7b0ca0f50c6e14d45f20e6e9f",
-        "plane_m21.svg": "299a6b891a7e331d4ca93bd35e4b690f6d3e30b8d5b5dcfb24081fc26a72eab8",
-        "plane_m22.svg": "eab178ec190e3f2c5078234e3acbbb21b6378a02dcda58be70e0e47ce3fd0db0",
-        "plane_m23.svg": "4a76cf5357890eebe4d828899debceac229487ea5945fcea275720ed9888f7e1",
-        "plane_m24.svg": "35ff88173cfaedaf881d228a3bf240a4e4b5be15d6e0a18e3504953c2d4a61ee",
-        "plane_m25.svg": "6696d38840649e8429a4e563c1a18deb3ffa6e8d836cbf5bce72e5c066dc3244",
-        "plane_m26.svg": "db6c351abf23c2171489edcb6134962b4bb79b1d41a596718ce5a40cc07b318e",
-        "plane_m27.svg": "e01761372dd2b19d3dbfbf49c36d424a4bbc0ad3cef734c4a14e491fa1d445ae",
-        "plane_m28.svg": "39517bbb64214ca36772a84fc48a1de328f432c6a4e84f2d3f5e026a468138bb",
-        "plane_m29.svg": "67b0353c893b4eb47eca2d96a647e7e3da0692cb9178d3807636773f80ef6d31",
-        "plane_m30.svg": "39f1848cbc961ca0f95329079077f47609b1f5deac722546d18cf83aa9e51b4a",
-        "plane_m31.svg": "c81211f5c84c497a8fe2df75875b30497cb2e6e07ed7eaed7ae101a190886907",
-        "plane_m32.svg": "187d71837d9803f55e08df59b3dd12c40261f8e80abb96424c88d22ab227a59d",
-        "plane_m33.svg": "41656adedb4d801a2d15248d31e9c29bd71174ec453e897f7259bc34777bc637",
-        "plane_m34.svg": "c5b7371c8d417666359a4105179d630bf0abefd6d6103484c2c4d95dac44e2cc",
-        "plane_m35.svg": "1b4a6b87e0b2f068487abcb3b51e0111312933e4fac979a6b8d1b2551b3c7c79",
-        "plane_m36.svg": "a8a740351de153a5c8b6d1c41ecb86feffb8b72a756de34c1d88b1b662214112",
-        "plane_m37.svg": "a1739d137249773cbc5e79fd15e2a78808ee5133f216a574d31fcf4ee65a3480",
-        "plane_m38.svg": "30e05d1237b7726e478e15109ad00b2dccba917935c879b3ad7c710223d25f19",
-        "plane_m39.svg": "8acb9a74a65ec978378cfb19d95f9ecc8d63807c347f43c9ef31b4ca0c19b8bb",
-        "plane_m40.svg": "250c86051bdc90a091cee5cd4f1d6c4c964d53363f8b2efd1371719b4f287567",
-        "plane_m41.svg": "50fbb9a2b63de5eb56c33fa6c2ce0e1b46122b3a87d56d48715e64b7d5ef3f8d",
-        "plane_m42.svg": "57298d7d4e21047592f4db6c9ca7dca0c15add0d0e3360344efbe5d240a35b6f",
-        "plane_m43.svg": "15e815cd4a0d046f3e8394b663df527e81acc3f3cdca45ea2283f57b6a21383d",
-        "plane_m44.svg": "ef09d1e302c55395db0c445ca123125e30e3d655619b2a800fc552f16cf5e832",
-        "plane_m45.svg": "04b0fde89a8a6dc63d74705125e3e6b9a309b47f0ee043e3784196f695e559ce",
-        "hits.svg": "0b12fae750a0438eb196ebe78fec7c48f7bf997e15c510479eaf788f25cf0fec",
-        "projection.svg": "538a788f60090d4c05d0c4d4e197d259a595aac7dcdc9e63d117abbdc26bf17b",
-        "scatter.csv": "9b81fc86117b869702b679e7f5cbceeafd8f026be27eae2925c991ba1543e065",
+        "umatrix.svg": "4cbb309500d712634f8834d77a3be8940b4bb9f2dfd350ffdf28050ce0cdc962",
+        "plane_m1.svg": "7b8df938303b8c2ec45baa9afc40ee1df3731cd95b6bfb76a3ff76e936076898",
+        "plane_m2.svg": "b6bc7ff64e92030ab614304b23212487c63d468f505a8a8c4e23e0287a8986ed",
+        "plane_m3.svg": "8acf5d0940ce4658bd85523c13128d199c57a66e203a5569c425d620ed46f272",
+        "plane_m4.svg": "038d8f0e09a8d85b21b80eb555bda5748c312cdfc6deb2e7693b35cb64bfa880",
+        "plane_m5.svg": "06f3010a2cc94c515a743a73039f917d5f915334d0f09045b3836fe2ceb74d44",
+        "plane_m6.svg": "10adce20981f78f087f4a2f49bbde5e79654561ff1db6a76e6ae284f23f3676d",
+        "plane_m7.svg": "172a8a91ff9b7aab58dc8a2ca7fd57e5e4d78e224f586a519ccc3f434c66af4a",
+        "plane_m8.svg": "8c5391659911790b54ebf4ea5ecbcd631143f8801427619e8266a880d4cf74d1",
+        "plane_m9.svg": "abcfefa9de9fcacbaee61a9708515e5705f598217bdc7d3d699778201ddac5c4",
+        "plane_m10.svg": "506b79fefb33bacb59a61c4f0d0f6054f360e7e1af4430fac9ac5b04ecb78615",
+        "plane_m11.svg": "ad34051f66ce5206c506e0a1721477d15c1d917b4da41787803274179412e568",
+        "plane_m12.svg": "16ef19ab2b16b5f9e8361873af432511f01291b1d8c48b9533b741afeb9f919b",
+        "plane_m13.svg": "2ca161df4458c574b00cfe6600697c72398c927af04603a27b35464909173024",
+        "plane_m14.svg": "9656dd096a0a597b59e49c909bbef067f0baa2e6c3555f9eb553ca2f5af5f5a2",
+        "plane_m15.svg": "c35ec2298f5c7b8850e22868ded6f115c91fdc1f50097f55582dca7825ebd11f",
+        "plane_m16.svg": "da97f6fec4d748caeb70bad882eb51313afc7714c16ccc5815317e1224888702",
+        "plane_m17.svg": "64fcfdaae5f10de9b42476248fb50472f61164e2f9f400f446e2420a64d6b707",
+        "plane_m18.svg": "6dc7af5fdda8c1f1dc30ddd2025df4da1a2b467858cc7b1ad0826f44f92bdc86",
+        "plane_m19.svg": "3061d1ca5a90b31595b78ff07b42eecce88587993d02d19d08fd6fb0bd68fb96",
+        "plane_m20.svg": "8942f5e37c26763875a9fed355f1e6223dbe54d4d493851266cdcede12f5ac94",
+        "plane_m21.svg": "f862200912b4e3d23d216dbeaea2c839e3b4138ce1ff583ff01303b8ea25de57",
+        "plane_m22.svg": "b4bfe21ac1ace6d5f3fa8b07a0f1829ea1002fe6d910a378824c87a424589af0",
+        "plane_m23.svg": "860f95362c2bc93614b098b6a54252a3054a6e9e8f8aad7c3bcd042e05bd478d",
+        "plane_m24.svg": "184eef0bc028e4196c87643beeeeeb4fac8e8465394c85bacafc85eb0250c4ec",
+        "plane_m25.svg": "e9bf54bb6ba1740b75a39827c4554571557422d1bfe2585370d930b80dbf6d09",
+        "plane_m26.svg": "7cea241215c1680191e88cc9f988d32a3168d6b0bebf2ce0739cc5c25b933ea4",
+        "plane_m27.svg": "7d8dadfb20dda20bfaef6f307c9eb58d8ae2e2748f94eb13eac0aadaf3a038b4",
+        "plane_m28.svg": "512b5e7e15b913d836fa2ab264db9e106fd372af1f88cf562f14ba8d9da6e24a",
+        "plane_m29.svg": "fe9b3e2db68c101f8c4577a037b00afc2eff562ae0e8fed5615f66f63df175f3",
+        "plane_m30.svg": "a4433dfa5944d16a08da8b7373dad6443eadfa9b043f5991520296da5da18384",
+        "plane_m31.svg": "d5dc11e0b4d14cd3a763ef6c5ee13fdfb0b560c6d613ac49622e9febfc9063ca",
+        "plane_m32.svg": "04c85ea4c48fd25b1e97ecb7c22f94edd0a5ccb96a99033e22471361882e65e3",
+        "plane_m33.svg": "68a13b55c6c3e215eef4b4fb8b1d468ba66091308cc10651cba9c96e51cfa79b",
+        "plane_m34.svg": "4bab19783cad474ca979fc994732807edde1605de4bff02ad2ce9e9172078dfe",
+        "plane_m35.svg": "b60fd10b74882010b42ef6c864a8806311f67ebf0578b047b7f3e4cdfb48aac6",
+        "plane_m36.svg": "04523c8e3b0d9fd83e9e216742a5a30ac6e82558ed7a4556fc89df31992714ae",
+        "plane_m37.svg": "ef580aae563603af5e8278c39e13d4a890d4df562541389edbc0da590905b2c6",
+        "plane_m38.svg": "29e2d342a75ada561a8093645a642cce45d288a50da0026462477906250e4425",
+        "plane_m39.svg": "a6ec274199478397f6fa2f483ec793f5a9c4b86ca5b32569096a31afb8d727d2",
+        "plane_m40.svg": "ab831ec627ef4068b10ff4bcffdc920383f76cdcde3914b5071d51d2ac28cda3",
+        "plane_m41.svg": "deb5e4aa010523c13ec32a029fefba2ea10d32586a8d5695c8340957bf2da557",
+        "plane_m42.svg": "57e1af6d93793d4d27673d3196abcee876ffc80942b4f385e08cc9a172588f76",
+        "plane_m43.svg": "011258059557609a6fd58c417b81ac3f1d334fafa86010d078076f7ffbec5d45",
+        "plane_m44.svg": "c312ab26cd885d0e760c931dbe35bba224295abc4d9a1bc5e210b8d3d298b4d6",
+        "plane_m45.svg": "c7b3ded5bf36a8a3a753ea4be94bbac2a16c9f17553dd0cbfbc9bdc75b0345bd",
+        "hits.svg": "ff1f635c6cdfee71ba9435f635017560975430fc54a3e24977e4035831923338",
+        "projection.svg": "9f5ee9fc15e50c2f15c8d02ba1905d4c256dc84749589e5d9a43a0fa53333406",
+        "scatter.csv": "541e7385546efdaf58236d1dec8e691514fdad5625a63cc79753449edbe028e5",
     },
 }
 

@@ -358,12 +358,11 @@ def test_train_run_is_bit_identical_to_the_step_loop(problem):
     assert np.isfinite(got).all()
 
 
-def _lattice_problem(parts, machines, steps=360):
-    """train_run inputs on ``default_grid(parts)`` with its default schedule:
-    ``steps`` steps spread over the whole schedule, so the run meets both
-    phases' alphas and sigmas, in three epochs."""
+def _lattice_problem(parts, machines, grid, steps=360):
+    """train_run inputs on ``grid`` with its default schedule: ``steps``
+    steps spread over the whole schedule, so the run meets both phases'
+    alphas and sigmas, in three epochs."""
     values = random_incidence(np.random.default_rng(parts), parts, machines, density=0.2)
-    grid = default_grid(parts)
     model = init_codebook(grid, IncidenceMatrix.from_array(values), 1)
     alphas, sigmas = default_schedule(grid, parts).step_values(parts)
     picked = np.linspace(0, alphas.size - 1, steps).astype(np.int64)
@@ -372,13 +371,19 @@ def _lattice_problem(parts, machines, steps=360):
 
 
 @pytest.mark.parametrize("schedule", ["default", "zero-sigma-tail", "underflowing-sigma"])
-@pytest.mark.parametrize("parts, machines, levels", [(400, 60, 101), (2000, 300, 205)])
-def test_train_run_is_bit_identical_on_real_lattices(parts, machines, levels, schedule):
+@pytest.mark.parametrize(
+    "parts, machines, grid, levels",
+    [
+        pytest.param(400, 60, MapGrid(10, 10), 101, id="400-60-101"),
+        pytest.param(2000, 300, MapGrid(15, 15), 205, id="2000-300-205"),
+    ],
+)
+def test_train_run_is_bit_identical_on_real_lattices(parts, machines, grid, levels, schedule):
     # 360 steps span several weight tables on both lattices (81 and 39 steps
     # a table); the last cases end on steps that move only the matching
     # unit, or have a sigma whose 2 sigma^2 underflows to 0 mid-table, and
     # train_run must not warn on them (the suite turns warnings into errors)
-    codebook, values, orders, alphas, sigmas, dist_sq = _lattice_problem(parts, machines)
+    codebook, values, orders, alphas, sigmas, dist_sq = _lattice_problem(parts, machines, grid)
     assert np.unique(dist_sq).size == levels
     assert orders.size > 4 * kernels._TABLE_ELEMENTS // levels
     if schedule == "zero-sigma-tail":
@@ -392,12 +397,12 @@ def test_train_run_is_bit_identical_on_real_lattices(parts, machines, levels, sc
 
 
 def test_train_run_tabulates_few_steps_at_a_time():
-    # the BLAS-thread check's shape: 2000x300 on a 15x15 map, three epochs
-    # of 2000 steps over 205 distinct lattice distances. Besides the
-    # float64 samples, the codebook and its difference buffer, train_run
-    # holds a (units x units) index, the sample rows as a list and a 64 KB
-    # weight table (about 0.9 MB in all here); a table for each epoch
-    # (2000 x 205 x 8 bytes, 3.3 MB) or for the whole run would not fit
+    # the BLAS-thread check's shape: 2000x300 on the default 13x13 map,
+    # three epochs of 2000 steps over 171 distinct lattice distances.
+    # Besides the float64 samples, the codebook and its difference buffer,
+    # train_run holds a (units x units) index, the sample rows as a list and
+    # a 64 KB weight table (about 0.9 MB in all here); a table for each
+    # epoch (2000 x 171 x 8 bytes, 2.7 MB) or for the whole run would not fit
     parts, machines = 2000, 300
     values = random_incidence(np.random.default_rng(7), parts, machines, density=0.2)
     grid = default_grid(parts)

@@ -123,11 +123,14 @@ def test_default_schedule_needs_parts():
         default_schedule(MapGrid(2, 2), 0)
 
 
-@pytest.mark.parametrize("parts, expect", [(10, (4, 4)), (6, (4, 4)), (100, (8, 7)), (1, (3, 2))])
+@pytest.mark.parametrize(
+    "parts, expect",
+    [(10, (4, 3)), (6, (3, 3)), (100, (6, 6)), (1, (2, 2)), (250, (8, 7)), (400, (9, 8)), (2000, (13, 13))],
+)
 def test_default_grid_sizes(parts, expect):
     g = default_grid(parts)
     assert (g.rows, g.cols) == expect
-    assert g.units >= math.ceil(5 * math.sqrt(parts))
+    assert g.units >= math.ceil(3.5 * math.sqrt(parts))
 
 
 def test_init_codebook_is_deterministic_and_in_data_box(problem1):
