@@ -49,6 +49,7 @@ from .viz import (
 
 DEFAULT_SEED = 42
 DEFAULT_RESTARTS = 10
+_VIEWS = ("umatrix", "planes", "hits", "projection", "scatter")  # the surfaces `viz` can write
 
 
 def _parse_grid(text: str) -> MapGrid:
@@ -211,7 +212,7 @@ def cmd_viz(args) -> int:
     hits = compute_hits(model, matrix)
     assignment, _ = extract_cells(model, matrix, args.kmax, hits=hits)
     part_cells = assignment.part_family
-    wanted = args.only or ("umatrix", "planes", "hits", "projection", "scatter")
+    wanted = args.only or _VIEWS
     # every surface is computed before the first file is written, so a
     # matrix that cannot be projected leaves no partial output behind
     svgs = []  # (file name, surface, part cells)
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--only",
         action="append",
-        choices=["umatrix", "planes", "hits", "projection", "scatter"],
+        choices=_VIEWS,
         help="restrict output (repeatable)",
     )
 

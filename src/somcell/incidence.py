@@ -51,7 +51,7 @@ class IncidenceMatrix:
         v = np.asarray(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise MatrixFormatError("matrix must be 2-D with at least one part and one machine")
-        if v.size and not np.isin(v, (0, 1)).all():
+        if not np.isin(v, (0, 1)).all():
             raise MatrixFormatError("entries must be 0 or 1")
         v = np.ascontiguousarray(v.astype(np.uint8))
         row_sums = v.sum(axis=1)

@@ -7,7 +7,9 @@ signs are arbitrary, so row ``i`` is oriented to have a positive dot
 product with the fixed, slightly asymmetric reference
 ``1 + (i + 1) * 1e-3 * arange(n)``, which is never orthogonal to a
 coordinate-symmetric eigenvector. The SOM initialisation lays the map out
-along these rows, so the rule keeps its layout deterministic.
+along these rows and the projection draws on them, signs included, so the
+rule keeps the layout deterministic and an untrained map projects in its
+layout's order.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ def principal_plane(rows: np.ndarray):
     """Mean, centred rows and the top two eigenpairs of their sample covariance.
 
     Returns ``(mean, centered, values, vectors)``, the eigenpairs as
-    ``top_eigenpairs`` gives them. Fewer than two rows or two columns span
-    no plane; ``values`` and ``vectors`` are then None.
+    ``top_eigenpairs`` gives them. Rows with fewer than two columns, or all
+    identical (a single row included), span no plane; ``values`` and
+    ``vectors`` are then None.
     """
     mean = rows.mean(axis=0)
     centered = rows - mean
-    n_samples, dim = rows.shape
-    if n_samples < 2 or dim < 2:
+    if rows.shape[1] < 2 or (rows == rows[0]).all():
         return mean, centered, None, None
-    values, vectors = top_eigenpairs(centered.T @ centered / (n_samples - 1), count=2)
+    values, vectors = top_eigenpairs(centered.T @ centered / (rows.shape[0] - 1), count=2)
     return mean, centered, values, vectors

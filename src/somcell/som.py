@@ -220,7 +220,8 @@ def init_codebook(grid: MapGrid, data: IncidenceMatrix, seed: int) -> SomModel:
     values = data.values
     dim = data.machines
     mean, _, lam, vecs = pca.principal_plane(values)
-    if lam is None or lam[0] <= _RANK_TOL or lam[1] <= _RANK_TOL * max(lam[0], 1.0):
+    # lam[1] <= lam[0], so this also catches a first eigenvalue within _RANK_TOL of 0
+    if lam is None or lam[1] <= _RANK_TOL * max(lam[0], 1.0):
         rng = np.random.default_rng(seed)
         offsets = rng.uniform(-0.1, 0.1, size=(grid.units, dim)) / math.sqrt(dim)
         codebook = mean + offsets

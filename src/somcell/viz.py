@@ -122,29 +122,17 @@ def compute_hits(model: SomModel, data: IncidenceMatrix) -> HitHistogram:
 
 
 def pca_project(model: SomModel, data: IncidenceMatrix) -> Projection:
-    """Project parts and unit prototypes onto the data's top two principal components.
+    """Project parts and unit prototypes onto the data's principal plane.
 
-    Axis signs are fixed by making each axis's leading loading positive:
-    the first one whose magnitude is within 1e-9 of the largest, so loadings
-    tied up to float noise cannot flip an axis. The data mean maps to the
-    origin.
-
-    Parts that are not all identical span a plane: a one-machine matrix is
-    all ones, and parts that differ give the first component a variance of
-    at least 1/(parts * machines).
+    The axes are ``pca.principal_plane``'s as it returns them, signs
+    included: the rows ``init_codebook`` lays the map out along, so an
+    untrained map projects in its layout's order. The data mean maps to the
+    origin. Parts that are all identical span no plane and raise.
     """
-    if data.parts < 2:
-        raise ValueError("need at least two parts to project")
     _check_machines(model, data.machines)
-    mean, centered, lam, vecs = pca.principal_plane(data.values)
-    if np.abs(centered).max() <= 1e-12:
+    mean, centered, lam, axes = pca.principal_plane(data.values)
+    if axes is None:
         raise ValueError("parts are all identical; nothing to project")
-    axes = vecs.copy()
-    for i in range(2):
-        mags = np.abs(axes[i])
-        lead = int(np.argmax(mags >= mags.max() - 1e-9))
-        if axes[i][lead] < 0:
-            axes[i] = -axes[i]
     return Projection(
         grid=model.grid,
         part_points=centered @ axes.T,

@@ -251,7 +251,7 @@ VIZ_GOLDEN = {
         "plane_m9.svg": "61cb2b0c6e6a66e81347951ee264f238314278af29eb6c62193839475d2a4ffd",
         "plane_m10.svg": "976c64e7e9227b382fd5813e1b5ded7608426612eae265c2a786eb9346613a19",
         "hits.svg": "50053186e7d6cc141d70dc7136a83837a7320a137df01d45562398aa0a7b0ae3",
-        "projection.svg": "09b5081ca26eecb1888a48e6f107c2078f98850b7766b6b523cd1dbf00119cba",
+        "projection.svg": "511cc9e4d6472fcb434784160c0ace3a9085e4c9d472527b021e22cde7ff0964",
         "scatter.csv": "2351e5d8334f050d272d03498874ff78e4dbabea886004db42a2c0e57a7d62e5",
     },
     "planted250x45-3": {

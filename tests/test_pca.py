@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from somcell.pca import top_eigenpairs
+from somcell import pca
+from somcell.pca import principal_plane, top_eigenpairs
 
 
 def random_psd(rng, n):
@@ -62,3 +63,14 @@ def test_input_validation():
         top_eigenpairs(np.zeros((2, 3)), count=1)
     with pytest.raises(ValueError):
         top_eigenpairs(np.zeros((2, 2)), count=3)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 1]], [[1, 0, 1]] * 3, [[1], [1], [1]], [[0], [1], [1]]])
+def test_principal_plane_is_none_without_a_plane(rows, monkeypatch):
+    # one row, identical rows and a single column span no plane, and the
+    # eigensolver is not called for them
+    monkeypatch.setattr(pca, "top_eigenpairs", None)
+    rows = np.array(rows, dtype=np.uint8)
+    mean, centered, values, vectors = principal_plane(rows)
+    assert values is None and vectors is None
+    assert np.array_equal(mean, rows.mean(axis=0)) and np.array_equal(centered, rows - mean)

@@ -97,3 +97,31 @@ def test_commands_load_no_numpy_ma(tmp_path):
         [sys.executable, "-c", code, str(PROBLEM1)], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
     )
     assert done.stdout == "False\n"
+
+
+def test_problem1_copies_agree():
+    # corpus/problem1.txt feeds the CLI examples, CI and perfbench, and the
+    # packaged copy feeds load_problem1; an edit to one alone splits them
+    packaged = Path(somcell.__file__).resolve().parent / "data" / "problem1.txt"
+    assert PROBLEM1.read_bytes() == packaged.read_bytes()
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # under the repo's warning filters a failing @given test must fail like
+    # any other and print its example; a warning raised while hypothesis
+    # writes its report would instead end the whole run with an internal
+    # error (exit 3)
+    (tmp_path / "test_prop.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_below_five(x):
+            assert x < 5
+    """))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_prop.py"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Falsifying example" in done.stdout

@@ -96,8 +96,9 @@ def test_pca_project_separates_two_obvious_groups():
 
 
 def test_pca_project_sign_ignores_float_noise_in_tied_loadings(problem1, monkeypatch):
-    # 8 of the demo's 10 first-axis loadings share one magnitude, so the
-    # sign rule must not hinge on which of them is largest in the last bit
+    # 8 of the demo's 10 first-axis loadings share one magnitude, so a sign
+    # keyed on the largest of them could flip on a last-bit nudge; the sign
+    # comes from top_eigenpairs' reference dot product, which it cannot flip
     model = init_codebook(MapGrid(4, 4), problem1, seed=0)
     reference = pca_project(model, problem1)
     solver = pca.top_eigenpairs
@@ -111,6 +112,19 @@ def test_pca_project_sign_ignores_float_noise_in_tied_loadings(problem1, monkeyp
     monkeypatch.setattr(pca, "top_eigenpairs", nudged)
     nudged_proj = pca_project(model, problem1)
     assert np.allclose(nudged_proj.part_points, reference.part_points, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 3), (12, 10), (3, 4)])
+def test_untrained_map_projects_in_its_layout_order(problem1, rows, cols):
+    # init_codebook lays the longer grid side along the first principal
+    # axis and the shorter along the second; the projection draws on the
+    # same axes, so x rises with the major index and y with the minor one
+    grid = MapGrid(rows, cols)
+    proj = pca_project(init_codebook(grid, problem1, seed=0), problem1)
+    r, c = np.divmod(np.arange(grid.units), cols)
+    major, minor = (r, c) if rows >= cols else (c, r)
+    for axis, index in ((0, major), (1, minor)):
+        assert np.corrcoef(proj.unit_points[:, axis], index)[0, 1] > 0.999
 
 
 def test_pca_project_rejects_identical_parts():
