@@ -20,7 +20,7 @@ from . import kernels, metrics
 from .incidence import BlockDiagonalView, IncidenceMatrix
 from .metrics import CellAssignment
 from .som import SomModel, _check_machines
-from .viz import HitHistogram, compute_hits, nearest_hit_units
+from .viz import HitHistogram, compute_hits
 
 
 def _ward_labels(points: np.ndarray, k_max: int) -> np.ndarray:
@@ -57,29 +57,27 @@ def _ward_labels(points: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def cluster_basis(model: SomModel, hits: HitHistogram, k_max: int) -> np.ndarray:
-    """Every unit's cluster for every k in 1..k_max, one read-only int64
-    (k_max, units) array: row k - 1 holds ids 1..k, numbered by each
-    cluster's first unit with hits; k_max may not exceed those units.
+    """Every unit's cluster for every k in 1..k_max (at most the units with
+    hits), one read-only int64 (k_max, units) array: row k - 1 holds ids
+    1..k at the units with hits, numbered by each cluster's first such unit,
+    and 0 at the rest, which ``[:, nearest_hit_units(model, hits)]`` fills.
 
     The units with hits are Ward-clustered on their codebook rows, every k
-    cut from one dendrogram (``_ward_labels``), and each unit without hits
-    takes the cluster of its nearest unit with hits (``nearest_hit_units``).
+    cut from one dendrogram (``_ward_labels``).
     """
     hit_units = np.flatnonzero(hits.hits > 0)
     if not 1 <= k_max <= hit_units.size:
-        raise ValueError(f"k must lie in 1..{hit_units.size} (units with hits)")
-    nearest = nearest_hit_units(model, hits)
-    table = np.zeros((k_max, nearest.size), dtype=np.int64)
+        raise ValueError(f"k_max must lie in 1..{hit_units.size} (units with hits)")
+    table = np.zeros((k_max, model.grid.units), dtype=np.int64)
     table[:, hit_units] = _ward_labels(model.codebook[hit_units], k_max) + 1
-    table = table[:, nearest]
     table.flags.writeable = False
     return table
 
 
 def cluster_map(basis: np.ndarray, k: int) -> np.ndarray:
-    """Cluster ids (1..k) for every map unit: row k - 1 of ``basis``, which
-    is ``cluster_basis(model, hits, k_max)`` for some k_max >= k, as a
-    read-only view.
+    """Cluster ids for every map unit, 1..k at units with hits and 0 at the
+    rest: row k - 1 of ``basis``, which is ``cluster_basis(model, hits,
+    k_max)`` for some k_max >= k, as a read-only view.
     """
     if not 1 <= k <= basis.shape[0]:
         raise ValueError(f"k must lie in 1..{basis.shape[0]} for this basis")

@@ -2,7 +2,7 @@
 dense symmetric PSD matrices.
 
 One ``np.linalg.eigh`` call (LAPACK's symmetric eigensolver) gives every
-eigenpair; the largest ``count`` are kept in descending order. Eigenvector
+eigenpair; the largest two are kept in descending order. Eigenvector
 signs are arbitrary, so row ``i`` is oriented to have a positive dot
 product with the fixed, slightly asymmetric reference
 ``1 + (i + 1) * 1e-3 * arange(n)``, which is never orthogonal to a
@@ -17,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def top_eigenpairs(sym, count: int = 2):
-    """Largest ``count`` eigenpairs of a symmetric PSD matrix, descending.
+def top_eigenpairs(sym):
+    """Largest two eigenpairs of a symmetric PSD matrix, descending.
 
-    Returns ``(values, vectors)`` with ``values`` shaped ``(count,)`` and
-    ``vectors`` row-wise ``(count, n)``, orthonormal. Eigenvalues are clamped
+    Returns ``(values, vectors)`` with ``values`` shaped ``(2,)`` and
+    ``vectors`` row-wise ``(2, n)``, orthonormal. Eigenvalues are clamped
     to be non-negative, which is exact for PSD input and only trims float
     noise.
     """
@@ -29,12 +29,10 @@ def top_eigenpairs(sym, count: int = 2):
     n = work.shape[0]
     if work.shape != (n, n):
         raise ValueError("matrix must be square")
-    if not 1 <= count <= n:
-        raise ValueError("count must be between 1 and the matrix size")
     values, vectors = np.linalg.eigh(work)
-    values = np.maximum(values[::-1][:count], 0.0)
-    vectors = np.ascontiguousarray(vectors.T[::-1][:count])
-    reference = 1.0 + np.outer(np.arange(1, count + 1) * 1e-3, np.arange(n))
+    values = np.maximum(values[::-1][:2], 0.0)
+    vectors = np.ascontiguousarray(vectors.T[::-1][:2])
+    reference = 1.0 + np.outer([1e-3, 2e-3], np.arange(n))
     vectors[np.einsum("ij,ij->i", vectors, reference) < 0] *= -1.0
     return values, vectors
 
@@ -51,5 +49,5 @@ def principal_plane(rows: np.ndarray):
     centered = rows - mean
     if rows.shape[1] < 2 or (rows == rows[0]).all():
         return mean, centered, None, None
-    values, vectors = top_eigenpairs(centered.T @ centered / (rows.shape[0] - 1), count=2)
+    values, vectors = top_eigenpairs(centered.T @ centered / (rows.shape[0] - 1))
     return mean, centered, values, vectors

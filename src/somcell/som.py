@@ -255,7 +255,8 @@ def train(model: SomModel, data: IncidenceMatrix, schedule: TrainingSchedule) ->
     The input model is untouched. Sample order is a fresh seeded shuffle per
     epoch derived from (model seed, epochs already trained), so repeated
     calls are deterministic and continued training does not replay the same
-    shuffles.
+    shuffles. The returned model's schedule is the input's phases, if any,
+    followed by this call's, so its epochs sum to ``trained_epochs``.
     """
     _check_machines(model, data.machines)
     if not schedule.phases:
@@ -268,6 +269,8 @@ def train(model: SomModel, data: IncidenceMatrix, schedule: TrainingSchedule) ->
     codebook = kernels.train_run(
         model.codebook, data.values, orders, alphas, sigmas, model.grid.distance_sq
     )
+    if model.schedule is not None:
+        schedule = TrainingSchedule(model.schedule.phases + schedule.phases)
     return replace(
         model,
         codebook=codebook,

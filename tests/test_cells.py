@@ -45,7 +45,7 @@ from somcell.cli import default_kmax, extract_cells, train_map
 from somcell.cells import _settle_sweep, _ward_labels, cluster_basis
 from somcell.metrics import BlockCounts
 from somcell.som import Phase, TrainingSchedule
-from somcell.viz import HitHistogram
+from somcell.viz import HitHistogram, nearest_hit_units
 
 
 def _trained(data, seed=42, grid=None):
@@ -90,10 +90,14 @@ def test_assignment_keeps_numpy_integer_ids_as_ints():
 def test_cluster_map_labels_every_unit(problem1):
     model = _trained(problem1)
     hits = compute_hits(model, problem1)
-    clusters = cluster_map(cluster_basis(model, hits, 2), 2)
+    basis = cluster_basis(model, hits, 2)
+    clusters = cluster_map(basis, 2)
     assert clusters.shape == (model.grid.units,)
     assert set(np.unique(clusters[hits.hits > 0])) == {1, 2}
-    assert (clusters >= 1).all()  # empty units inherit a neighbor's cluster
+    assert (hits.hits == 0).any() and (clusters[hits.hits == 0] == 0).all()
+    # the gather through each unit's nearest busy unit labels every unit
+    filled = basis[:, nearest_hit_units(model, hits)]
+    assert set(np.unique(filled[1])) == {1, 2} and set(np.unique(filled[0])) == {1}
 
 
 def test_cluster_map_bounds(problem1):
@@ -513,7 +517,7 @@ def _cluster_map_reference(model, hits, k):
     hit_units = np.flatnonzero(hits.hits > 0)
     out = np.zeros(model.grid.units, dtype=np.int64)
     out[hit_units] = _ward_reference(model.codebook[hit_units], k)[k - 1] + 1
-    return fill_hitless_reference(model.codebook, hits.hits, out)
+    return out
 
 
 @st.composite
@@ -650,8 +654,8 @@ def test_cluster_map_matches_loop_reference(case):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(clustered_maps())
 def test_shared_basis_matches_standalone_cluster_map(case):
-    # the sweep's single basis (one dendrogram, one nearest-unit map)
-    # labels every k as a basis built for that k alone would
+    # the sweep's single basis (one dendrogram) labels every k as a basis
+    # built for that k alone would
     model, hits, _ = case
     busy = int((hits.hits > 0).sum())
     basis = cluster_basis(model, hits, busy)
@@ -673,9 +677,12 @@ def test_cluster_basis_is_one_read_only_table(case):
         clusters = cluster_map(basis, k)
         assert np.shares_memory(clusters, row) and clusters.tolist() == row.tolist()
         assert not clusters.flags.writeable
-        assert set(row.tolist()) == set(range(1, k + 1))
-        # each unit without hits holds its nearest busy unit's id
-        assert row.tolist() == fill_hitless_reference(model.codebook, hits.hits, row).tolist()
+        assert set(row[hits.hits > 0].tolist()) == set(range(1, k + 1))
+        assert (row[hits.hits == 0] == 0).all()
+        # the gather through nearest_hit_units fills each unit without hits
+        # with its nearest busy unit's id
+        filled = row[nearest_hit_units(model, hits)]
+        assert filled.tolist() == fill_hitless_reference(model.codebook, hits.hits, row).tolist()
         if k < busy:
             # each of k + 1's clusters over all units lies inside one of k's
             finer = basis[k]
@@ -711,7 +718,7 @@ def test_form_cells_does_not_depend_on_the_model_seed(monkeypatch):
     hits = compute_hits(model, data)
     got = [form_cells(dataclasses.replace(model, seed=seed), data, default_kmax(data), hits) for seed in (0, 1)]
     assert got[0] == got[1]
-    # the one nearest-row search left in clustering is the hitless fill
+    # clustering makes no nearest-row search: the hitless units stay 0
     calls = []
     real = kernels.nearest_rows
 
@@ -721,7 +728,7 @@ def test_form_cells_does_not_depend_on_the_model_seed(monkeypatch):
 
     monkeypatch.setattr(kernels, "nearest_rows", counting)
     cluster_basis(model, hits, 2)
-    assert calls == [int((hits.hits == 0).sum())]
+    assert calls == []
 
 
 def _efficacy(data, assignment):

@@ -161,7 +161,7 @@ def test_principal_pairs_for_init_are_clamped_and_oriented():
     # 3, 0, 0, and the zeros come out of the solver slightly negative
     for sym in (np.ones((3, 3)), np.cov(np.random.default_rng(5).normal(size=(12, 7)), rowvar=False)):
         n = sym.shape[0]
-        values, vectors = pca.top_eigenpairs(sym, count=n)
+        values, vectors = pca.top_eigenpairs(sym)
         assert np.all(values >= 0.0)
         for i, row in enumerate(vectors):
             assert row @ (1.0 + (i + 1) * 1e-3 * np.arange(n)) > 0
@@ -194,6 +194,9 @@ def test_train_continuation_differs_from_restart(problem1):
     once = train(m0, problem1, sched)
     twice = train(once, problem1, sched)
     assert twice.trained_epochs == 6
+    # the schedule lists every phase trained, one per call here
+    assert once.schedule == sched and twice.schedule.phases == sched.phases * 2
+    assert twice.schedule.total_epochs == twice.trained_epochs
     # continuation reshuffles from a new stream, not a replay of the first run
     replay = train(m0, problem1, sched)
     assert not np.array_equal(twice.codebook, replay.codebook)

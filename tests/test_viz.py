@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import clustered_maps, fill_hitless_reference
+from conftest import QUALITY_RUN_SEEDS, clustered_maps, fill_hitless_reference, quality_family
 from somcell import (
     CellAssignment,
     IncidenceMatrix,
@@ -26,6 +26,7 @@ from somcell import (
     unit_cells_from_hits,
 )
 from somcell import pca, viz
+from somcell.cli import train_map
 from somcell.viz import HitHistogram, _ramp_fills, nearest_hit_units
 
 
@@ -70,6 +71,26 @@ def test_component_planes_expose_codebook_columns():
     assert planes[1].values.tolist() == [2.0, 4.0]
 
 
+@pytest.mark.parametrize(
+    "values, planted",
+    [pytest.param(values, planted, id=name) for name, values, planted in quality_family()
+     if name.endswith("-noise15") and values.shape[0] <= 400],
+)
+def test_component_planes_of_one_cell_look_alike(values, planted):
+    # the paper's "visually decipherable" planes: on the default map, each
+    # planted machine cell's planes correlate with one another, on average,
+    # more than with the planes of any other cell
+    model = train_map(IncidenceMatrix.from_array(values), QUALITY_RUN_SEEDS[0])
+    r = np.corrcoef([plane.values for plane in component_planes(model)])
+    cell = np.array(planted.machine_cell)
+    for c in range(1, cell.max() + 1):
+        members = cell == c
+        within = r[np.ix_(members, members)][~np.eye(members.sum(), dtype=bool)].mean()
+        for d in range(1, cell.max() + 1):
+            if d != c:
+                assert within > r[np.ix_(members, cell == d)].mean(), (c, d)
+
+
 def test_compute_hits_counts_and_labels(problem1):
     model = init_codebook(MapGrid(4, 4), problem1, seed=0)
     hits = compute_hits(model, problem1)
@@ -97,21 +118,24 @@ def test_pca_project_separates_two_obvious_groups():
 
 def test_pca_project_sign_ignores_float_noise_in_tied_loadings(problem1, monkeypatch):
     # 8 of the demo's 10 first-axis loadings share one magnitude, so a sign
-    # keyed on the largest of them could flip on a last-bit nudge; the sign
-    # comes from top_eigenpairs' reference dot product, which it cannot flip
+    # keyed on the largest of them could flip on a last-bit nudge. Here the
+    # solver hands back every eigenvector negated, with one tied loading of
+    # each axis nudged; top_eigenpairs' reference dot product must orient
+    # them back, so the points move by the nudge alone
     model = init_codebook(MapGrid(4, 4), problem1, seed=0)
     reference = pca_project(model, problem1)
-    solver = pca.top_eigenpairs
+    solver = np.linalg.eigh
 
-    def nudged(sym, count=2):
-        values, vectors = solver(sym, count)
-        vectors = vectors.copy()
-        vectors[0, 3] += 1e-12
+    def flipped(sym):
+        values, vectors = solver(sym)
+        vectors = -vectors
+        vectors[3, -2:] += 1e-12  # eigh's columns ascend, so the last two are the plane
         return values, vectors
 
-    monkeypatch.setattr(pca, "top_eigenpairs", nudged)
-    nudged_proj = pca_project(model, problem1)
-    assert np.allclose(nudged_proj.part_points, reference.part_points, rtol=0, atol=1e-9)
+    monkeypatch.setattr(pca.np.linalg, "eigh", flipped)
+    flipped_proj = pca_project(model, problem1)
+    assert np.allclose(flipped_proj.part_points, reference.part_points, rtol=0, atol=1e-9)
+    assert np.allclose(flipped_proj.unit_points, reference.unit_points, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("rows, cols", [(4, 3), (12, 10), (3, 4)])
