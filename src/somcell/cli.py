@@ -144,6 +144,8 @@ def _assignment_dict(assignment: CellAssignment, matrix: IncidenceMatrix) -> dic
 def _parse_assignment(path) -> CellAssignment:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("assignment must be a JSON object")
     if not is_json_int(doc["k"]):
         raise ValueError(f"k must be an integer, got {json.dumps(doc['k'])}")
     for key in ("part_family", "machine_cell"):

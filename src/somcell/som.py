@@ -174,8 +174,7 @@ class SomModel:
     grid: MapGrid
     codebook: np.ndarray
     seed: int
-    trained_epochs: int = 0
-    schedule: TrainingSchedule | None = None
+    schedule: TrainingSchedule = TrainingSchedule(())  # every phase trained, in order
 
     def __post_init__(self):
         cb = np.ascontiguousarray(np.asarray(self.codebook, dtype=np.float64))
@@ -187,8 +186,6 @@ class SomModel:
             raise ValueError("codebook entries must be finite and at most 2**100 in magnitude")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.trained_epochs < 0:
-            raise ValueError("trained_epochs must be non-negative")
         cb.flags.writeable = False
         object.__setattr__(self, "codebook", cb)
 
@@ -196,6 +193,11 @@ class SomModel:
     def input_dim(self) -> int:
         """Features per sample (machines): the codebook's width."""
         return self.codebook.shape[1]
+
+    @property
+    def trained_epochs(self) -> int:
+        """Epochs trained so far: the schedule's total."""
+        return self.schedule.total_epochs
 
 
 def _check_machines(model: SomModel, machines: int) -> None:
@@ -255,8 +257,8 @@ def train(model: SomModel, data: IncidenceMatrix, schedule: TrainingSchedule) ->
     The input model is untouched. Sample order is a fresh seeded shuffle per
     epoch derived from (model seed, epochs already trained), so repeated
     calls are deterministic and continued training does not replay the same
-    shuffles. The returned model's schedule is the input's phases, if any,
-    followed by this call's, so its epochs sum to ``trained_epochs``.
+    shuffles. The returned model's schedule is the input's phases followed
+    by this call's.
     """
     _check_machines(model, data.machines)
     if not schedule.phases:
@@ -269,14 +271,7 @@ def train(model: SomModel, data: IncidenceMatrix, schedule: TrainingSchedule) ->
     codebook = kernels.train_run(
         model.codebook, data.values, orders, alphas, sigmas, model.grid.distance_sq
     )
-    if model.schedule is not None:
-        schedule = TrainingSchedule(model.schedule.phases + schedule.phases)
-    return replace(
-        model,
-        codebook=codebook,
-        trained_epochs=model.trained_epochs + epochs,
-        schedule=schedule,
-    )
+    return replace(model, codebook=codebook, schedule=TrainingSchedule(model.schedule.phases + schedule.phases))
 
 
 def quantization_error(model: SomModel, data: IncidenceMatrix) -> float:
@@ -296,7 +291,7 @@ def save_model(model: SomModel, path) -> None:
         "input_dim": model.input_dim,
         "seed": model.seed,
         "trained_epochs": model.trained_epochs,
-        "schedule": [asdict(ph) for ph in model.schedule.phases] if model.schedule is not None else None,
+        "schedule": [asdict(ph) for ph in model.schedule.phases] or None,
         "codebook": binascii.b2a_base64(raw, newline=False).decode("ascii"),
     }
     atomic_write_text(path, json.dumps(doc, indent=1))
@@ -359,14 +354,13 @@ def load_model(path) -> SomModel:
             raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
     if ints["input_dim"] < 1:
         raise ValueError(f"input_dim must be at least 1, got {ints['input_dim']}")
-    schedule = None
-    if doc.get("schedule"):
-        schedule = TrainingSchedule(tuple(_load_phase(ph) for ph in doc["schedule"]))
+    schedule = TrainingSchedule(tuple(_load_phase(ph) for ph in doc["schedule"] or ()))
+    if ints["trained_epochs"] != schedule.total_epochs:
+        raise ValueError(f"trained_epochs is {ints['trained_epochs']} but the schedule lists {schedule.total_epochs} epochs")
     grid = MapGrid(ints["grid.rows"], ints["grid.cols"])
     return SomModel(
         grid=grid,
         codebook=_base64_codebook(doc["codebook"], grid.units, ints["input_dim"]),
         seed=ints["seed"],
-        trained_epochs=ints["trained_epochs"],
         schedule=schedule,
     )

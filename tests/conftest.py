@@ -65,7 +65,7 @@ def save_model_v1(model, path):
         "input_dim": model.input_dim,
         "seed": model.seed,
         "trained_epochs": model.trained_epochs,
-        "schedule": [asdict(ph) for ph in model.schedule.phases] if model.schedule is not None else None,
+        "schedule": [asdict(ph) for ph in model.schedule.phases] or None,
         "codebook": [[float(v) for v in row] for row in model.codebook],
     }
     atomic_write_text(path, json.dumps(doc, indent=1))

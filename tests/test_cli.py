@@ -211,6 +211,15 @@ def test_metrics_rejects_bad_weight(tmp_path, trained, capsys):
 BLOCKS_ASSIGNMENT = {"k": 2, "part_family": [1, 1, 1, 2, 2, 2], "machine_cell": [1, 1, 1, 2, 2]}
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "k", None, 2], ids=["array", "string", "null", "number"])
+def test_metrics_rejects_assignment_that_is_not_an_object(tmp_path, blocks_file, capsys, doc):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["metrics", "--input", str(blocks_file), "--assignment", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: not a valid assignment file (assignment must be a JSON object)\n"
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -689,6 +698,25 @@ def test_model_input_dim_must_match_the_codebook_width(tmp_path, trained, capsys
     assert rc == 2
     assert err.startswith(f"error: {path}: not a valid model file (") and err.count("\n") == 1
     assert "input_dim" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["cells", "viz"])
+@pytest.mark.parametrize(
+    "fields, stored, total",
+    [({"trained_epochs": 999}, 999, 30), ({"schedule": None, "trained_epochs": 5}, 5, 0)],
+    ids=["more-than-the-schedule", "no-schedule"],
+)
+def test_model_trained_epochs_must_match_the_schedule(tmp_path, trained, capsys, command, fields, stored, total):
+    matrix_path, model_path = trained
+    doc = json.loads(model_path.read_text())
+    path = tmp_path / "model-epochs.json"
+    path.write_text(json.dumps({**doc, **fields}))
+    out_dir = tmp_path / "out"
+    rc = main([command, "--input", str(matrix_path), "--model", str(path), "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {path}: not a valid model file (trained_epochs is {stored} but the schedule lists {total} epochs)\n"
     assert not out_dir.exists()
 
 

@@ -1,5 +1,6 @@
 """Lattice geometry, schedules, initialization, training, persistence."""
 import binascii
+import dataclasses
 import json
 import math
 
@@ -257,6 +258,47 @@ def test_model_round_trip_is_exact(tmp_path, problem1):
     assert loaded.schedule == model.schedule
 
 
+def test_untrained_model_round_trips_with_an_empty_schedule(tmp_path, problem1):
+    # an initialized map's schedule is empty, never None, and its file says null
+    model = init_codebook(MapGrid(3, 3), problem1, seed=5)
+    assert [f.name for f in dataclasses.fields(SomModel)] == ["grid", "codebook", "seed", "schedule"]
+    assert model.schedule.phases == () and model.trained_epochs == 0
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["schedule"] is None and doc["trained_epochs"] == 0
+    loaded = load_model(path)
+    assert loaded.schedule.phases == () and loaded.trained_epochs == 0
+    assert loaded.codebook.tobytes() == model.codebook.tobytes()
+
+
+def test_load_model_trained_epochs_must_match_the_schedule(tmp_path, problem1):
+    # train seeds each epoch's shuffle from (seed, trained_epochs), so the
+    # file's count must be the epochs its schedule lists
+    grid = MapGrid(3, 3)
+    model = train(init_codebook(grid, problem1, seed=5), problem1, default_schedule(grid, problem1.parts))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    good = json.loads(path.read_text())
+    cases = [
+        ({**good, "trained_epochs": 999}, 999, 30),
+        ({**good, "trained_epochs": -1}, -1, 30),
+        ({**good, "trained_epochs": 29}, 29, 30),
+        ({**good, "schedule": None, "trained_epochs": 5}, 5, 0),
+        ({**good, "schedule": good["schedule"][:1]}, 30, good["schedule"][0]["epochs"]),
+    ]
+    for doc, stored, total in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^trained_epochs is {stored} but the schedule lists {total} epochs$"):
+            load_model(path)
+    # the schedule key is required like every other; null is an untrained map
+    path.write_text(json.dumps({key: value for key, value in good.items() if key != "schedule"}))
+    with pytest.raises(KeyError, match="'schedule'"):
+        load_model(path)
+    path.write_text(json.dumps(good))
+    assert load_model(path).trained_epochs == 30
+
+
 def test_load_model_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
@@ -300,7 +342,7 @@ def test_load_model_rejects_foreign_json(tmp_path):
     with pytest.raises(ValueError, match="^unsupported model version 1$"):
         load_model(path)
     # integer rates are JSON numbers too
-    path.write_text(json.dumps({**good, "schedule": [{**phase, "alpha_end": 0}]}))
+    path.write_text(json.dumps({**good, "trained_epochs": 2, "schedule": [{**phase, "alpha_end": 0}]}))
     model = load_model(path)
     assert model.schedule.total_epochs == 2 and model.schedule.phases[0].alpha_end == 0
 
@@ -414,10 +456,6 @@ def test_model_validates_codebook_shape():
         SomModel(grid=MapGrid(2, 2), codebook=np.full((4, 2), np.nan), seed=0)
     with pytest.raises(ValueError):
         SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=-1)
-    # train seeds each epoch's shuffle from (seed, trained_epochs), which
-    # numpy accepts only when both are non-negative
-    with pytest.raises(ValueError, match="trained_epochs must be non-negative"):
-        SomModel(grid=MapGrid(2, 2), codebook=np.zeros((4, 2)), seed=0, trained_epochs=-1)
 
 
 def test_model_bounds_codebook_entries_by_2_100():
